@@ -125,6 +125,34 @@ fn poll_mode_matches_committed_golden_snapshot() {
     compare_or_bless("poll_mode.snap", &lines);
 }
 
+/// Guards the retransmission path on both dataplanes: 2 % wire loss, so
+/// the loss draw, the `RtoFire` timer and the retransmitted segment's
+/// wire slot all land in the snapshot. The interrupt cell is the paper
+/// SUT's bulk send; the poll cell is the 4-core PMD grid point, whose
+/// retransmissions run inline on the queue's owning core.
+#[test]
+fn lossy_matches_committed_golden_snapshot() {
+    let mut lines = Vec::new();
+    let mut paper =
+        ExperimentConfig::paper_sut(Direction::Tx, 16384, AffinityMode::Full).with_seed(0x5EED);
+    paper.workload.warmup_messages = 4;
+    paper.workload.measure_messages = 10;
+    paper.tunables.loss_rate = 0.02;
+    let run = run_experiment(&paper).unwrap();
+    lines.push(snapshot_line("tx 16384B full lossy", &run.metrics));
+
+    let mut poll = ExperimentConfig::poll_sweep(Direction::Tx, 4, 12).with_seed(0x5EED);
+    poll.workload.warmup_messages = 2;
+    poll.workload.measure_messages = 6;
+    poll.tunables.loss_rate = 0.02;
+    let run = run_experiment(&poll).unwrap();
+    lines.push(format!(
+        "tx 4cpu 12flows Poll lossy: {:?} {:?}",
+        run.metrics, run.poll
+    ));
+    compare_or_bless("lossy.snap", &lines);
+}
+
 /// Guards the dynamic-flow lifecycle path: quick churn cells (4 CPUs,
 /// 24 connection slots, Flow Director steering) on both dataplanes.
 /// The snapshot covers the metrics *and* the lifecycle counters
