@@ -205,31 +205,14 @@ impl Nic {
         bytes: u32,
         now: u64,
     ) -> bool {
-        let entries = self.config.ring_entries;
-        let descriptor_bytes = self.config.descriptor_bytes;
-        let buf_size = self.config.rx_buffer_bytes / u64::from(entries);
         let q = &mut self.queues[queue];
-        if q.rx_outstanding >= entries {
+        if q.rx_outstanding >= self.config.ring_entries {
             self.stats.rx_drops += 1;
             return false;
         }
-        let slot = q.rx_head % entries;
-        q.rx_head = q.rx_head.wrapping_add(1);
         q.rx_outstanding += 1;
-        // Payload lands in the slot's 2 KB buffer; descriptor updated.
-        mem.dma_write(q.rx_buffers, u64::from(slot) * buf_size, u64::from(bytes));
-        mem.dma_write(
-            q.rx_ring,
-            u64::from(slot) * u64::from(descriptor_bytes),
-            u64::from(descriptor_bytes),
-        );
-        self.stats.rx_frames += 1;
-        if q.coalescer.on_event(now) {
-            self.stats.interrupts += 1;
-            true
-        } else {
-            false
-        }
+        self.fill_rx(queue, mem, bytes);
+        self.moderate(queue, now)
     }
 
     /// A frame arrives on `queue` under a poll-mode dataplane: the DMA
@@ -240,19 +223,7 @@ impl Nic {
     /// occupancy is owned by the dataplane's [`crate::SpscRing`], not the
     /// device, so nothing is dropped here.
     pub fn dma_rx_frame_polled(&mut self, queue: usize, mem: &mut MemorySystem, bytes: u32) {
-        let entries = self.config.ring_entries;
-        let descriptor_bytes = self.config.descriptor_bytes;
-        let buf_size = self.config.rx_buffer_bytes / u64::from(entries);
-        let q = &mut self.queues[queue];
-        let slot = q.rx_head % entries;
-        q.rx_head = q.rx_head.wrapping_add(1);
-        mem.dma_write(q.rx_buffers, u64::from(slot) * buf_size, u64::from(bytes));
-        mem.dma_write(
-            q.rx_ring,
-            u64::from(slot) * u64::from(descriptor_bytes),
-            u64::from(descriptor_bytes),
-        );
-        self.stats.rx_frames += 1;
+        self.fill_rx(queue, mem, bytes);
     }
 
     /// The device transmits a frame under a poll-mode dataplane: DMA-reads
@@ -266,18 +237,7 @@ impl Nic {
         payload_offset: u64,
         bytes: u32,
     ) {
-        let entries = self.config.ring_entries;
-        let descriptor_bytes = self.config.descriptor_bytes;
-        let q = &mut self.queues[queue];
-        let slot = q.tx_head % entries;
-        q.tx_head = q.tx_head.wrapping_add(1);
-        mem.dma_read(payload_region, payload_offset, u64::from(bytes));
-        mem.dma_write(
-            q.tx_ring,
-            u64::from(slot) * u64::from(descriptor_bytes),
-            u64::from(descriptor_bytes),
-        );
-        self.stats.tx_completions += 1;
+        self.fill_tx(queue, mem, payload_region, payload_offset, bytes);
     }
 
     /// The driver consumed `frames` RX descriptors on `queue` (reclaim
@@ -306,24 +266,50 @@ impl Nic {
         bytes: u32,
         now: u64,
     ) -> bool {
+        self.fill_tx(queue, mem, payload_region, payload_offset, bytes);
+        self.moderate(queue, now)
+    }
+
+    /// The RX slot fill both dataplanes share: payload into the next
+    /// slot's buffer (2 KB each on the paper NIC), then its descriptor.
+    fn fill_rx(&mut self, queue: usize, mem: &mut MemorySystem, bytes: u32) {
         let entries = self.config.ring_entries;
-        let descriptor_bytes = self.config.descriptor_bytes;
+        let descriptor_bytes = u64::from(self.config.descriptor_bytes);
+        let buf_size = self.config.rx_buffer_bytes / u64::from(entries);
         let q = &mut self.queues[queue];
-        let slot = q.tx_head % entries;
+        let slot = u64::from(q.rx_head % entries);
+        q.rx_head = q.rx_head.wrapping_add(1);
+        mem.dma_write(q.rx_buffers, slot * buf_size, u64::from(bytes));
+        mem.dma_write(q.rx_ring, slot * descriptor_bytes, descriptor_bytes);
+        self.stats.rx_frames += 1;
+    }
+
+    /// The TX slot fill both dataplanes share: payload read out of host
+    /// memory, completion descriptor written back.
+    fn fill_tx(
+        &mut self,
+        queue: usize,
+        mem: &mut MemorySystem,
+        payload_region: RegionId,
+        payload_offset: u64,
+        bytes: u32,
+    ) {
+        let entries = self.config.ring_entries;
+        let descriptor_bytes = u64::from(self.config.descriptor_bytes);
+        let q = &mut self.queues[queue];
+        let slot = u64::from(q.tx_head % entries);
         q.tx_head = q.tx_head.wrapping_add(1);
         mem.dma_read(payload_region, payload_offset, u64::from(bytes));
-        mem.dma_write(
-            q.tx_ring,
-            u64::from(slot) * u64::from(descriptor_bytes),
-            u64::from(descriptor_bytes),
-        );
+        mem.dma_write(q.tx_ring, slot * descriptor_bytes, descriptor_bytes);
         self.stats.tx_completions += 1;
-        if q.coalescer.on_event(now) {
-            self.stats.interrupts += 1;
-            true
-        } else {
-            false
-        }
+    }
+
+    /// Steps `queue`'s coalescer for one event at `now`; `true` (and one
+    /// counted interrupt) when it fires.
+    fn moderate(&mut self, queue: usize, now: u64) -> bool {
+        let fire = self.queues[queue].coalescer.on_event(now);
+        self.stats.interrupts += u64::from(fire);
+        fire
     }
 
     /// Flushes any partially-coalesced events on `queue` (the hardware's
