@@ -46,10 +46,8 @@ mod counters;
 mod profiler;
 mod registry;
 mod report;
-mod sampling;
 
 pub use counters::{PollCounters, SteerCounters};
 pub use profiler::{ProfScratch, Profiler};
 pub use registry::{FuncId, FunctionMeta, FunctionRegistry};
 pub use report::{region_map_report, symbol_report, SampleView, SymbolRow};
-pub use sampling::{sample_profile, sampling_distortion, SampledRow, SamplingConfig};

@@ -70,9 +70,6 @@ impl Drop for ExecCtx<'_> {
 pub struct RxBatchOutcome {
     /// Pure ACK segments generated (already charged, ready for the NIC).
     pub acks_sent: u32,
-    /// The socket receive queue went from empty to non-empty: the
-    /// blocked consumer should be woken.
-    pub wake_consumer: bool,
     /// Cycles consumed by the whole batch.
     pub cycles: u64,
 }
@@ -888,7 +885,6 @@ impl TcpStack {
                 .item(&self.config.wake_up, self.ids.wake_up, 0)
                 .touch(DataTouch::read(regions.sock, 256, 128));
             outcome.cycles += self.run(ctx, self.ids.wake_up, item);
-            outcome.wake_consumer = true;
         }
         outcome
     }
@@ -1340,7 +1336,6 @@ mod tests {
         let out = h
             .stack
             .rx_bottom_half(&mut ctx, CONN, &[1448, 1448, 1448, 1448], rx_ring, false);
-        assert!(out.wake_consumer, "first data should wake the reader");
         assert_eq!(out.acks_sent, 2); // delayed ack: one per two frames
         assert_eq!(h.stack.rx_available(CONN), 4 * 1448);
 
@@ -1356,23 +1351,6 @@ mod tests {
         let mut h = harness();
         let mut ctx = ExecCtx::new(&mut h.core, &mut h.mem, &mut h.prof, &mut h.rng);
         assert_eq!(h.stack.recvmsg(&mut ctx, CONN, 4096, false), 0);
-    }
-
-    #[test]
-    fn rx_wake_only_on_empty_to_nonempty() {
-        let mut h = harness();
-        let rx_ring = h.rx_ring;
-        let mut ctx = ExecCtx::new(&mut h.core, &mut h.mem, &mut h.prof, &mut h.rng);
-        let first = h
-            .stack
-            .rx_bottom_half(&mut ctx, CONN, &[1448], rx_ring, false);
-        assert!(first.wake_consumer);
-        drop(ctx);
-        let mut ctx = ExecCtx::new(&mut h.core, &mut h.mem, &mut h.prof, &mut h.rng);
-        let second = h
-            .stack
-            .rx_bottom_half(&mut ctx, CONN, &[1448], rx_ring, false);
-        assert!(!second.wake_consumer, "queue already non-empty");
     }
 
     #[test]
