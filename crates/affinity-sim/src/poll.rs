@@ -2,13 +2,13 @@
 //! descriptor rings, the mempool backing them, and the PMD cores that
 //! busy-poll them.
 //!
-//! Under [`DataplaneMode::Poll`](crate::DataplaneMode::Poll) the machine
-//! routes every device-side completion through these rings instead of
-//! the interrupt path: frame arrivals, peer ACKs and transmit
-//! completions become descriptors pushed (device side) and popped (PMD
-//! side) on the queue's single-producer/single-consumer ring. Queue →
-//! core ownership is fixed at construction from the steering policy's
-//! `vector_home`, which is exactly what makes each ring single-consumer.
+//! Under [`DataplaneMode::Poll`](crate::DataplaneMode::Poll) the machine's
+//! device seam pushes every frame arrival, peer ACK and transmit
+//! completion onto the queue's single-producer/single-consumer ring
+//! instead of staging it for an interrupt; the owning PMD core pops it.
+//! Queue → core ownership is fixed at construction from the steering
+//! policy's `vector_home`, which is exactly what makes each ring
+//! single-consumer.
 //!
 //! Ring capacity auto-sizes to the per-queue in-flight bound — each flow
 //! can have at most `peer_window` data frames plus roughly
@@ -21,79 +21,43 @@ use sim_net::{Mempool, SpscRing};
 use sim_os::{PmdConfig, PmdCore};
 use sim_prof::PollCounters;
 
-/// A completion descriptor a PMD core finds on its queue's rx ring.
+/// What the NIC hands the host for one flow: a received frame or a
+/// transmit completion. Both dataplanes carry it across the device seam;
+/// the poll plane queues it on a ring, the interrupt plane stages it
+/// straight into the flow's pending state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RxDesc {
-    /// A data frame from the peer (RX workload). Pins a mempool buffer.
-    Data {
-        /// Flow the frame belongs to.
-        flow: usize,
-        /// Payload bytes.
-        bytes: u32,
-        /// Cycle the device enqueued the descriptor.
-        at: u64,
-    },
-    /// A peer ACK frame (TX workload). Pins a mempool buffer.
-    Ack {
-        /// Flow the ACK belongs to.
-        flow: usize,
-        /// Segments acknowledged.
-        acked: u32,
-        /// Cycle the device enqueued the descriptor.
-        at: u64,
-    },
-    /// A transmit completion (TX workload). Reuses the tx descriptor —
-    /// no mempool buffer.
-    TxDone {
-        /// Flow whose segment left the wire.
-        flow: usize,
-        /// Cycle the device enqueued the descriptor.
-        at: u64,
-    },
-    /// A connection-opening SYN (server workload). Pins a mempool
-    /// buffer; the flow slot was allocated device-side at arrival.
-    Syn {
-        /// Flow slot the new connection was allocated.
-        flow: usize,
-        /// Cycle the device enqueued the descriptor.
-        at: u64,
-    },
-    /// The client's ACK of our FIN (server workload teardown). Pins a
-    /// mempool buffer.
-    FinAck {
-        /// Flow being torn down.
-        flow: usize,
-        /// Cycle the device enqueued the descriptor.
-        at: u64,
-    },
+    /// A data frame from the peer of `bytes` payload.
+    Data { flow: usize, bytes: u32 },
+    /// A peer ACK frame acknowledging `acked` segments.
+    Ack { flow: usize, acked: u32 },
+    /// A transmit completion for a `bytes`-payload segment. Reuses the
+    /// tx descriptor — no rx buffer.
+    TxDone { flow: usize, bytes: u32 },
+    /// A connection-opening SYN (server workload); the flow slot was
+    /// allocated device-side at arrival.
+    Syn { flow: usize },
+    /// The client's ACK of our FIN (server workload teardown).
+    FinAck { flow: usize },
 }
 
 impl RxDesc {
-    /// Cycle the device enqueued this descriptor (the earliest a PMD
-    /// core can observe it).
-    pub(crate) fn at(&self) -> u64 {
+    /// The flow the descriptor belongs to.
+    pub(crate) fn flow(&self) -> usize {
         match *self {
-            RxDesc::Data { at, .. }
-            | RxDesc::Ack { at, .. }
-            | RxDesc::TxDone { at, .. }
-            | RxDesc::Syn { at, .. }
-            | RxDesc::FinAck { at, .. } => at,
+            RxDesc::Data { flow, .. }
+            | RxDesc::Ack { flow, .. }
+            | RxDesc::TxDone { flow, .. }
+            | RxDesc::Syn { flow }
+            | RxDesc::FinAck { flow } => flow,
         }
     }
 
-    /// True when this descriptor pins a mempool buffer.
+    /// True when this descriptor occupies an rx buffer (a mempool buffer
+    /// on the poll plane).
     pub(crate) fn pins_buffer(&self) -> bool {
         !matches!(self, RxDesc::TxDone { .. })
     }
-}
-
-/// A transmit descriptor the PMD core hands to the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct TxDesc {
-    /// Flow the segment belongs to.
-    pub flow: usize,
-    /// Segment payload bytes.
-    pub bytes: u32,
 }
 
 /// All poll-dataplane state: rings, pools, core ownership, counters.
@@ -105,12 +69,11 @@ pub(crate) struct PollPlane {
     pub cores: Vec<PmdCore>,
     /// Owning PMD core of each global queue.
     pub cpu_of_queue: Vec<usize>,
-    /// Per-queue rx/completion descriptor ring (device → PMD).
-    pub rx: Vec<SpscRing<RxDesc>>,
-    /// Per-queue tx descriptor ring (PMD → device).
-    pub tx: Vec<SpscRing<TxDesc>>,
+    /// Per-queue rx/completion ring (device → PMD), each entry stamped
+    /// with the cycle the device enqueued it.
+    rx: Vec<SpscRing<(u64, RxDesc)>>,
     /// Per-queue rx buffer pool.
-    pub pool: Vec<Mempool>,
+    pool: Vec<Mempool>,
     /// Per-CPU poll accounting (measurement window).
     pub counters: Vec<PollCounters>,
 }
@@ -138,7 +101,6 @@ impl PollPlane {
         // FIN-ACK, and one frame of slack).
         let per_flow = (peer_window + 2 * send_buf_segments + 4) as usize;
         let mut rx = Vec::with_capacity(queue_homes.len());
-        let mut tx = Vec::with_capacity(queue_homes.len());
         let mut pool = Vec::with_capacity(queue_homes.len());
         for flows in queue_flows {
             let entries = if config.ring_entries > 0 {
@@ -146,10 +108,9 @@ impl PollPlane {
             } else {
                 flows.len() * per_flow + 8
             };
-            let ring: SpscRing<RxDesc> = SpscRing::with_capacity(entries);
+            let ring = SpscRing::with_capacity(entries);
             pool.push(Mempool::new(ring.capacity()));
             rx.push(ring);
-            tx.push(SpscRing::with_capacity(entries));
         }
         PollPlane {
             pmd: PmdConfig {
@@ -159,10 +120,36 @@ impl PollPlane {
             cores,
             cpu_of_queue: queue_homes.to_vec(),
             rx,
-            tx,
             pool,
             counters: vec![PollCounters::default(); cpus],
         }
+    }
+
+    /// Device side: enqueues `desc` on `queue`'s ring at cycle `at`,
+    /// taking a mempool buffer when it pins one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the pool or the ring is exhausted — the sizing
+    /// invariant above rules both out.
+    pub(crate) fn enqueue(&mut self, queue: usize, desc: RxDesc, at: u64) {
+        assert!(
+            !desc.pins_buffer() || self.pool[queue].try_alloc(),
+            "poll mempool exhausted on queue {queue} — sizing invariant violated"
+        );
+        self.rx[queue].push((at, desc)).unwrap_or_else(|_| {
+            panic!("poll rx ring overflow on queue {queue} — sizing invariant violated")
+        });
+    }
+
+    /// PMD side: pops `queue`'s head descriptor, returning its buffer to
+    /// the pool.
+    pub(crate) fn dequeue(&mut self, queue: usize) -> Option<RxDesc> {
+        let (_, desc) = self.rx[queue].pop()?;
+        if desc.pins_buffer() {
+            self.pool[queue].free();
+        }
+        Some(desc)
     }
 
     /// Earliest enqueue time among the head descriptors of `cpu`'s
@@ -171,7 +158,7 @@ impl PollPlane {
         self.cores[cpu]
             .queues()
             .iter()
-            .filter_map(|&q| self.rx[q].peek().map(RxDesc::at))
+            .filter_map(|&q| self.rx[q].peek().map(|&(at, _)| at))
             .min()
     }
 
