@@ -33,6 +33,13 @@
 //! percolation; far-future events (wire and RTT delays, timers) pay
 //! exactly the old heap cost.
 //!
+//! [`ShardedEventQueue`] adds a third store beside its lanes' calendars:
+//! a FIFO *timer run* ([`ShardedEventQueue::push_timer`]). A timer armed a
+//! fixed delay past a non-decreasing clock — a retransmission timeout
+//! `watermark + RTO` — is never earlier than the previous one, so it is
+//! a deque append and later a deque pop instead of a far-heap push and
+//! pop.
+//!
 //! ## Ordering-contract proof sketch
 //!
 //! The pop order is the total order `(time, seq)`; the calendar preserves
@@ -61,6 +68,18 @@
 //! the lanes share one sequence counter and one watermark, and every pop
 //! takes the `(time, seq)`-minimum across lanes, so *which* lane stores
 //! an event is pure storage layout and cannot affect pop order.
+//!
+//! The timer run is covered by the same argument:
+//!
+//! * **Append only at or after the tail.** `push_timer` appends only when
+//!   `time >= tail.time`, and the new seq exceeds every earlier one, so
+//!   the run stays sorted by `(time, seq)` and its front is its minimum.
+//!   A timer earlier than the tail is an ordinary lane push instead, so
+//!   the run is exact for any input, not only for fixed delays.
+//! * **Merge by the contract key.** A pop compares the run's front with
+//!   the cached lane head by `(time, seq)` and takes the smaller, exactly
+//!   like the ring/far merge inside a calendar. Comparing time alone
+//!   would misorder same-cycle ties between a timer and a lane event.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -380,8 +399,12 @@ impl<E> Extend<(SimTime, E)> for EventQueue<E> {
 /// causality watermark, the merged pop order is *identical* to pushing
 /// everything through a single [`EventQueue`] — lane assignment is pure
 /// storage layout (see the module docs). The per-lane `(time, seq)` heads
-/// are cached, so `peek_time` is O(1) and only a pop pays the O(lanes)
-/// argmin rescan.
+/// are cached, so `peek_time` is O(1) and only a lane pop pays the
+/// O(lanes) argmin rescan.
+///
+/// Fixed-delay timers pushed with [`ShardedEventQueue::push_timer`] ride
+/// a FIFO run beside the lanes: appending and popping there is O(1) and
+/// never rescans the lane heads.
 ///
 /// # Example
 ///
@@ -398,8 +421,11 @@ impl<E> Extend<(SimTime, E)> for EventQueue<E> {
 #[derive(Debug, Clone)]
 pub struct ShardedEventQueue<E> {
     lanes: Vec<Calendar<E>>,
-    /// `(time, seq, lane)` of the global head, cached across peeks.
+    /// `(time, seq, lane)` of the earliest lane event, cached across peeks.
     head: Option<(SimTime, u64, usize)>,
+    /// Timer run: events sorted by `(time, seq)`, appended only at or
+    /// after the tail's time.
+    run: VecDeque<ScheduledEvent<E>>,
     next_seq: u64,
     watermark: SimTime,
 }
@@ -429,6 +455,7 @@ impl<E> ShardedEventQueue<E> {
                 .map(|_| Calendar::with_capacity(capacity))
                 .collect(),
             head: None,
+            run: VecDeque::new(),
             next_seq: 0,
             watermark: SimTime::ZERO,
         }
@@ -448,6 +475,35 @@ impl<E> ShardedEventQueue<E> {
     /// timestamp of the most recently popped event (causality, as for
     /// [`EventQueue::push`]).
     pub fn push(&mut self, lane: usize, time: SimTime, event: E) {
+        let seq = self.take_seq(time);
+        self.lanes[lane].push(self.watermark, time, seq, event);
+        if self.head.is_none() || (time, seq) < (self.head.unwrap().0, self.head.unwrap().1) {
+            self.head = Some((time, seq, lane));
+        }
+    }
+
+    /// Schedules a timer: `event` at `time`, appended to the timer run
+    /// when `time` is at or after the run's tail, otherwise pushed on
+    /// `lane` as by [`ShardedEventQueue::push`]. Either way the pop order
+    /// is the same `(time, seq)` order; the run only pays off for
+    /// fixed-delay timers armed from a non-decreasing clock (such as the
+    /// watermark), which always append.
+    ///
+    /// # Panics
+    ///
+    /// As for [`ShardedEventQueue::push`].
+    pub fn push_timer(&mut self, lane: usize, time: SimTime, event: E) {
+        if self.run.back().is_some_and(|tail| time < tail.time) {
+            self.push(lane, time, event);
+            return;
+        }
+        let seq = self.take_seq(time);
+        self.run.push_back(ScheduledEvent { time, seq, event });
+    }
+
+    /// Checks the causality contract for a push at `time` and hands out
+    /// its sequence number.
+    fn take_seq(&mut self, time: SimTime) -> u64 {
         assert!(
             time >= self.watermark,
             "event scheduled at {time} but simulation already advanced to {}",
@@ -455,10 +511,7 @@ impl<E> ShardedEventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.lanes[lane].push(self.watermark, time, seq, event);
-        if self.head.is_none() || (time, seq) < (self.head.unwrap().0, self.head.unwrap().1) {
-            self.head = Some((time, seq, lane));
-        }
+        seq
     }
 
     /// Schedules `event` on `lane` at the current watermark (cannot
@@ -471,6 +524,16 @@ impl<E> ShardedEventQueue<E> {
     /// Removes and returns the globally earliest event, advancing the
     /// causality watermark to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        if let Some(front) = self.run.front() {
+            if self
+                .head
+                .is_none_or(|(t, seq, _)| (front.time, front.seq) < (t, seq))
+            {
+                let ev = self.run.pop_front().expect("run front exists");
+                self.watermark = ev.time;
+                return Some((ev.time, ev.event));
+            }
+        }
         let (time, _, lane) = self.head?;
         let (t, _seq, event) = self.lanes[lane].pop().expect("cached head exists");
         debug_assert_eq!(t, time);
@@ -495,19 +558,23 @@ impl<E> ShardedEventQueue<E> {
     /// Timestamp of the earliest pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.head.map(|(t, _, _)| t)
+        let lane = self.head.map(|(t, _, _)| t);
+        match (lane, self.run.front()) {
+            (Some(t), Some(ev)) => Some(t.min(ev.time)),
+            (lane, run) => lane.or(run.map(|ev| ev.time)),
+        }
     }
 
-    /// Total pending events across lanes.
+    /// Total pending events across lanes and the timer run.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lanes.iter().map(Calendar::len).sum()
+        self.lanes.iter().map(Calendar::len).sum::<usize>() + self.run.len()
     }
 
     /// Returns `true` if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.head.is_none()
+        self.head.is_none() && self.run.is_empty()
     }
 
     /// Timestamp of the most recently popped event.
@@ -522,6 +589,7 @@ impl<E> ShardedEventQueue<E> {
             lane.clear();
         }
         self.head = None;
+        self.run.clear();
     }
 }
 
@@ -653,11 +721,18 @@ mod tests {
     #[test]
     fn sharded_merge_matches_single_queue() {
         // Same pushes, lane-striped vs single queue: identical pop order.
+        // Every third push is a timer: times 1 and 5 append to the run
+        // (5 ties with two earlier lane events), 2 falls behind the
+        // run's tail and lands on a lane.
         let mut sharded = ShardedEventQueue::new(3);
         let mut single = EventQueue::new();
         let times = [5u64, 5, 1, 9000, 7, 5, 12000, 2, 2, 9000];
         for (i, &t) in times.iter().enumerate() {
-            sharded.push(i % 3, SimTime::from_cycles(t), i);
+            if i % 3 == 2 {
+                sharded.push_timer(i % 3, SimTime::from_cycles(t), i);
+            } else {
+                sharded.push(i % 3, SimTime::from_cycles(t), i);
+            }
             single.push(SimTime::from_cycles(t), i);
         }
         assert_eq!(sharded.len(), single.len());
@@ -691,9 +766,13 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_cycles(10)));
         assert_eq!(q.pop(), Some((SimTime::from_cycles(10), 2)));
         q.push(0, SimTime::from_cycles(20), 3);
+        q.push_timer(1, SimTime::from_cycles(30), 4);
+        assert_eq!(q.len(), 2);
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
+        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
         assert_eq!(q.now(), SimTime::from_cycles(10));
     }
 }

@@ -134,9 +134,18 @@ proptest! {
     /// and the far heap so the merge between the two stores is exercised,
     /// and a lane-striped [`ShardedEventQueue`] rides along to prove lane
     /// assignment never leaks into the observable order.
+    ///
+    /// Timer pushes go to the sharded queue's FIFO timer run (and are
+    /// plain pushes for the single queue): fixed-delay ones at `watermark
+    /// + delay`, with `delay` drawn once per case on either side of the
+    /// ring span, and arbitrary ones that may fall behind the run's tail
+    /// and take the lane fallback. Lane pushes at the same `watermark +
+    /// delay` put same-cycle ties between the run and the lanes in both
+    /// seq orders, so a merge that compared time without seq fails here.
     #[test]
     fn calendar_queue_matches_binary_heap_model(
-        ops in prop::collection::vec((0u8..4, 0u64..40_000), 1..300),
+        ops in prop::collection::vec((0u8..7, 0u64..40_000), 1..300),
+        delay in 0u64..6000,
     ) {
         let mut model = ModelQueue::default();
         let mut cal = EventQueue::new();
@@ -161,6 +170,29 @@ proptest! {
                     model.push(model.watermark, i);
                     cal.schedule_now(i);
                     sharded.schedule_now(i % 3, i);
+                }
+                // Fixed-delay timer: appends to the run.
+                3 => {
+                    let t = model.watermark + delay;
+                    model.push(t, i);
+                    cal.push(SimTime::from_cycles(t), i);
+                    sharded.push_timer(i % 3, SimTime::from_cycles(t), i);
+                }
+                // Arbitrary timer: behind the run's tail it falls back to
+                // a lane.
+                4 => {
+                    let t = model.watermark + offset;
+                    model.push(t, i);
+                    cal.push(SimTime::from_cycles(t), i);
+                    sharded.push_timer(i % 3, SimTime::from_cycles(t), i);
+                }
+                // Lane push on the fixed-delay timers' cycle: a same-cycle
+                // tie with the run.
+                5 => {
+                    let t = model.watermark + delay;
+                    model.push(t, i);
+                    cal.push(SimTime::from_cycles(t), i);
+                    sharded.push(i % 3, SimTime::from_cycles(t), i);
                 }
                 _ => {
                     let want = model.pop();
