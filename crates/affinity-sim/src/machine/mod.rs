@@ -509,9 +509,11 @@ impl Machine {
 
     fn guard_limit(&self) -> u64 {
         if let Some(srv) = &self.server {
-            // Each connection is bounded by a few dozen loop iterations
+            // Each connection costs a bounded number of loop iterations
             // (SYN, accept, request frames, response segments, ACKs,
-            // FIN, drop retries); 50k per connection is wedge detection.
+            // FIN, drop retries): ~150 in the 16-CPU × 100k-slot churn
+            // cell, most of them arena-full SYN retries. 50k per
+            // connection is wedge detection.
             return 50_000 * srv.workload.total_conns() + 1_000_000;
         }
         // Generous: every message costs well under 10k loop iterations.

@@ -87,13 +87,13 @@ impl Machine {
 
     /// Admits one arriving connection: allocates an arena slot, stamps
     /// the incarnation's serial and request/response sizes, and returns
-    /// the slot — or counts a drop and schedules the client's SYN
+    /// the slot — or counts a drop and arms the client's SYN
     /// retransmission.
     pub(super) fn server_admit(&mut self, t: u64) -> Option<usize> {
         let Some(conn) = self.stack.flow_alloc() else {
             let srv = self.server.as_mut().expect("server mode");
             srv.backlog_drops += 1;
-            self.push_event(t + self.config.tunables.rto_cycles, Event::ConnArrival);
+            self.arm_rto(Event::ConnArrival);
             return None;
         };
         let flow = conn.index();
@@ -144,6 +144,9 @@ impl Machine {
     pub(super) fn server_syn_drop(&mut self, flow: usize, now: u64) {
         self.stack.flow_free(ConnectionId::new(flow as u32));
         self.server.as_mut().expect("server mode").backlog_drops += 1;
+        // Not `arm_rto`: `now` is the softirq CPU's clock, which runs
+        // ahead of and behind the watermark, so these retries are not
+        // monotone with the timer run and belong on the lanes.
         self.push_event(now + self.config.tunables.rto_cycles, Event::ConnArrival);
     }
 

@@ -19,6 +19,16 @@ impl Machine {
         self.events.push(lane, SimTime::from_cycles(at), event);
     }
 
+    /// Arms a retransmission timer: `event` fires `rto_cycles` after the
+    /// event being processed. The watermark never decreases and the
+    /// delay is fixed, so these timers reach the queue in time order and
+    /// ride its FIFO timer run instead of a lane's far heap.
+    pub(super) fn arm_rto(&mut self, event: Event) {
+        let at = self.events.now() + self.config.tunables.rto_cycles;
+        let lane = self.event_lane(&event);
+        self.events.push_timer(lane, at, event);
+    }
+
     /// Storage lane for an event: flow and queue events live in the lane
     /// of the CPU their interrupt currently targets, machine-wide timers
     /// in the device lane. Pop order is lane-independent.
@@ -81,10 +91,7 @@ impl Machine {
         if bytes > 0 && self.rng.chance(self.config.tunables.loss_rate) {
             // Lost on the wire: the peer never sees it; Reno's
             // retransmission timer will fire.
-            self.push_event(
-                t + self.config.tunables.rto_cycles,
-                Event::RtoFire { flow, bytes },
-            );
+            self.arm_rto(Event::RtoFire { flow, bytes });
             return;
         }
         if self.peers[flow].on_data_segment().is_some() {
