@@ -15,45 +15,23 @@
 //! repro --quick perf   # smoke variants at tiny message counts (CI)
 //! ```
 //!
-//! `--check` works on every sweep subcommand (`perf`, `scale`, `steer`,
-//! `poll`, `churn`): instead of appending a history row, the fresh wall
-//! time is gated against the newest matching row in
-//! `BENCH_substrate.json`.
-//!
-//! `--filter` narrows the sweep subcommands to matching cells — the
-//! spec is `mode/size/dir` for `perf`, `mode/cpus/flows` for `scale`,
-//! `policy/coalesce/cpus` (e.g. `flowdir/adaptive/8`) for `steer`,
-//! `plane/policy/cpus` (e.g. `poll/pmd/8`) for `poll`, and
-//! `plane/policy/cpus/flows` (e.g. `irq/flowdir/8/1000`) for `churn`.
-//! A filter that matches no cells lists the valid tokens on stderr and
-//! exits 2, the same usage-error contract as a misspelled artifact.
-//! `repro --list` prints every sweep with its filter grammar and the
-//! newest recorded history row, so the exit-2 listings are not the only
-//! discovery path.
-//!
-//! The sweep cells run on a deterministic job pool; `REPRO_THREADS`
-//! overrides the worker count (results are identical at any setting).
+//! The sweep subcommands are rows of one table (`bench::sweeps`) run by
+//! one driver; `repro --list` shows each sweep's filter axes and tokens.
+//! Quick, filtered and `--check` runs never record a history row. The
+//! cells run on a deterministic job pool; `REPRO_THREADS` overrides the
+//! worker count (results are identical at any setting).
 
 use affinity_sim::{
-    report, AffinityMode, CoalesceConfig, DataplaneMode, Direction, DynamicSteer, ExperimentConfig,
-    FlowPlacement, RunMetrics, RunResult, ServerWorkload, SteerSpec, VectorLayout, PAPER_SIZES,
+    report, AffinityMode, Direction, ExperimentConfig, RunMetrics, RunResult, PAPER_SIZES,
 };
+use bench::sweeps::{self, Sweep, HISTORY_PATH};
 use bench::{
-    append_history, cell, figure_row, fnv_fold, latest_entries_by_threads, latest_history_entry,
-    pool_threads, run_cell, run_pool, EXTREME_POINTS,
+    append_history, cell, figure_row, latest_entries_by_threads, latest_history_entry,
+    pool_threads, run_cell, EXTREME_POINTS,
 };
 use sim_cpu::EventCosts;
 
-/// PR number stamped on history entries appended to `BENCH_substrate.json`.
-const CURRENT_PR: u32 = 10;
-
-/// History file the sweep subcommands record into and `--check` reads.
-const HISTORY_PATH: &str = "BENCH_substrate.json";
-
-/// Benchmark-name prefix of the paper-matrix rows in the history file.
-const MATRIX_BENCHMARK: &str = "full figure matrix";
-
-/// Wall-time slack `perf --check` allows over the recorded row before it
+/// Wall-time slack `--check` allows over the recorded row before it
 /// declares a regression.
 const CHECK_SLACK: f64 = 1.10;
 
@@ -64,10 +42,9 @@ const CHECK_SLACK: f64 = 1.10;
 /// sweeps the gate actually protects.
 const CHECK_NOISE_FLOOR_S: f64 = 0.25;
 
-/// Every artifact name `repro` understands, for validation and `--help`.
-const KNOWN_ARTIFACTS: [&str; 14] = [
-    "fig3", "fig4", "fig5", "table1", "table2", "table3", "table4", "table5", "fourp", "perf",
-    "scale", "steer", "poll", "churn",
+/// The paper artifacts, in the order a bare `repro` renders them.
+const PAPER_ARTIFACTS: [&str; 9] = [
+    "fig3", "fig4", "table1", "table2", "fig5", "table3", "table4", "table5", "fourp",
 ];
 
 struct Args {
@@ -79,7 +56,7 @@ struct Args {
     filter: Option<String>,
     /// `--quick`: tiny message counts, no history entry (CI smoke).
     quick: bool,
-    /// `--check` (with `perf`): gate on the recorded wall time instead
+    /// `--check` (with a sweep): gate on the recorded wall time instead
     /// of appending a new history row.
     check: bool,
     /// `--list`: print the sweeps, their filter grammars and the newest
@@ -99,135 +76,47 @@ fn usage_error(what: &str, got: &str, valid: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Rejects a well-formed `--filter` whose tokens name no cell of the
-/// sweep being run: lists the valid tokens on stderr and exits 2 — the
-/// same usage-error contract for every sweep subcommand.
-fn empty_filter_error(subcommand: &str, spec: &str, valid: &str) -> ! {
-    eprintln!("repro {subcommand}: --filter {spec:?} matches no cells");
-    eprintln!("  valid tokens: {valid}");
-    std::process::exit(2);
-}
-
-/// Construction-throughput sanity bound for the million-flow cells, in
-/// host nanoseconds per provisioned flow. The incremental (pre-slab)
-/// path measured ~22,700 ns/flow building the 16-CPU x 100k-flow churn
-/// machine, and its per-flow cost *grows* with the flow count (each
-/// `add_region` resizes the directory and per-CPU tables), so a slab
-/// build drifting anywhere near this rate has silently fallen back to
-/// per-region provisioning. The default of a quarter of the incremental
-/// rate leaves headroom for slow CI hosts while sitting ~5x above the
-/// measured slab rate (~1,100 ns/flow); the ≥10x acceptance bar itself
-/// is read off the recorded `setup_wall_s` columns, where the hardware
-/// is the same on both sides of the comparison. Override with
-/// `REPRO_MAX_SETUP_NS_PER_FLOW`.
-const MAX_SETUP_NS_PER_FLOW: f64 = 22_700.0 / 4.0;
-
-/// Asserts the million-flow construction bound, then reports the
-/// achieved per-flow rate (visible in CI logs either way).
-fn assert_setup_bound(label: &str, setup_wall_s: f64, flows: usize) {
-    let bound = std::env::var("REPRO_MAX_SETUP_NS_PER_FLOW")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(MAX_SETUP_NS_PER_FLOW);
-    let ns_per_flow = setup_wall_s * 1e9 / flows as f64;
-    assert!(
-        ns_per_flow <= bound,
-        "{label}: construction ran at {ns_per_flow:.0} ns/flow, over the {bound:.0} ns/flow \
-         bound — the slab path has regressed toward incremental provisioning \
-         (override with REPRO_MAX_SETUP_NS_PER_FLOW)"
-    );
-    eprintln!("{label}: construction {ns_per_flow:.0} ns/flow (bound {bound:.0})");
-}
-
-/// Rejects `--check --filter`: the gate compares against rows recorded
-/// for the full sweep, so a filtered subset is never comparable.
-fn check_rejects_filter(subcommand: &str, filter: Option<&str>) {
-    if filter.is_some() {
-        eprintln!("repro {subcommand}: --check times the full sweep; drop --filter");
-        std::process::exit(2);
-    }
-}
-
-/// The wall-time regression gate shared by every sweep subcommand:
-/// compares a fresh run's wall seconds against the newest history row
-/// whose benchmark name starts with `benchmark_prefix` and exits 1 if
-/// the run is more than [`CHECK_SLACK`] over it. Quick runs time a
-/// different workload, so with `quick` the gate only verifies a
-/// comparison row exists (smoke mode) — and matches any worker count,
-/// while full runs only gate against rows recorded at the same count.
-fn check_gate(subcommand: &str, benchmark_prefix: &str, wall: f64, quick: bool, threads: usize) {
-    let row = latest_history_entry(
-        HISTORY_PATH,
-        benchmark_prefix,
-        if quick { None } else { Some(threads) },
-    );
-    let Some(row) = row else {
+/// The `--check` gate: exits 1 if `wall` is over the newest history row of
+/// `sweep` at the same worker count by more than [`CHECK_SLACK`] plus
+/// [`CHECK_NOISE_FLOOR_S`]. Quick counts are comparable to no row, so a
+/// quick check only requires a row at any worker count. A full check also
+/// warns if the newest threads>1 row is that much slower than the newest
+/// threads=1 row: the parallel runner is then a net loss.
+fn check_gate(sweep: &Sweep, wall: f64, quick: bool, threads: usize) {
+    let (name, prefix) = (sweep.name, sweep.prefix());
+    let limit = |wall_s: f64| wall_s * CHECK_SLACK + CHECK_NOISE_FLOOR_S;
+    let Some(row) = latest_history_entry(HISTORY_PATH, prefix, (!quick).then_some(threads)) else {
         eprintln!(
-            "{subcommand} check FAILED: no \"{benchmark_prefix}\" row{} in {HISTORY_PATH} to compare against",
-            if quick {
-                String::new()
-            } else {
-                format!(" at threads={threads}")
-            }
+            "{name} check FAILED: no \"{prefix}\" row in {HISTORY_PATH} to compare against \
+             (threads={threads}, quick={quick})"
         );
         std::process::exit(1);
     };
     if quick {
-        eprintln!(
-            "{subcommand} check: smoke mode — quick counts are not comparable to the recorded \
-             {:.2} s (PR {}); timing gate skipped",
-            row.wall_s, row.pr
-        );
-    } else {
-        warn_parallel_regression(subcommand, benchmark_prefix);
-        let limit = row.wall_s * CHECK_SLACK + CHECK_NOISE_FLOOR_S;
-        if wall > limit {
-            eprintln!(
-                "{subcommand} check FAILED: {wall:.2} s vs recorded {:.2} s (PR {}, threads {}) \
-                 — over the {limit:.2} s limit",
-                row.wall_s, row.pr, row.threads
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "{subcommand} check OK: {wall:.2} s vs recorded {:.2} s (PR {}, limit {limit:.2} s)",
-            row.wall_s, row.pr
-        );
-    }
-}
-
-/// Non-fatal scan over the recorded history: if the newest threads>1
-/// row of this benchmark is slower than its newest threads=1
-/// counterpart (beyond the same slack-plus-noise-floor tolerance the
-/// gate uses, so two rows of the same clamped single-worker run don't
-/// trip it), the parallel runner is a net loss — print it, so the
-/// regression can never land silently again. The gate itself stays
-/// same-thread-count-only; this is a summary, not a failure.
-fn warn_parallel_regression(subcommand: &str, benchmark_prefix: &str) {
-    let rows = latest_entries_by_threads(HISTORY_PATH, benchmark_prefix);
-    let Some(serial) = rows.iter().find(|e| e.threads == 1) else {
+        let pr = row.pr;
+        eprintln!("{name} check: smoke mode, found PR {pr}'s row; timing gate skipped");
         return;
-    };
-    for row in rows.iter().filter(|e| e.threads > 1) {
-        if row.wall_s > serial.wall_s * CHECK_SLACK + CHECK_NOISE_FLOOR_S {
+    }
+    let rows = latest_entries_by_threads(HISTORY_PATH, prefix);
+    if let Some(serial) = rows.iter().find(|r| r.threads == 1) {
+        let cutoff = limit(serial.wall_s);
+        for r in rows.iter().filter(|r| r.threads > 1 && r.wall_s > cutoff) {
             eprintln!(
-                "{subcommand} check WARNING: threads={} row ({:.2} s, PR {}) is slower than \
+                "{name} check WARNING: threads={} row ({:.2} s, PR {}) is slower than \
                  threads=1 ({:.2} s, PR {}) — the parallel runner is losing",
-                row.threads, row.wall_s, row.pr, serial.wall_s, serial.pr
+                r.threads, r.wall_s, r.pr, serial.wall_s, serial.pr
             );
         }
     }
-}
-
-/// The `--filter` input token for a mode (inverse of [`parse_mode`]),
-/// so empty-match errors list tokens the parser actually accepts.
-fn mode_token(mode: AffinityMode) -> &'static str {
-    match mode {
-        AffinityMode::None => "no",
-        AffinityMode::Irq => "irq",
-        AffinityMode::Process => "proc",
-        AffinityMode::Full => "full",
-        AffinityMode::Rss => "rss",
+    let bound = limit(row.wall_s);
+    let verdict = if wall > bound { "FAILED" } else { "OK" };
+    eprintln!(
+        "{name} check {verdict}: {wall:.2} s vs recorded {:.2} s (PR {}, threads {}, \
+         limit {bound:.2} s)",
+        row.wall_s, row.pr, row.threads
+    );
+    if wall > bound {
+        std::process::exit(1);
     }
 }
 
@@ -296,18 +185,18 @@ fn parse_args() -> Args {
             parsed.artifacts.push(arg);
         }
     }
+    let sweeps = sweeps::sweeps(false);
+    let known: Vec<&str> = PAPER_ARTIFACTS
+        .into_iter()
+        .chain(sweeps.iter().map(|s| s.name))
+        .collect();
     for artifact in &parsed.artifacts {
-        if !KNOWN_ARTIFACTS.contains(&artifact.as_str()) {
-            usage_error("artifact", artifact, &KNOWN_ARTIFACTS.join(", "));
+        if !known.contains(&artifact.as_str()) {
+            usage_error("artifact", artifact, &known.join(", "));
         }
     }
     if parsed.artifacts.is_empty() {
-        parsed.artifacts = [
-            "fig3", "fig4", "table1", "table2", "fig5", "table3", "table4", "table5", "fourp",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+        parsed.artifacts = PAPER_ARTIFACTS.into_iter().map(String::from).collect();
     }
     parsed
 }
@@ -374,1115 +263,70 @@ fn extreme_runs() -> Vec<(String, RunResult, RunResult)> {
         .collect()
 }
 
-/// Wall seconds of the pre-optimization harness running the same 112
-/// benchmark cells on this container (median of interleaved runs of the
-/// seed-revision binary, single core). Override with `REPRO_BASELINE_S`
-/// when benchmarking on different hardware.
-const PRE_PR_BASELINE_S: f64 = 13.5;
-
-/// Times the benchmark matrix — both directions, every paper size, all
-/// four modes, two seeds (112 cells, the same matrix the pre-PR harness
-/// ran for `fig3 fig4`) — and appends a history entry to
-/// `BENCH_substrate.json`. With `--quick` the cells run at tiny message
-/// counts as a CI smoke check and nothing is recorded. With `--check`
-/// nothing is recorded either: the fresh wall time is compared against
-/// the latest matching history row instead, and the process exits 1 if
-/// it is more than 10% slower — the perf scoreboard as a gate.
-fn perf(quick: bool, check: bool, filter: Option<&str>) {
-    const SEEDS: [u64; 2] = [0x5EED, 42];
-    if check {
-        check_rejects_filter("perf", filter);
+/// Runs the sweep subcommand `name` (narrowed by `filter`, else followed
+/// by its extra cells). Each run prints its report, then is gated
+/// (`--check`), left unrecorded (quick, filtered) or appended to history.
+fn run_sweep(name: &str, quick: bool, check: bool, filter: Option<&str>) {
+    if check && filter.is_some() {
+        eprintln!("repro {name}: --check times the full sweep; drop --filter");
+        std::process::exit(2);
     }
-    let mut jobs: Vec<(Direction, u64, AffinityMode, u64)> = Vec::new();
-    for dir in [Direction::Tx, Direction::Rx] {
-        for &size in &PAPER_SIZES {
-            for mode in AffinityMode::ALL {
-                for seed in SEEDS {
-                    jobs.push((dir, size, mode, seed));
-                }
-            }
-        }
-    }
-    if let Some(spec) = filter {
-        let (mode, size, dir) = parse_filter(spec);
-        jobs.retain(|&(d, s, m, _)| d == dir && s == size && m == mode);
-        if jobs.is_empty() {
-            let sizes: Vec<String> = PAPER_SIZES.iter().map(u64::to_string).collect();
-            let modes: Vec<&str> = AffinityMode::ALL.iter().map(|&m| mode_token(m)).collect();
-            empty_filter_error(
-                "perf",
-                spec,
-                &format!(
-                    "mode {}; size {}; dir tx, rx",
-                    modes.join(", "),
-                    sizes.join(", ")
-                ),
-            );
-        }
-    }
-    let cells = jobs.len();
+    let all = sweeps::sweeps(quick);
+    let sweep = all.iter().find(|s| s.name == name).expect("a sweep");
+    let extras = sweep.extras.iter().filter(|_| filter.is_none());
     let threads = pool_threads();
-    eprintln!(
-        "timing {cells} cells on {threads} worker(s){}...",
-        if quick { " (quick smoke counts)" } else { "" }
-    );
-    let t0 = std::time::Instant::now();
-    let results = run_pool(jobs, threads, |(dir, size, mode, seed)| {
-        let r = if quick {
-            let mut config = cell(dir, size, mode, seed);
-            config.workload = config.workload.quick();
-            affinity_sim::run_experiment(&config).expect("valid experiment config")
+    for sweep in std::iter::once(sweep).chain(extras) {
+        let cells = sweep.select(filter).unwrap_or_else(|e| {
+            eprintln!("repro {name}: {e}");
+            std::process::exit(2);
+        });
+        let counts = if quick { " (quick smoke counts)" } else { "" };
+        let (name, n) = (sweep.name, cells.len());
+        eprintln!("{name}: {n} cells on {threads} worker(s){counts}...");
+        let run = sweeps::run(sweep, &cells, threads);
+        println!("{}", sweep.report(&cells, &run, filter.is_none()));
+        if check {
+            check_gate(sweep, run.wall_s, quick, threads);
+        } else if quick || filter.is_some() {
+            eprintln!("quick or filtered run: not recorded in {HISTORY_PATH}");
         } else {
-            run_cell(dir, size, mode, seed)
-        };
-        (r.metrics.wall_cycles, r.setup_wall_s)
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let setup: f64 = results.iter().map(|&(_, s)| s).sum();
-    let digest = fnv_fold(results.iter().map(|&(cycles, _)| cycles));
-    if filter.is_some() {
-        println!(
-            "{cells} cells in {wall:.2} s ({rate:.1} cells/sec), digest {digest:016x}",
-            rate = cells as f64 / wall,
-        );
-        eprintln!("filtered run: not recorded in {HISTORY_PATH}");
-        return;
-    }
-    let baseline = std::env::var("REPRO_BASELINE_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(PRE_PR_BASELINE_S);
-    let json = format!(
-        "  {{\n    \"pr\": {CURRENT_PR},\n    \
-         \"benchmark\": \"{MATRIX_BENCHMARK} (2 dirs x {n_sizes} sizes x 4 modes x 2 seeds)\",\n    \
-         \"cells\": {cells},\n    \"threads\": {threads},\n    \
-         \"baseline_wall_s\": {baseline:.2},\n    \"current_wall_s\": {wall:.2},\n    \
-         \"setup_wall_s\": {setup:.2},\n    \
-         \"speedup\": {speedup:.2},\n    \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{digest:016x}\"\n  }}",
-        n_sizes = PAPER_SIZES.len(),
-        speedup = baseline / wall,
-        rate = cells as f64 / wall,
-    );
-    if check {
-        println!("{json}");
-        check_gate("perf", MATRIX_BENCHMARK, wall, quick, threads);
-        return;
-    }
-    if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else {
-        append_history(HISTORY_PATH, &json);
-    }
-    println!("{json}");
-}
-
-/// The scaling sweep: CPU counts x flow counts x affinity modes (the
-/// Figure 3 interrupt/process knobs plus RSS hash steering), receive
-/// side, 4 KB messages. Reports per-cell throughput so the scaling shape
-/// is visible — with flows hash-steered to per-CPU vectors (RSS), adding
-/// CPUs should add bandwidth, which is exactly the future the paper's
-/// conclusion sketches. Deterministic: the digest is independent of
-/// `REPRO_THREADS`.
-fn scale(quick: bool, check: bool, filter: Option<&str>) {
-    if check {
-        check_rejects_filter("scale", filter);
-    }
-    const MODES: [AffinityMode; 4] = [
-        AffinityMode::None,
-        AffinityMode::Irq,
-        AffinityMode::Full,
-        AffinityMode::Rss,
-    ];
-    let (cpu_grid, flow_grid): (Vec<usize>, Vec<usize>) = if quick {
-        (vec![2, 4], vec![8, 16])
-    } else {
-        (vec![2, 4, 8, 16], vec![8, 64, 256])
-    };
-    let mut jobs: Vec<(usize, usize, AffinityMode)> = Vec::new();
-    for &cpus in &cpu_grid {
-        for &flows in &flow_grid {
-            for mode in MODES {
-                jobs.push((cpus, flows, mode));
-            }
+            append_history(HISTORY_PATH, &sweep.history_row(&run, threads));
         }
-    }
-    if let Some(spec) = filter {
-        let parts: Vec<&str> = spec.split('/').collect();
-        if parts.len() != 3 {
-            usage_error(
-                "filter",
-                spec,
-                "<mode>/<cpus>/<flows> for scale, e.g. rss/8/64",
-            );
-        }
-        let mode = parse_mode(parts[0]);
-        let cpus_want: usize = parts[1].parse().unwrap_or_else(|_| {
-            usage_error("filter cpus", parts[1], "a CPU count, e.g. 2, 4, 8, 16")
-        });
-        let flows_want: usize = parts[2].parse().unwrap_or_else(|_| {
-            usage_error("filter flows", parts[2], "a flow count, e.g. 8, 64, 256")
-        });
-        jobs.retain(|&(c, f, m)| c == cpus_want && f == flows_want && m == mode);
-        if jobs.is_empty() {
-            let cpus: Vec<String> = cpu_grid.iter().map(usize::to_string).collect();
-            let flows: Vec<String> = flow_grid.iter().map(usize::to_string).collect();
-            let modes: Vec<&str> = MODES.iter().map(|&m| mode_token(m)).collect();
-            empty_filter_error(
-                "scale",
-                spec,
-                &format!(
-                    "mode {}; cpus {}; flows {}",
-                    modes.join(", "),
-                    cpus.join(", "),
-                    flows.join(", ")
-                ),
-            );
-        }
-    }
-    let cells = jobs.len();
-    let threads = pool_threads();
-    eprintln!(
-        "scale sweep: {cells} cells ({} CPU counts x {} flow counts x 4 modes, Rx 4KB) on {threads} worker(s)...",
-        cpu_grid.len(),
-        flow_grid.len(),
-    );
-    let t0 = std::time::Instant::now();
-    let results = run_pool(jobs.clone(), threads, move |(cpus, flows, mode)| {
-        let mut config = ExperimentConfig::scale(Direction::Rx, cpus, flows, mode);
-        if quick {
-            config.workload.warmup_messages = 2;
-            config.workload.measure_messages = 3;
-        }
-        let r = affinity_sim::run_experiment(&config).expect("valid scale config");
-        (
-            r.metrics.wall_cycles,
-            r.metrics.throughput_mbps(),
-            r.metrics.cost_ghz_per_gbps(),
-            r.setup_wall_s,
-        )
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let setup: f64 = results.iter().map(|&(.., s)| s).sum();
-    let digest = fnv_fold(results.iter().map(|&(cycles, ..)| cycles));
-
-    if filter.is_some() {
-        for (&(cpus, flows, mode), &(cycles, mbps, cost, _)) in jobs.iter().zip(&results) {
-            println!(
-                "{cpus} cpus, {flows} flows, {}: {mbps:.0} Mb/s, {cost:.2} GHz/Gbps, {cycles} cycles",
-                mode.label(),
-            );
-        }
-        println!(
-            "{cells} cells in {wall:.2} s ({rate:.1} cells/sec), digest {digest:016x}",
-            rate = cells as f64 / wall,
-        );
-        eprintln!("filtered run: not recorded in {HISTORY_PATH}");
-        return;
-    }
-
-    println!("scaling sweep (Rx, 4KB messages, one NIC queue per CPU)");
-    let header = format!(
-        "{:>5} {:>6} | {:>9} {:>9} {:>9} {:>9}",
-        "cpus",
-        "flows",
-        MODES[0].label(),
-        MODES[1].label(),
-        MODES[2].label(),
-        MODES[3].label(),
-    );
-    println!("{header}  (Mb/s)");
-    for (row, chunk) in results.chunks(MODES.len()).enumerate() {
-        let (cpus, flows, _) = jobs[row * MODES.len()];
-        let cols: Vec<String> = chunk
-            .iter()
-            .map(|&(_, mbps, ..)| format!("{mbps:>9.0}"))
-            .collect();
-        println!("{cpus:>5} {flows:>6} | {}", cols.join(" "));
-    }
-    println!("\nprocessing cost shape");
-    println!("{header}  (GHz/Gbps)");
-    for (row, chunk) in results.chunks(MODES.len()).enumerate() {
-        let (cpus, flows, _) = jobs[row * MODES.len()];
-        let cols: Vec<String> = chunk
-            .iter()
-            .map(|&(_, _, cost, _)| format!("{cost:>9.2}"))
-            .collect();
-        println!("{cpus:>5} {flows:>6} | {}", cols.join(" "));
-    }
-    let max_flows = *flow_grid.last().expect("non-empty flow grid");
-    let rss_line: Vec<String> = jobs
-        .iter()
-        .zip(&results)
-        .filter(|((_, flows, mode), _)| *flows == max_flows && *mode == AffinityMode::Rss)
-        .map(|((cpus, _, _), (_, mbps, ..))| format!("{cpus} cpus -> {mbps:.0} Mb/s"))
-        .collect();
-    println!("RSS scaling at {max_flows} flows: {}", rss_line.join(", "));
-    println!(
-        "{cells} cells in {wall:.2} s ({rate:.1} cells/sec), digest {digest:016x}",
-        rate = cells as f64 / wall,
-    );
-
-    if check {
-        check_gate("scale", "scale sweep", wall, quick, threads);
-    } else if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else {
-        let json = format!(
-            "  {{\n    \"pr\": {CURRENT_PR},\n    \
-             \"benchmark\": \"scale sweep (4 CPU counts x 3 flow counts x 4 modes, Rx 4KB)\",\n    \
-             \"cells\": {cells},\n    \"threads\": {threads},\n    \
-             \"current_wall_s\": {wall:.2},\n    \
-             \"setup_wall_s\": {setup:.2},\n    \
-             \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{digest:016x}\"\n  }}",
-            rate = cells as f64 / wall,
-        );
-        append_history(HISTORY_PATH, &json);
-    }
-
-    // One arena-scale cell on top of the grid: 16 CPUs x 4096 flows under
-    // RSS, the flow count Open item 3's server workloads start at. Its own
-    // digest and history row track whether per-flow state (arena-SoA) and
-    // the coherence directory hold their cells/sec as footprint grows —
-    // the grid's 256-flow ceiling can't see that cliff.
-    let t1 = std::time::Instant::now();
-    let mut config = ExperimentConfig::scale(Direction::Rx, 16, 4096, AffinityMode::Rss);
-    // Per-flow counts trimmed below the grid's: at 4096 flows even 2+4
-    // messages per flow is ~25k messages, plenty for a steady rate and
-    // ~5 s of wall — the cell is about footprint, not per-flow depth.
-    if quick {
-        config.workload.warmup_messages = 1;
-        config.workload.measure_messages = 1;
-    } else {
-        config.workload.warmup_messages = 2;
-        config.workload.measure_messages = 4;
-    }
-    let r = affinity_sim::run_experiment(&config).expect("valid large scale config");
-    let large_wall = t1.elapsed().as_secs_f64();
-    let large_setup = r.setup_wall_s;
-    let large_digest = fnv_fold([r.metrics.wall_cycles]);
-    println!(
-        "large cell (16 cpus x 4096 flows, rss): {mbps:.0} Mb/s, {cost:.2} GHz/Gbps in \
-         {large_wall:.2} s (setup {large_setup:.2} s), digest {large_digest:016x}",
-        mbps = r.metrics.throughput_mbps(),
-        cost = r.metrics.cost_ghz_per_gbps(),
-    );
-    if check {
-        check_gate(
-            "scale large",
-            "scale large cell",
-            large_wall,
-            quick,
-            threads,
-        );
-    } else if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else {
-        let json = format!(
-            "  {{\n    \"pr\": {CURRENT_PR},\n    \
-             \"benchmark\": \"scale large cell (16 cpus x 4096 flows, rss, Rx 4KB)\",\n    \
-             \"cells\": 1,\n    \"threads\": {threads},\n    \
-             \"current_wall_s\": {large_wall:.2},\n    \
-             \"setup_wall_s\": {large_setup:.2},\n    \
-             \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{large_digest:016x}\"\n  }}",
-            rate = 1.0 / large_wall,
-        );
-        append_history(HISTORY_PATH, &json);
-    }
-
-    // The million-flow cell: 1M provisioned connections under RSS — the
-    // regime ROADMAP item 3 names, reachable only because the slab path
-    // made construction O(footprint) instead of O(flows x pages). The
-    // workload switches to *aggregate* message targets: the subject is
-    // provisioning and footprint at 1M live flows, and per-flow depth
-    // would multiply the run window by a million for no extra signal.
-    // The peers stream on a bounded working set (the large cell's 256
-    // flows per CPU); the full million streaming at once is receive
-    // livelock by construction — interrupt work alone saturates every
-    // CPU and the consumers never run. The other 99.6% of flows hold
-    // provisioned state, which is what the cell measures.
-    // Quick mode keeps the full 1M flows — construction is the point —
-    // on CI-sized CPU counts and a smaller window.
-    let (m_cpus, m_flows) = if quick {
-        (4, 1_000_000)
-    } else {
-        (16, 1_000_000)
-    };
-    eprintln!("scale 1M cell: {m_cpus} cpus x {m_flows} flows (aggregate targets)...");
-    let t2 = std::time::Instant::now();
-    let mut config = ExperimentConfig::scale(Direction::Rx, m_cpus, m_flows, AffinityMode::Rss);
-    config.workload.aggregate_targets = true;
-    config.workload.active_conns = 256 * m_cpus;
-    if quick {
-        config.workload.warmup_messages = 256;
-        config.workload.measure_messages = 1024;
-    } else {
-        config.workload.warmup_messages = 4_096;
-        config.workload.measure_messages = 16_384;
-    }
-    let r = affinity_sim::run_experiment(&config).expect("valid 1M scale config");
-    let m_wall = t2.elapsed().as_secs_f64();
-    let m_setup = r.setup_wall_s;
-    let m_digest = fnv_fold([r.metrics.wall_cycles]);
-    assert_setup_bound("scale 1M cell", m_setup, m_flows);
-    println!(
-        "1M cell ({m_cpus} cpus x {m_flows} flows, rss): {mbps:.0} Mb/s, {cost:.2} GHz/Gbps in \
-         {m_wall:.2} s (setup {m_setup:.2} s), digest {m_digest:016x}",
-        mbps = r.metrics.throughput_mbps(),
-        cost = r.metrics.cost_ghz_per_gbps(),
-    );
-    if check {
-        check_gate("scale 1M", "scale 1M cell", m_wall, quick, threads);
-    } else if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else {
-        let json = format!(
-            "  {{\n    \"pr\": {CURRENT_PR},\n    \
-             \"benchmark\": \"scale 1M cell ({m_cpus} cpus x {m_flows} flows, rss, Rx 4KB)\",\n    \
-             \"cells\": 1,\n    \"threads\": {threads},\n    \
-             \"current_wall_s\": {m_wall:.2},\n    \
-             \"setup_wall_s\": {m_setup:.2},\n    \
-             \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{m_digest:016x}\"\n  }}",
-            rate = 1.0 / m_wall,
-        );
-        append_history(HISTORY_PATH, &json);
     }
 }
 
-/// The steering-policy sweep: static RSS hashing vs Flow Director /
-/// aRFS dynamic re-targeting, each under fixed-count and adaptive
-/// interrupt moderation, on the multi-queue SUT (one 4-queue NIC port
-/// per four CPUs, 4 flows per CPU, Rx 4KB). Reports throughput, cost,
-/// machine clears, and the steering counters (re-steers, table rejects,
-/// out-of-order completions) that distinguish the two policies: Flow
-/// Director chases the consumer and so completes some flows' frames on
-/// a different CPU than the previous batch — the reordering signature.
-/// Deterministic: the digest is independent of `REPRO_THREADS`.
-fn steer(quick: bool, check: bool, filter: Option<&str>) {
-    if check {
-        check_rejects_filter("steer", filter);
-    }
-    let rss_static = SteerSpec {
-        placement: FlowPlacement::RssHash,
-        vectors: VectorLayout::SplitEven,
-        dynamic: DynamicSteer::Off,
-        pin_processes: false,
-    };
-    let adaptive = CoalesceConfig::AdaptiveTimeout {
-        min_events: 1,
-        max_events: 8,
-        idle_gap_cycles: 8_000,
-        timeout_cycles: 12_000,
-    };
-    let variants: [(&str, SteerSpec, Option<CoalesceConfig>); 4] = [
-        ("RSS/fixed", rss_static, None),
-        ("RSS/adaptive", rss_static, Some(adaptive)),
-        ("FlowDir/fixed", SteerSpec::flow_director(), None),
-        (
-            "FlowDir/adaptive",
-            SteerSpec::flow_director(),
-            Some(adaptive),
-        ),
-    ];
-    let cpu_grid: Vec<usize> = if quick { vec![4] } else { vec![4, 8, 16] };
-    let mut jobs: Vec<(usize, usize)> = Vec::new();
-    for &cpus in &cpu_grid {
-        for variant in 0..variants.len() {
-            jobs.push((cpus, variant));
-        }
-    }
-    if let Some(spec) = filter {
-        let parts: Vec<&str> = spec.split('/').collect();
-        if parts.len() != 3 {
-            usage_error(
-                "filter",
-                spec,
-                "<policy>/<coalesce>/<cpus> for steer, e.g. flowdir/adaptive/8",
-            );
-        }
-        // Variant names are "<policy>/<coalesce>" (e.g. "FlowDir/adaptive").
-        let policy = format!("{}/{}", parts[0], parts[1]);
-        let cpus_want: usize = parts[2]
-            .parse()
-            .unwrap_or_else(|_| usage_error("filter cpus", parts[2], "a CPU count, e.g. 4, 8, 16"));
-        jobs.retain(|&(cpus, v)| cpus == cpus_want && variants[v].0.eq_ignore_ascii_case(&policy));
-        if jobs.is_empty() {
-            let cpus: Vec<String> = cpu_grid.iter().map(usize::to_string).collect();
-            let policies: Vec<&str> = variants.iter().map(|v| v.0).collect();
-            empty_filter_error(
-                "steer",
-                spec,
-                &format!("policy {}; cpus {}", policies.join(", "), cpus.join(", ")),
-            );
-        }
-    }
-    let cells = jobs.len();
-    let threads = pool_threads();
-    eprintln!(
-        "steering sweep: {cells} cells ({} CPU counts x {} policies, Rx 4KB, 4 flows/CPU) on {threads} worker(s)...",
-        cpu_grid.len(),
-        variants.len(),
-    );
-    let t0 = std::time::Instant::now();
-    let results = run_pool(jobs.clone(), threads, move |(cpus, variant)| {
-        let (_, spec, coalesce) = variants[variant];
-        let mut config = ExperimentConfig::steer_sweep(Direction::Rx, cpus, 4 * cpus, spec);
-        if let Some(c) = coalesce {
-            config.nic.coalesce = c;
-        }
-        if !quick {
-            config.workload.warmup_messages = 8;
-            config.workload.measure_messages = 24;
-        }
-        let r = affinity_sim::run_experiment(&config).expect("valid steer config");
-        (
-            r.metrics.wall_cycles,
-            r.metrics.throughput_mbps(),
-            r.metrics.cost_ghz_per_gbps(),
-            r.metrics.total.machine_clears as f64 / r.metrics.messages.max(1) as f64,
-            r.steer,
-            r.setup_wall_s,
-        )
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let setup: f64 = results.iter().map(|&(.., s)| s).sum();
-    let digest = fnv_fold(results.iter().map(|&(cycles, ..)| cycles));
-
-    println!("steering sweep (Rx, 4KB messages, 4 flows/CPU, 4-queue NIC per 4 CPUs)");
-    println!(
-        "{:>5} {:>17} | {:>9} {:>9} {:>11} {:>9} {:>8} {:>8}",
-        "cpus", "policy", "BW (Mb/s)", "GHz/Gbps", "clears/msg", "resteers", "rejects", "ooo"
-    );
-    for (row, &(_, mbps, cost, clears, counters, _)) in results.iter().enumerate() {
-        let (cpus, variant) = jobs[row];
-        println!(
-            "{cpus:>5} {:>17} | {mbps:>9.0} {cost:>9.2} {clears:>11.1} {:>9} {:>8} {:>8}",
-            variants[variant].0,
-            counters.resteers,
-            counters.table_rejects,
-            counters.ooo_completions,
-        );
-    }
-    // A filtered subset may not contain the variants the comparative
-    // summary needs, so it only renders for the full sweep.
-    if filter.is_none() {
-        let top_cpus = *cpu_grid.last().expect("non-empty cpu grid");
-        let at = |name: &str| {
-            jobs.iter()
-                .zip(&results)
-                .find(|((cpus, v), _)| *cpus == top_cpus && variants[*v].0 == name)
-                .map(|(_, &(_, mbps, ..))| mbps)
-                .expect("variant present")
-        };
-        println!(
-            "\nat {top_cpus} cpus: FlowDir {flowdir:.0} Mb/s vs RSS {rss:.0} Mb/s ({gain:+.1}%)",
-            flowdir = at("FlowDir/fixed"),
-            rss = at("RSS/fixed"),
-            gain = 100.0 * (at("FlowDir/fixed") / at("RSS/fixed") - 1.0),
-        );
-    }
-    println!(
-        "{cells} cells in {wall:.2} s ({rate:.1} cells/sec), digest {digest:016x}",
-        rate = cells as f64 / wall,
-    );
-
-    if check {
-        check_gate("steer", "steering sweep", wall, quick, threads);
-    } else if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else if filter.is_some() {
-        eprintln!("filtered run: not recorded in {HISTORY_PATH}");
-    } else {
-        let json = format!(
-            "  {{\n    \"pr\": {CURRENT_PR},\n    \
-             \"benchmark\": \"steering sweep ({n_cpus} CPU counts x 4 policies, Rx 4KB)\",\n    \
-             \"cells\": {cells},\n    \"threads\": {threads},\n    \
-             \"current_wall_s\": {wall:.2},\n    \
-             \"setup_wall_s\": {setup:.2},\n    \
-             \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{digest:016x}\"\n  }}",
-            n_cpus = cpu_grid.len(),
-            rate = cells as f64 / wall,
-        );
-        append_history(HISTORY_PATH, &json);
-    }
-}
-
-/// The interrupt-vs-poll sweep: the interrupt-driven host stack under
-/// three steering policies (every vector on CPU 0, static RSS hashing,
-/// Flow Director) against the kernel-bypass poll-mode dataplane, all on
-/// the same multi-queue geometry (one 4-queue NIC port per four CPUs,
-/// 4 flows per CPU, Rx 4KB). Poll mode takes zero interrupts — no
-/// vector dispatch, no IPIs, no interrupt-caused machine clears — and
-/// the table shows that win next to its price: PMD cores spin at 100%
-/// whether or not frames are arriving, the spin cycles are charged as
-/// busy time, and so the GHz/Gbps column prices the burned cores
-/// honestly (the spin% column shows how much of the busy time was
-/// empty polling). Deterministic: the digest is independent of
-/// `REPRO_THREADS`. With `--check` the wall time is gated against the
-/// latest recorded `poll sweep` row instead of appending a new one.
-fn poll(quick: bool, check: bool, filter: Option<&str>) {
-    if check {
-        check_rejects_filter("poll", filter);
-    }
-    let irq_cpu0 = SteerSpec {
-        placement: FlowPlacement::RoundRobin,
-        vectors: VectorLayout::AllCpu0,
-        dynamic: DynamicSteer::Off,
-        pin_processes: false,
-    };
-    let irq_rss = SteerSpec {
-        placement: FlowPlacement::RssHash,
-        vectors: VectorLayout::SplitEven,
-        dynamic: DynamicSteer::Off,
-        pin_processes: false,
-    };
-    // `None` marks the poll-mode cell (no interrupt steering to pick).
-    let variants: [(&str, Option<SteerSpec>); 4] = [
-        ("Irq/cpu0", Some(irq_cpu0)),
-        ("Irq/RSS", Some(irq_rss)),
-        ("Irq/FlowDir", Some(SteerSpec::flow_director())),
-        ("Poll/pmd", None),
-    ];
-    let cpu_grid: Vec<usize> = if quick { vec![4] } else { vec![4, 8, 16] };
-    let mut jobs: Vec<(usize, usize)> = Vec::new();
-    for &cpus in &cpu_grid {
-        for variant in 0..variants.len() {
-            jobs.push((cpus, variant));
-        }
-    }
-    if let Some(spec) = filter {
-        let parts: Vec<&str> = spec.split('/').collect();
-        if parts.len() != 3 {
-            usage_error(
-                "filter",
-                spec,
-                "<plane>/<policy>/<cpus> for poll, e.g. poll/pmd/8 or irq/rss/4",
-            );
-        }
-        // Variant names are "<plane>/<policy>" (e.g. "Poll/pmd").
-        let plane = format!("{}/{}", parts[0], parts[1]);
-        let cpus_want: usize = parts[2]
-            .parse()
-            .unwrap_or_else(|_| usage_error("filter cpus", parts[2], "a CPU count, e.g. 4, 8, 16"));
-        jobs.retain(|&(cpus, v)| cpus == cpus_want && variants[v].0.eq_ignore_ascii_case(&plane));
-        if jobs.is_empty() {
-            let cpus: Vec<String> = cpu_grid.iter().map(usize::to_string).collect();
-            let planes: Vec<&str> = variants.iter().map(|v| v.0).collect();
-            empty_filter_error(
-                "poll",
-                spec,
-                &format!("plane {}; cpus {}", planes.join(", "), cpus.join(", ")),
-            );
-        }
-    }
-    let cells = jobs.len();
-    let threads = pool_threads();
-    eprintln!(
-        "interrupt-vs-poll sweep: {cells} cells ({} CPU counts x {} dataplanes, Rx 4KB, 4 flows/CPU) on {threads} worker(s)...",
-        cpu_grid.len(),
-        variants.len(),
-    );
-    let t0 = std::time::Instant::now();
-    let results = run_pool(jobs.clone(), threads, move |(cpus, variant)| {
-        let (_, spec) = variants[variant];
-        let mut config = match spec {
-            Some(spec) => ExperimentConfig::steer_sweep(Direction::Rx, cpus, 4 * cpus, spec),
-            None => ExperimentConfig::poll_sweep(Direction::Rx, cpus, 4 * cpus),
-        };
-        if !quick {
-            config.workload.warmup_messages = 8;
-            config.workload.measure_messages = 24;
-        }
-        let r = affinity_sim::run_experiment(&config).expect("valid poll config");
-        (
-            r.metrics.wall_cycles,
-            r.metrics.throughput_mbps(),
-            r.metrics.cost_ghz_per_gbps(),
-            r.metrics.interrupts,
-            r.poll,
-            r.setup_wall_s,
-        )
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let setup: f64 = results.iter().map(|&(.., s)| s).sum();
-    let digest = fnv_fold(results.iter().map(|&(cycles, ..)| cycles));
-
-    println!("interrupt-vs-poll sweep (Rx, 4KB messages, 4 flows/CPU, 4-queue NIC per 4 CPUs)");
-    println!(
-        "{:>5} {:>12} | {:>9} {:>9} {:>6} {:>6} {:>8} {:>12}",
-        "cpus", "dataplane", "BW (Mb/s)", "GHz/Gbps", "irqs", "spin%", "polls", "empty polls"
-    );
-    for (row, &(_, mbps, cost, irqs, counters, _)) in results.iter().enumerate() {
-        let (cpus, variant) = jobs[row];
-        println!(
-            "{cpus:>5} {:>12} | {mbps:>9.0} {cost:>9.2} {irqs:>6} {:>6.1} {:>8} {:>12}",
-            variants[variant].0,
-            100.0 * counters.spin_fraction(),
-            counters.polls,
-            counters.empty_polls,
-        );
-    }
-    // A filtered subset may not contain the variants the comparative
-    // summary needs, so it only renders for the full sweep.
-    if filter.is_none() {
-        let top_cpus = *cpu_grid.last().expect("non-empty cpu grid");
-        let at = |name: &str| {
-            jobs.iter()
-                .zip(&results)
-                .find(|((cpus, v), _)| *cpus == top_cpus && variants[*v].0 == name)
-                .map(|(_, &(_, mbps, cost, ..))| (mbps, cost))
-                .expect("variant present")
-        };
-        let (poll_bw, poll_cost) = at("Poll/pmd");
-        let (rss_bw, rss_cost) = at("Irq/RSS");
-        println!(
-            "\nat {top_cpus} cpus: Poll {poll_bw:.0} Mb/s vs Irq/RSS {rss_bw:.0} Mb/s \
-             ({gain:+.1}%), at {poll_cost:.2} vs {rss_cost:.2} GHz/Gbps — poll's spin \
-             cycles are priced as busy cores",
-            gain = 100.0 * (poll_bw / rss_bw - 1.0),
-        );
-    }
-    println!(
-        "{cells} cells in {wall:.2} s ({rate:.1} cells/sec), digest {digest:016x}",
-        rate = cells as f64 / wall,
-    );
-
-    if check {
-        check_gate("poll", "poll sweep", wall, quick, threads);
-    } else if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else if filter.is_some() {
-        eprintln!("filtered run: not recorded in {HISTORY_PATH}");
-    } else {
-        let json = format!(
-            "  {{\n    \"pr\": {CURRENT_PR},\n    \
-             \"benchmark\": \"poll sweep ({n_cpus} CPU counts x 4 dataplanes, Rx 4KB)\",\n    \
-             \"cells\": {cells},\n    \"threads\": {threads},\n    \
-             \"current_wall_s\": {wall:.2},\n    \
-             \"setup_wall_s\": {setup:.2},\n    \
-             \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{digest:016x}\"\n  }}",
-            n_cpus = cpu_grid.len(),
-            rate = cells as f64 / wall,
-        );
-        append_history(HISTORY_PATH, &json);
-    }
-}
-
-/// One churn cell's harvest: simulated wall cycles, completed
-/// connections per wall second (the churn headline), processing cost,
-/// the lifecycle counters, and the host wall spent constructing the
-/// machine (setup, never digested).
-type ChurnCell = (u64, f64, f64, affinity_sim::LifecycleCounters, f64);
-
-/// Runs one churn cell, enforces the drain invariants every churn run
-/// must satisfy (no live flows, no leaked steering-table entries at
-/// exit), and reduces it to a [`ChurnCell`].
-fn run_churn_cell(config: &ExperimentConfig, label: &str) -> ChurnCell {
-    let r = affinity_sim::run_experiment(config).expect("valid churn config");
-    let lc = r.lifecycle;
-    assert!(lc.accepts > 0, "{label}: no accepts in window ({lc:?})");
-    assert!(lc.completes > 0, "{label}: no completes in window ({lc:?})");
-    assert_eq!(lc.final_live_flows, 0, "{label}: flows leaked ({lc:?})");
-    assert_eq!(
-        lc.final_table_entries, 0,
-        "{label}: steering table leaked ({lc:?})"
-    );
-    let m = &r.metrics;
-    let seconds = m.wall_cycles as f64 / m.freq.hertz() as f64;
-    let kconn_s = lc.completes as f64 / seconds / 1e3;
-    (
-        m.wall_cycles,
-        kconn_s,
-        m.cost_ghz_per_gbps(),
-        lc,
-        r.setup_wall_s,
-    )
-}
-
-/// Folds churn cells into the sweep digest: wall cycles *and* the
-/// lifecycle counters, so a refactor that keeps timing but changes
-/// accept/drop accounting still moves the digest. Setup wall is host
-/// time and never folded.
-fn churn_digest(cells: &[ChurnCell]) -> u64 {
-    fnv_fold(
-        cells.iter().flat_map(|&(cycles, _, _, lc, _)| {
-            [cycles, lc.accepts, lc.completes, lc.backlog_drops]
-        }),
-    )
-}
-
-/// The connection-churn sweep: short-lived SYN-to-FIN request/response
-/// connections (open-loop arrivals, accept, one request, one mostly-
-/// mouse response, FIN teardown) on both dataplanes under static RSS
-/// hashing and Flow Director, across CPU counts and concurrent-flow
-/// targets. Where every other sweep measures bulk bandwidth over
-/// immortal flows, this one measures the lifecycle path itself —
-/// completed connections per second, flow completion time percentiles,
-/// SYN backlog drops — and every cell asserts the drain invariants: no
-/// live flow slots and no leaked Flow Director table entries at exit.
-/// Deterministic: the digest is independent of `REPRO_THREADS`. A
-/// standalone 16-CPU x 100k-flow mice-only cell runs on top of the
-/// grid (its own digest and history row), exercising arena recycling
-/// at the flow population the grid can't reach.
-fn churn(quick: bool, check: bool, filter: Option<&str>) {
-    if check {
-        check_rejects_filter("churn", filter);
-    }
-    // Server processes are pinned to their flows' even-spread homes, so
-    // static RSS pays a persistent vector-home-vs-consumer mismatch on
-    // hash-unlucky queues while Flow Director re-targets the vector to
-    // the consumer — without the pin, the server task always runs where
-    // the softirq delivered and the two policies collapse into one.
-    let rss = SteerSpec {
-        placement: FlowPlacement::RssHash,
-        vectors: VectorLayout::SplitEven,
-        dynamic: DynamicSteer::Off,
-        pin_processes: true,
-    };
-    let flowdir = SteerSpec {
-        pin_processes: true,
-        ..SteerSpec::flow_director()
-    };
-    let variants: [(&str, DataplaneMode, SteerSpec); 4] = [
-        ("Irq/RSS", DataplaneMode::Interrupt, rss),
-        ("Irq/FlowDir", DataplaneMode::Interrupt, flowdir),
-        ("Poll/RSS", DataplaneMode::Poll, rss),
-        ("Poll/FlowDir", DataplaneMode::Poll, flowdir),
-    ];
-    // Quick slot counts sit well below the quick-clamped measurement
-    // window (24 completions), so slots recycle *inside* the window and
-    // the nonzero-accepts invariant stays checkable in CI smoke runs.
-    let (cpu_grid, flow_grid): (Vec<usize>, Vec<usize>) = if quick {
-        (vec![4], vec![12])
-    } else {
-        (vec![4, 8, 16], vec![1_000, 10_000])
-    };
-    let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-    for &cpus in &cpu_grid {
-        for &flows in &flow_grid {
-            for variant in 0..variants.len() {
-                jobs.push((cpus, flows, variant));
-            }
-        }
-    }
-    if let Some(spec) = filter {
-        let parts: Vec<&str> = spec.split('/').collect();
-        if parts.len() != 4 {
-            usage_error(
-                "filter",
-                spec,
-                "<plane>/<policy>/<cpus>/<flows> for churn, e.g. irq/flowdir/8/1000",
-            );
-        }
-        // Variant names are "<plane>/<policy>" (e.g. "Irq/FlowDir").
-        let plane = format!("{}/{}", parts[0], parts[1]);
-        let cpus_want: usize = parts[2]
-            .parse()
-            .unwrap_or_else(|_| usage_error("filter cpus", parts[2], "a CPU count, e.g. 4, 8, 16"));
-        let flows_want: usize = parts[3].parse().unwrap_or_else(|_| {
-            usage_error("filter flows", parts[3], "a flow target, e.g. 1000, 10000")
-        });
-        jobs.retain(|&(cpus, flows, v)| {
-            cpus == cpus_want && flows == flows_want && variants[v].0.eq_ignore_ascii_case(&plane)
-        });
-        if jobs.is_empty() {
-            let cpus: Vec<String> = cpu_grid.iter().map(usize::to_string).collect();
-            let flows: Vec<String> = flow_grid.iter().map(usize::to_string).collect();
-            let planes: Vec<&str> = variants.iter().map(|v| v.0).collect();
-            empty_filter_error(
-                "churn",
-                spec,
-                &format!(
-                    "plane/policy {}; cpus {}; flows {}",
-                    planes.join(", "),
-                    cpus.join(", "),
-                    flows.join(", ")
-                ),
-            );
-        }
-    }
-    let cells = jobs.len();
-    let threads = pool_threads();
-    eprintln!(
-        "churn sweep: {cells} cells ({} CPU counts x {} flow targets x {} planes, Tx RPC) on {threads} worker(s)...",
-        cpu_grid.len(),
-        flow_grid.len(),
-        variants.len(),
-    );
-    let t0 = std::time::Instant::now();
-    let results = run_pool(jobs.clone(), threads, move |(cpus, flows, variant)| {
-        let (name, plane, spec) = variants[variant];
-        let mut config = ExperimentConfig::churn(cpus, flows, spec, plane);
-        if quick {
-            config = config.quick();
-        }
-        run_churn_cell(&config, &format!("{name} {cpus}cpu {flows}flows"))
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let setup: f64 = results.iter().map(|&(.., s)| s).sum();
-    let digest = churn_digest(&results);
-
-    println!("connection-churn sweep (Tx RPC, SYN-to-FIN lifecycle, mice + 1-in-10 elephants)");
-    println!(
-        "{:>5} {:>6} {:>12} | {:>8} {:>9} {:>8} {:>7} {:>9} {:>9}",
-        "cpus", "flows", "plane", "kconn/s", "GHz/Gbps", "accepts", "drops", "fct p50", "fct p99"
-    );
-    for (row, &(_, kconn_s, cost, lc, _)) in results.iter().enumerate() {
-        let (cpus, flows, variant) = jobs[row];
-        println!(
-            "{cpus:>5} {flows:>6} {:>12} | {kconn_s:>8.1} {cost:>9.2} {:>8} {:>7} {:>9} {:>9}",
-            variants[variant].0, lc.accepts, lc.backlog_drops, lc.fct_p50_cycles, lc.fct_p99_cycles,
-        );
-    }
-    // A filtered subset may not contain the variants the comparative
-    // summary needs, so it only renders for the full sweep.
-    if filter.is_none() {
-        let top_cpus = *cpu_grid.last().expect("non-empty cpu grid");
-        let top_flows = *flow_grid.last().expect("non-empty flow grid");
-        let at = |name: &str| {
-            jobs.iter()
-                .zip(&results)
-                .find(|((cpus, flows, v), _)| {
-                    *cpus == top_cpus && *flows == top_flows && variants[*v].0 == name
-                })
-                .map(|(_, &(_, kconn_s, ..))| kconn_s)
-                .expect("variant present")
-        };
-        println!(
-            "\nat {top_cpus} cpus, {top_flows} flows: FlowDir {flowdir:.1} kconn/s vs RSS \
-             {rss:.1} kconn/s ({gain:+.1}%) on the interrupt plane",
-            flowdir = at("Irq/FlowDir"),
-            rss = at("Irq/RSS"),
-            gain = 100.0 * (at("Irq/FlowDir") / at("Irq/RSS") - 1.0),
-        );
-    }
-    println!(
-        "{cells} cells in {wall:.2} s ({rate:.1} cells/sec), digest {digest:016x}",
-        rate = cells as f64 / wall,
-    );
-    if filter.is_some() {
-        eprintln!("filtered run: not recorded in {HISTORY_PATH}; large cell skipped");
-        return;
-    }
-
-    if check {
-        check_gate("churn", "churn sweep", wall, quick, threads);
-    } else if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else {
-        let json = format!(
-            "  {{\n    \"pr\": {CURRENT_PR},\n    \
-             \"benchmark\": \"churn sweep ({n_cpus} CPU counts x {n_flows} flow targets x 4 planes, Tx RPC)\",\n    \
-             \"cells\": {cells},\n    \"threads\": {threads},\n    \
-             \"current_wall_s\": {wall:.2},\n    \
-             \"setup_wall_s\": {setup:.2},\n    \
-             \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{digest:016x}\"\n  }}",
-            n_cpus = cpu_grid.len(),
-            n_flows = flow_grid.len(),
-            rate = cells as f64 / wall,
-        );
-        append_history(HISTORY_PATH, &json);
-    }
-
-    // The standalone large cell: 16 CPUs x 100k concurrent-flow slots,
-    // interrupt plane under Flow Director, mice only — per-connection
-    // cost at a flow population 10x the grid's ceiling, where arena
-    // recycling and table install/teardown either hold their rate or
-    // visibly don't. Quick mode shrinks the slot count (machine
-    // construction, not the lifecycle path, dominates a 100k-slot
-    // build) but keeps the same shape.
-    // The quick variant keeps the slot count under the quick-clamped
-    // window for the same reason as the quick grid above.
-    let (large_cpus, large_flows) = if quick { (8, 16) } else { (16, 100_000) };
-    eprintln!("churn large cell: {large_cpus} cpus x {large_flows} flow slots (mice only)...");
-    let t1 = std::time::Instant::now();
-    let mut config = ExperimentConfig::churn(
-        large_cpus,
-        large_flows,
-        SteerSpec {
-            pin_processes: true,
-            ..SteerSpec::flow_director()
-        },
-        DataplaneMode::Interrupt,
-    );
-    config.server = config.server.map(ServerWorkload::mice_only);
-    if quick {
-        config = config.quick();
-    }
-    let cell = run_churn_cell(&config, "churn large cell");
-    let large_wall = t1.elapsed().as_secs_f64();
-    let large_digest = churn_digest(&[cell]);
-    let (_, kconn_s, cost, lc, large_setup) = cell;
-    println!(
-        "large cell ({large_cpus} cpus x {large_flows} flows, flowdir, mice): {kconn_s:.1} \
-         kconn/s, {cost:.2} GHz/Gbps, {accepts} accepts, {drops} drops, fct p50/p99 \
-         {p50}/{p99} cycles in {large_wall:.2} s (setup {large_setup:.2} s), digest \
-         {large_digest:016x}",
-        accepts = lc.accepts,
-        drops = lc.backlog_drops,
-        p50 = lc.fct_p50_cycles,
-        p99 = lc.fct_p99_cycles,
-    );
-    if check {
-        check_gate(
-            "churn large",
-            "churn large cell",
-            large_wall,
-            quick,
-            threads,
-        );
-    } else if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else {
-        let json = format!(
-            "  {{\n    \"pr\": {CURRENT_PR},\n    \
-             \"benchmark\": \"churn large cell ({large_cpus} cpus x {large_flows} flows, flowdir, mice)\",\n    \
-             \"cells\": 1,\n    \"threads\": {threads},\n    \
-             \"current_wall_s\": {large_wall:.2},\n    \
-             \"setup_wall_s\": {large_setup:.2},\n    \
-             \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{large_digest:016x}\"\n  }}",
-            rate = 1.0 / large_wall,
-        );
-        append_history(HISTORY_PATH, &json);
-    }
-
-    // The million-flow cell: a 1M-slot arena under Flow Director on the
-    // interrupt plane, mice only. The slot population is the subject —
-    // slab provisioning, per-flow region layout, and the steering table
-    // at 1M entries — so the connection budget is overridden to a
-    // modest absolute count instead of `ServerWorkload::churn`'s
-    // half-population scaling (1.5M connections would take hours and
-    // add nothing). Every arrival lands in an empty arena, completes,
-    // and tears down; the drain invariants in `run_churn_cell` prove
-    // the 1M-slot arena and table end empty. Quick mode keeps the full
-    // 1M slots — construction is the point — on CI-sized CPU counts.
-    let (m_cpus, m_flows) = if quick {
-        (4, 1_000_000)
-    } else {
-        (16, 1_000_000)
-    };
-    eprintln!("churn 1M cell: {m_cpus} cpus x {m_flows} flow slots (mice only)...");
-    let t2 = std::time::Instant::now();
-    let mut config = ExperimentConfig::churn(
-        m_cpus,
-        m_flows,
-        SteerSpec {
-            pin_processes: true,
-            ..SteerSpec::flow_director()
-        },
-        DataplaneMode::Interrupt,
-    );
-    config.server = config.server.map(|s| {
-        let mut s = s.mice_only();
-        s.warmup_conns = if quick { 64 } else { 4_000 };
-        s.measure_conns = if quick { 256 } else { 12_000 };
-        // With 1M slots every arrival is open-loop (nothing queues behind
-        // a full arena), so the arrival process must outlast the warmup
-        // completions or the measurement window sees zero accepts. The
-        // default 2k-cycle gap packs the whole wave into the first few
-        // tens of M cycles while the overbooked pile-up pushes mice FCTs
-        // past 300M cycles — every accept lands before the window opens.
-        // A 100k gap spreads arrivals over `conns * 100k` cycles, far
-        // past the last measured completion in both modes.
-        s.arrival_gap_cycles = 100_000;
-        s
-    });
-    let cell = run_churn_cell(&config, "churn 1M cell");
-    let m_wall = t2.elapsed().as_secs_f64();
-    let m_digest = churn_digest(&[cell]);
-    let (_, kconn_s, cost, lc, m_setup) = cell;
-    assert_setup_bound("churn 1M cell", m_setup, m_flows);
-    println!(
-        "1M cell ({m_cpus} cpus x {m_flows} flow slots, flowdir, mice): {kconn_s:.1} \
-         kconn/s, {cost:.2} GHz/Gbps, {accepts} accepts, {drops} drops, fct p50/p99 \
-         {p50}/{p99} cycles in {m_wall:.2} s (setup {m_setup:.2} s), digest {m_digest:016x}",
-        accepts = lc.accepts,
-        drops = lc.backlog_drops,
-        p50 = lc.fct_p50_cycles,
-        p99 = lc.fct_p99_cycles,
-    );
-    if check {
-        check_gate("churn 1M", "churn 1M cell", m_wall, quick, threads);
-    } else if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else {
-        let json = format!(
-            "  {{\n    \"pr\": {CURRENT_PR},\n    \
-             \"benchmark\": \"churn 1M cell ({m_cpus} cpus x {m_flows} flow slots, flowdir, mice)\",\n    \
-             \"cells\": 1,\n    \"threads\": {threads},\n    \
-             \"current_wall_s\": {m_wall:.2},\n    \
-             \"setup_wall_s\": {m_setup:.2},\n    \
-             \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{m_digest:016x}\"\n  }}",
-            rate = 1.0 / m_wall,
-        );
-        append_history(HISTORY_PATH, &json);
-    }
-}
-
-/// `repro --list`: one block per sweep — the filter grammar with its
-/// valid tokens (the same listing the exit-2 paths print) and the
-/// newest recorded history row, digest included.
+/// `repro --list`: one block per sweep — its filter axes with their
+/// valid tokens (the listing the exit-2 paths print) and the newest
+/// recorded history row, digest included.
 fn list_sweeps() {
-    const SWEEPS: [(&str, &str, &str); 9] = [
-        (
-            "perf",
-            "full figure matrix",
-            "--filter <mode>/<size>/<dir>  (mode no|irq|proc|full|rss; size 64..65536; dir tx|rx)",
-        ),
-        (
-            "scale",
-            "scale sweep",
-            "--filter <mode>/<cpus>/<flows>  (mode no|irq|full|rss; cpus 2,4,8,16; flows 8,64,256)",
-        ),
-        (
-            "scale (large cell)",
-            "scale large cell",
-            "no filter grammar — runs after every unfiltered scale sweep",
-        ),
-        (
-            "scale (1M cell)",
-            "scale 1M cell",
-            "no filter grammar — runs after every unfiltered scale sweep",
-        ),
-        (
-            "steer",
-            "steering sweep",
-            "--filter <policy>/<coalesce>/<cpus>  (policy RSS|FlowDir; coalesce fixed|adaptive; cpus 4,8,16)",
-        ),
-        (
-            "poll",
-            "poll sweep",
-            "--filter <plane>/<policy>/<cpus>  (plane/policy Irq/cpu0|Irq/RSS|Irq/FlowDir|Poll/pmd; cpus 4,8,16)",
-        ),
-        (
-            "churn",
-            "churn sweep",
-            "--filter <plane>/<policy>/<cpus>/<flows>  (plane Irq|Poll; policy RSS|FlowDir; cpus 4,8,16; flows 1000,10000)",
-        ),
-        ("churn (large cell)", "churn large cell", "no filter grammar — runs after every unfiltered churn sweep"),
-        ("churn (1M cell)", "churn 1M cell", "no filter grammar — runs after every unfiltered churn sweep"),
-    ];
     println!("recorded sweeps ({HISTORY_PATH}):");
-    for (name, benchmark_prefix, tokens) in SWEEPS {
-        println!("\n  {name}");
-        println!("    {tokens}");
-        match latest_history_entry(HISTORY_PATH, benchmark_prefix, None) {
-            Some(row) => {
-                let digest = row
-                    .digest
-                    .map_or_else(|| "(none recorded)".to_string(), |d| format!("{d:016x}"));
-                // PR 1-9 rows predate the setup/run split and carry no
-                // setup_wall_s; render only what the row records.
-                let setup = row
-                    .setup_wall
-                    .map_or_else(String::new, |s| format!(" (setup {s:.2} s)"));
-                println!(
-                    "    latest: PR {}, {:.2} s{setup} at {} worker(s), digest {digest}",
-                    row.pr, row.wall_s, row.threads
-                );
-            }
-            None => println!("    latest: no recorded rows"),
+    for sweep in sweeps::sweeps(false) {
+        let (axes, tokens) = (sweep.axes.join("/"), sweep.valid_tokens());
+        println!("\n  {}\n    --filter {axes}  ({tokens})", sweep.name);
+        list_row(sweep.prefix());
+        for extra in &sweep.extras {
+            let parent = sweep.name;
+            println!("\n  {}\n    (no filter; runs after {parent})", extra.name);
+            list_row(extra.prefix());
         }
     }
+}
+
+/// The newest recorded history row of `prefix`, for `--list`.
+fn list_row(prefix: &str) {
+    let Some(row) = latest_history_entry(HISTORY_PATH, prefix, None) else {
+        println!("    latest: no recorded rows");
+        return;
+    };
+    let digest = row
+        .digest
+        .map_or("(none recorded)".into(), |d| format!("{d:016x}"));
+    // Rows before PR 10 carry no setup_wall_s.
+    let setup = row
+        .setup_wall
+        .map_or(String::new(), |s| format!(" (setup {s:.2} s)"));
+    let (pr, wall, threads) = (row.pr, row.wall_s, row.threads);
+    println!("    latest: PR {pr}, {wall:.2} s{setup} at {threads} worker(s), digest {digest}");
 }
 
 fn main() {
@@ -1501,30 +345,13 @@ fn main() {
         list_sweeps();
         return;
     }
-    if wants("perf") {
-        perf(quick, check, filter.as_deref());
-        return;
-    }
-    if wants("scale") {
-        scale(quick, check, filter.as_deref());
-        return;
-    }
-    if wants("steer") {
-        steer(quick, check, filter.as_deref());
-        return;
-    }
-    if wants("poll") {
-        poll(quick, check, filter.as_deref());
-        return;
-    }
-    if wants("churn") {
-        churn(quick, check, filter.as_deref());
+    let all = sweeps::sweeps(false);
+    if let Some(sweep) = all.iter().find(|s| wants(s.name)) {
+        run_sweep(sweep.name, quick, check, filter.as_deref());
         return;
     }
     if check {
-        eprintln!(
-            "repro: --check only applies to the sweep subcommands (perf, scale, steer, poll, churn)"
-        );
+        eprintln!("repro: --check only applies to the sweep subcommands");
         std::process::exit(2);
     }
     if let Some(spec) = &filter {

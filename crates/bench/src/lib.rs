@@ -6,6 +6,8 @@
 //! deterministic work-stealing job pool that runs matrix cells in
 //! parallel without letting the thread count leak into the results.
 
+pub mod sweeps;
+
 use affinity_sim::{
     run_experiment, AffinityMode, Direction, ExperimentConfig, RunMetrics, RunResult,
 };
@@ -280,8 +282,7 @@ pub fn latest_history_entry(
 ) -> Option<HistoryEntry> {
     scan_history(path, benchmark_prefix)
         .into_iter()
-        .filter(|row| threads.is_none_or(|n| n == row.threads))
-        .last()
+        .rfind(|row| threads.is_none_or(|n| n == row.threads))
 }
 
 /// Returns the newest matching history entry **per recorded worker
