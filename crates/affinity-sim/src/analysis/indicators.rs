@@ -72,14 +72,15 @@ mod tests {
     use super::*;
 
     fn counters() -> PerfCounters {
-        let mut c = PerfCounters::default();
-        c.cycles = 1_000_000;
-        c.instructions = 300_000;
-        c.machine_clears = 1_000; // x500 = 50% of cycles
-        c.llc_misses = 1_000; // x300 = 30%
-        c.tc_misses = 500; // x20 = 1%
-        c.br_mispredicts = 100; // x30 = 0.3%
-        c
+        PerfCounters {
+            cycles: 1_000_000,
+            instructions: 300_000,
+            machine_clears: 1_000, // x500 = 50% of cycles
+            llc_misses: 1_000,     // x300 = 30%
+            tc_misses: 500,        // x20 = 1%
+            br_mispredicts: 100,   // x30 = 0.3%
+            ..PerfCounters::default()
+        }
     }
 
     #[test]

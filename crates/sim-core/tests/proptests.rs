@@ -235,7 +235,7 @@ proptest! {
             q.push(SimTime::from_cycles(w), i);
         }
         // Pop half to advance the watermark.
-        for _ in 0..(warm.len() + 1) / 2 {
+        for _ in 0..warm.len().div_ceil(2) {
             q.pop();
         }
         let watermark = q.now().cycles();
