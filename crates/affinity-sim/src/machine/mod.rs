@@ -1095,6 +1095,12 @@ impl Machine {
         &self.prof
     }
 
+    /// The memory system (caches, coherence directory, regions).
+    #[must_use]
+    pub fn memory(&self) -> &MemorySystem {
+        &self.mem
+    }
+
     /// The stack's function registry.
     #[must_use]
     pub fn registry(&self) -> &sim_prof::FunctionRegistry {

@@ -7,6 +7,8 @@
 //!            [--loss RATE] [--rss] [--rotate CYCLES]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use affinity_sim::{report, run_experiment, AffinityMode, Direction, ExperimentConfig, SteerSpec};
 use sim_cpu::EventCosts;
 use sim_tcp::Bin;

@@ -21,6 +21,8 @@
 //! cells run on a deterministic job pool; `REPRO_THREADS` overrides the
 //! worker count (results are identical at any setting).
 
+#![forbid(unsafe_code)]
+
 use affinity_sim::{
     report, AffinityMode, Direction, ExperimentConfig, RunMetrics, RunResult, PAPER_SIZES,
 };

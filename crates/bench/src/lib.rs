@@ -6,6 +6,8 @@
 //! deterministic work-stealing job pool that runs matrix cells in
 //! parallel without letting the thread count leak into the results.
 
+#![forbid(unsafe_code)]
+
 pub mod sweeps;
 
 use affinity_sim::{

@@ -18,7 +18,7 @@ use std::fmt::Display;
 pub const HISTORY_PATH: &str = "BENCH_substrate.json";
 
 /// PR number stamped on history rows appended to [`HISTORY_PATH`].
-pub const CURRENT_PR: u32 = 15;
+pub const CURRENT_PR: u32 = 16;
 
 /// Construction bound for cells of a million flows or more, in host
 /// nanoseconds per provisioned flow: a quarter of the ~22,700 ns/flow the
@@ -229,17 +229,33 @@ pub fn run(sweep: &Sweep, cells: &[&Cell], threads: usize) -> Run {
     }
 }
 
-/// Runs one cell and checks it. Every cell folds its wall cycles; a cell
-/// with a server workload also folds its accept, complete and drop counts
-/// (so lifecycle accounting moves the digest even when timing holds) and
-/// must drain to no live flows and no steering entries. A cell of a
-/// million flows or more must meet the construction bound.
+/// Runs one cell and checks it (see [`digest_words`]). A cell of a
+/// million flows or more must also meet the construction bound.
 fn measure(sweep: &Sweep, cell: &Cell) -> Outcome {
     let config = &cell.config;
     let label = format!("{} {}", sweep.name, cell.label());
     let r = run_experiment(config).expect("valid sweep config");
+    let words = digest_words(&label, &r);
+    if config.connections >= 1_000_000 {
+        assert_setup_bound(&label, r.setup_wall_s, config.connections);
+    }
+    let values = sweep.columns.iter().map(|c| (c.value)(&r)).collect();
+    let setup_wall_s = r.setup_wall_s;
+    Outcome {
+        words,
+        values,
+        setup_wall_s,
+    }
+}
+
+/// The values a cell folds into its sweep's digest, after checking the
+/// run. Every cell folds its wall cycles; a cell with a server workload
+/// also folds its accept, complete and drop counts (so lifecycle
+/// accounting moves the digest even when timing holds) and must drain to
+/// no live flows and no steering entries.
+fn digest_words(label: &str, r: &RunResult) -> Vec<u64> {
     let mut words = vec![r.metrics.wall_cycles];
-    if config.server.is_some() {
+    if r.config.server.is_some() {
         let lc = r.lifecycle;
         let served = lc.accepts > 0 && lc.completes > 0;
         let drained = lc.final_live_flows == 0 && lc.final_table_entries == 0;
@@ -253,16 +269,7 @@ fn measure(sweep: &Sweep, cell: &Cell) -> Outcome {
         );
         words.extend([lc.accepts, lc.completes, lc.backlog_drops]);
     }
-    if config.connections >= 1_000_000 {
-        assert_setup_bound(&label, r.setup_wall_s, config.connections);
-    }
-    let values = sweep.columns.iter().map(|c| (c.value)(&r)).collect();
-    let setup_wall_s = r.setup_wall_s;
-    Outcome {
-        words,
-        values,
-        setup_wall_s,
-    }
+    words
 }
 
 /// Asserts the million-flow construction bound and logs the achieved rate.
@@ -639,6 +646,27 @@ mod tests {
             (&churn.extras[0], 0x378b_9b7b_e5e6_2dee),
         ] {
             assert_eq!(digest(sweep), want, "{} quick digest", sweep.name);
+        }
+    }
+
+    /// `repro --quick scale`'s 1M-flow cell digest.
+    const SCALE_1M_QUICK: u64 = 0xa6a6_f24e_2a28_eaee;
+    /// `repro --quick churn`'s 1M-flow cell digest.
+    const CHURN_1M_QUICK: u64 = 0xef36_8751_958c_e0ed;
+
+    /// The quick scale and churn sweeps end in their million-flow cells;
+    /// their digests are pinned here. The cells run without the
+    /// construction bound, which `repro` enforces on release runs: a
+    /// debug build constructs far slower than the bound allows.
+    #[test]
+    fn quick_million_flow_digests_are_pinned() {
+        for (name, want) in [("scale", SCALE_1M_QUICK), ("churn", CHURN_1M_QUICK)] {
+            let extra = &find(true, name).extras[1];
+            let cell = &extra.cells[0];
+            assert!(cell.config.connections >= 1_000_000, "{}", extra.name);
+            let r = run_experiment(&cell.config).expect("valid sweep config");
+            let digest = fnv_fold(digest_words(extra.name, &r));
+            assert_eq!(digest, want, "{} quick digest", extra.name);
         }
     }
 

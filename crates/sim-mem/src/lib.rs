@@ -39,9 +39,7 @@
 //! assert_eq!(warm.llc_misses, 0); // now resident
 //! ```
 
-// Unsafe is denied everywhere except the single audited `zeroed` module
-// (calloc-backed vector growth for O(1)-fault bulk provisioning).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;
@@ -49,10 +47,11 @@ mod config;
 mod region;
 mod system;
 mod tlb;
-mod zeroed;
 
 pub use cache::{AccessKind, Cache, CacheStats};
 pub use config::MemoryConfig;
 pub use region::{MemRegion, RegionId, RegionName, RegionPlan, RegionSpan, RegionTable};
-pub use system::{ConstructionLayout, FetchResult, MemorySystem, TouchResult};
+pub use system::{
+    ConstructionLayout, FetchResult, Footprint, MemorySystem, TouchResult, DIR_LEAF_LINES,
+};
 pub use tlb::{Tlb, TlbStats};

@@ -22,10 +22,13 @@
 //!
 //! Touches dominate simulation time, so the structures they walk are flat:
 //!
-//! * The directory is a dense `Vec<DirEntry>` indexed by line address.
-//!   [`RegionTable`] hands out a contiguous physical range, so the vector
-//!   stays small and a default entry (no sharers, no owner) is exactly
-//!   equivalent to the absence of an entry in a sparse map.
+//! * The directory is paged ([`Directory`]): a flat top table indexed by
+//!   `line / DIR_LEAF_LINES` points into an arena of small leaves, and a
+//!   leaf is created on the first write to any of its lines. Every absent
+//!   leaf reads as the shared all-default leaf (no sharers, no owner),
+//!   which is exactly equivalent to "line unknown", so the directory holds
+//!   memory in proportion to the lines a run has written, not to the
+//!   lines it provisioned.
 //! * A CPU's sharer bit is kept **exactly equal to LLC residency** (set by
 //!   the fill that lands the line in the LLC, cleared by the inclusive
 //!   eviction, the write-invalidation and DMA — the only ways a line
@@ -50,11 +53,19 @@
 //!   per-line coherence-and-hierarchy walk down to the L1 hit
 //!   bookkeeping, which is the only part with observable effects. Every
 //!   event that could falsify a summary (fills, evictions, invalidations,
-//!   DMA writes) advances the region's generation, so the fast path can
-//!   never mask a miss or skip an invalidation: observable counters are
-//!   bit-identical to the per-line walk. Generations move once per touch
-//!   (accumulated masks, [`apply_bumps`]) rather than once per line —
-//!   claims only test stamp equality, so the batching is invisible.
+//!   DMA writes) advances the summary's own generation, so the fast path
+//!   can never mask a miss or skip an invalidation: observable counters
+//!   are bit-identical to the per-line walk. Generations move once per
+//!   touch (accumulated masks, [`SummaryCache::bump`]) rather than once
+//!   per line — claims only test stamp equality, so the batching is
+//!   invisible.
+//! * Summaries live in a fixed-capacity per-CPU [`SummaryCache`] tagged by
+//!   region, not in a table over every (region, CPU) pair. A bump of a
+//!   pair with no entry is a no-op (no entry, no claim to withdraw), and
+//!   a new entry starts with every claim withdrawn, so evicting an entry
+//!   only costs a later slow walk. A claim needs its lines in the L1, so
+//!   an 8 KiB L1 (128 lines) can back live claims for at most 128 regions
+//!   per CPU.
 //! * The verification scan also records each line's L1 storage slot, so
 //!   the fast path updates LRU state by direct index
 //!   ([`Cache::touch_resident_run`]) instead of re-running the
@@ -67,6 +78,10 @@
 //!   the same span replays the TC bookkeeping by slot. The TC is only
 //!   ever changed by the owning CPU's fetch fills (no invalidations or
 //!   flushes reach it), so the single bump site is a fill's eviction.
+//!   Code summaries stay in a per-(region, CPU) table whose chunks
+//!   materialize on first write ([`LazySlots`]): only code regions are
+//!   fetched, so only their few chunks exist, and the direct index keeps
+//!   the per-fetch lookup (the hottest in the simulator) to one load.
 
 use serde::{Deserialize, Serialize};
 use sim_core::CpuId;
@@ -93,10 +108,6 @@ struct DirEntry {
     /// Bitmask of CPUs that may hold the line.
     sharers: u32,
     /// CPU holding the line modified, plus one; `0` means no owner.
-    /// Packed (instead of `Option<u8>`, whose `None` bit pattern is
-    /// unspecified) so the all-zero byte pattern *is* the default entry,
-    /// letting bulk provisioning grow the directory with untouched
-    /// `alloc_zeroed` pages.
     owner_plus1: u8,
 }
 
@@ -120,38 +131,135 @@ impl DirEntry {
     fn clear_owner(&mut self) {
         self.owner_plus1 = 0;
     }
+}
 
+/// Lines per directory leaf (a power of two). Small leaves keep the
+/// directory close to the lines a run writes: a run scatters its writes
+/// over short stretches of many regions, and a leaf is paid for whole.
+pub const DIR_LEAF_LINES: usize = 16;
+
+/// The coherence directory, paged.
+///
+/// `top[line / DIR_LEAF_LINES]` numbers the leaf holding `line`; leaf `k`
+/// is `entries[k * DIR_LEAF_LINES..(k + 1) * DIR_LEAF_LINES]`. Leaf 0 is
+/// a shared leaf of default entries that is never written, so a zero top
+/// entry — what a fresh, calloc-backed top table holds everywhere — reads
+/// as "line unknown" with no branch, and the first write to a line of it
+/// creates the line's own leaf. A million-flow machine provisions
+/// billions of lines but writes a few million, and only those leaves
+/// (plus the top-table pages that number them) hold memory.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Directory {
+    top: Vec<u32>,
+    entries: Vec<DirEntry>,
+}
+
+impl Directory {
+    fn new() -> Self {
+        Directory {
+            top: Vec::new(),
+            entries: vec![DirEntry::default(); DIR_LEAF_LINES],
+        }
+    }
+
+    /// Top-table length that covers lines `0..lines`.
+    fn pages_for(lines: usize) -> usize {
+        lines.div_ceil(DIR_LEAF_LINES)
+    }
+
+    /// Leaves, the shared default leaf included.
+    fn leaves(&self) -> usize {
+        self.entries.len() / DIR_LEAF_LINES
+    }
+
+    /// Index in `entries` of `line`'s entry, in the shared default leaf
+    /// when the line's own leaf is absent: read through it, and write
+    /// through it only when the entry read is not the default.
     #[inline]
-    fn take_owner(&mut self) -> Option<u8> {
-        let o = self.owner();
-        self.owner_plus1 = 0;
-        o
+    fn index(&self, line: u64) -> usize {
+        let l = line as usize;
+        self.top[l / DIR_LEAF_LINES] as usize * DIR_LEAF_LINES + l % DIR_LEAF_LINES
+    }
+
+    /// The entry of `line` (a default entry when its leaf is absent).
+    #[inline]
+    fn get(&self, line: u64) -> DirEntry {
+        self.entries[self.index(line)]
+    }
+
+    /// Index in `entries` of `line`'s entry, creating its leaf if absent.
+    /// Indices stay valid as leaves are added.
+    #[inline]
+    fn index_mut(&mut self, line: u64) -> usize {
+        let l = line as usize;
+        let mut leaf = self.top[l / DIR_LEAF_LINES];
+        if leaf == 0 {
+            leaf = self.add_leaf(l / DIR_LEAF_LINES);
+        }
+        leaf as usize * DIR_LEAF_LINES + l % DIR_LEAF_LINES
+    }
+
+    /// Creates the leaf of top-table page `page` and returns its number.
+    #[cold]
+    fn add_leaf(&mut self, page: usize) -> u32 {
+        let leaf = u32::try_from(self.leaves()).expect("directory leaf count overflows u32");
+        self.top[page] = leaf;
+        self.entries
+            .extend_from_slice(&[DirEntry::default(); DIR_LEAF_LINES]);
+        leaf
+    }
+
+    /// The entry of `line` for writing, creating its leaf if absent.
+    #[inline]
+    fn get_mut(&mut self, line: u64) -> &mut DirEntry {
+        let i = self.index_mut(line);
+        &mut self.entries[i]
     }
 }
 
-// SAFETY: all-zero bytes decode to `sharers: 0, owner_plus1: 0` — no
-// sharers, no owner — which is exactly `DirEntry::default()`.
-#[allow(unsafe_code)]
-unsafe impl crate::zeroed::ZeroDefault for DirEntry {}
+/// Grows `v` to `len` elements, zero-filled, without writing the tail:
+/// a fresh `vec![0; len]` is calloc-backed, so its pages fault in only
+/// where a run later writes, and only the old prefix is copied in. Bulk
+/// provisioning grows its tables this way; `resize` would write — and so
+/// make resident — every new element up front. No-op when `len` is not
+/// larger than `v.len()`.
+fn grow_zeroed(v: &mut Vec<u32>, len: usize) {
+    if len > v.len() {
+        let mut grown = vec![0; len];
+        grown[..v.len()].copy_from_slice(v);
+        *v = grown;
+    }
+}
+
+/// Bytes of the 4 KiB pages of `v` that hold a non-zero entry: in a
+/// calloc-backed table whose entries never return to zero, exactly the
+/// pages a run has written.
+fn written_bytes(v: &[u32]) -> usize {
+    const PAGE: usize = 4096 / size_of::<u32>();
+    v.chunks(PAGE)
+        .filter(|p| p.iter().any(|&x| x != 0))
+        .map(size_of_val)
+        .sum()
+}
 
 /// Residency summary for one (CPU, region) pair, backing the touch fast
 /// path.
 ///
-/// The `hot` claim is trusted only while `verified_gen` matches the
-/// (CPU, region) generation in [`MemorySystem::gens`]; every event that
-/// could falsify it — an L1 fill or eviction, a coherence invalidation,
-/// a directory sharer change, DMA — bumps that generation, so a stale
-/// summary simply falls back to the exact per-line walk until a
-/// verification scan re-establishes it. Write exclusivity is no longer a
+/// The `hot` claim is trusted only while `verified_gen` matches `gen`;
+/// every event that could falsify it — an L1 fill or eviction, a
+/// coherence invalidation, a directory sharer change, DMA — bumps `gen`,
+/// so a stale summary simply falls back to the exact per-line walk until
+/// a verification scan re-establishes it. Write exclusivity is not a
 /// stamped claim at all: [`MemorySystem::excl`] tracks it incrementally,
 /// so the write fast path reads the live count instead of re-scanning.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Summary {
-    /// Value of the region generation (`MemorySystem::gens`) when the
-    /// claims were last verified.
+    /// The (CPU, region) change generation guarding every claim below.
+    gen: u64,
+    /// Value of `gen` when the claims were last verified.
     verified_gen: u64,
-    /// Value of `change_gen` when a verification scan last failed;
-    /// suppresses re-scans until the state moves again.
+    /// Value of `gen` when a verification scan last failed; suppresses
+    /// re-scans until the state moves again.
     failed_gen: u64,
     /// Every line of the region is resident in this CPU's L1, so reads
     /// are pure L1 hits and read coherence is a no-op (a resident line's
@@ -160,7 +268,7 @@ struct Summary {
     /// L1 storage slot of each region line (index `line - first_line`),
     /// recorded by the verification scan. Valid exactly as long as the
     /// summary is: any eviction, invalidation or fill that could move a
-    /// line bumps `change_gen` first.
+    /// line bumps `gen` first.
     slots: Vec<u32>,
     /// Recently promoted touch spans (see [`SpanClaim`]). A touch whose
     /// exact span carries a current claim replays by slot even when the
@@ -175,13 +283,13 @@ struct Summary {
 /// Maximum replayable touch spans remembered per (CPU, region).
 const SPAN_CLAIMS: usize = 8;
 
-/// One replayable touch span: while `gen` matches the (CPU, region)
-/// generation, lines `first..=last` are fully L1-resident at `slots`,
-/// so an exact repeat of the touch is pure L1 hits and read coherence is
-/// a no-op (a resident line's owner is this CPU or nobody).
+/// One replayable touch span: while `gen` matches the summary's
+/// generation, lines `first..=last` are fully L1-resident at `slots`, so
+/// an exact repeat of the touch is pure L1 hits and read coherence is a
+/// no-op (a resident line's owner is this CPU or nobody).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct SpanClaim {
-    /// Value of the (CPU, region) generation when the claim was recorded.
+    /// Value of the summary's generation when the claim was recorded.
     gen: u64,
     first: u64,
     last: u64,
@@ -211,8 +319,9 @@ impl Default for SpanClaim {
 impl Default for Summary {
     fn default() -> Self {
         Summary {
+            gen: 0,
             verified_gen: 0,
-            // != change_gen so the first verification scan is allowed.
+            // != gen so the first verification scan is allowed.
             failed_gen: u64::MAX,
             hot: false,
             slots: Vec::new(),
@@ -224,15 +333,37 @@ impl Default for Summary {
 
 impl Summary {
     #[inline]
-    fn is_current(&self, gen: u64) -> bool {
-        self.hot && self.verified_gen == gen
+    fn is_current(&self) -> bool {
+        self.hot && self.verified_gen == self.gen
     }
 
     #[inline]
-    fn span_matching(&self, gen: u64, first: u64, last: u64, write: bool) -> Option<&SpanClaim> {
-        self.spans
-            .iter()
-            .find(|c| c.gen == gen && c.first == first && c.last == last && (!write || c.owned))
+    fn span_matching(&self, first: u64, last: u64, write: bool) -> Option<&SpanClaim> {
+        self.spans.iter().find(|c| {
+            c.gen == self.gen && c.first == first && c.last == last && (!write || c.owned)
+        })
+    }
+
+    /// Advances the generation, withdrawing every claim.
+    #[inline]
+    fn bump(&mut self) {
+        self.gen += 1;
+    }
+
+    /// Whether a claim is current, so a later touch could still use it.
+    fn is_live(&self) -> bool {
+        self.is_current() || self.spans.iter().any(|c| c.gen == self.gen)
+    }
+
+    /// Heap bytes held beyond the summary's own size.
+    fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * size_of::<u32>()
+            + self.spans.capacity() * size_of::<SpanClaim>()
+            + self
+                .spans
+                .iter()
+                .map(|c| c.slots.capacity() * size_of::<u32>())
+                .sum::<usize>()
     }
 }
 
@@ -270,9 +401,182 @@ impl CodeSummary {
         self.change_gen += 1;
     }
 
+    /// Heap bytes held beyond the summary's own size.
+    fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * size_of::<u32>()
+    }
+
     #[inline]
     fn covers(&self, first: u64, last: u64) -> bool {
         self.verified_gen == self.change_gen && self.span_first == first && self.span_last == last
+    }
+}
+
+/// Summary-cache sets per CPU (a power of two).
+const SUMMARY_SETS: usize = 64;
+/// Summary-cache ways per set.
+const SUMMARY_WAYS: usize = 4;
+
+/// Tag of an empty summary-cache way.
+const NO_REGION: u32 = u32::MAX;
+
+/// Fixed-capacity per-CPU cache of data-side [`Summary`]s, tagged by
+/// region.
+///
+/// Set-associative: region `r` of CPU `c` lives in set `r % sets` of
+/// `c`'s block. An entry holds the (CPU, region) pair's whole fast-path
+/// state, its generation included, so the cache replaces a table over
+/// every provisioned pair. Every operation is exact under any capacity:
+///
+/// * a bump of a pair with no entry is a no-op — there is no claim to
+///   withdraw;
+/// * a new entry starts with every claim withdrawn (a fresh default, or
+///   an evicted entry bumped once more, which keeps its buffers);
+/// * so an eviction only costs the pair's next access a slow walk.
+///
+/// Replacement takes an empty way, else one whose claims are all stale,
+/// else the set's round-robin victim, among the first `ways` ways (the
+/// rest stay empty; lookups scan all [`SUMMARY_WAYS`], which unrolls).
+/// `holders[r]` is the mask of CPUs holding an entry for region `r`, so
+/// a bump of a region's view on many CPUs looks up only the CPUs that
+/// hold one.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct SummaryCache {
+    /// Sets per CPU (a power of two).
+    sets: usize,
+    /// Ways per set that replacement may fill.
+    ways: usize,
+    /// `tags[cpu * sets + set][way]`: the region index the entry
+    /// summarizes, or [`NO_REGION`].
+    tags: Vec<[u32; SUMMARY_WAYS]>,
+    /// `entries[(cpu * sets + set) * SUMMARY_WAYS + way]`.
+    entries: Vec<Summary>,
+    /// Per-(CPU, set) round-robin victim cursor.
+    cursors: Vec<u32>,
+    /// `holders[region]`: CPUs holding an entry for the region.
+    holders: Vec<u32>,
+}
+
+impl SummaryCache {
+    fn new(cpus: usize, sets: usize, ways: usize) -> Self {
+        assert!(
+            sets.is_power_of_two() && (1..=SUMMARY_WAYS).contains(&ways),
+            "bad summary-cache geometry"
+        );
+        SummaryCache {
+            sets,
+            ways,
+            tags: vec![[NO_REGION; SUMMARY_WAYS]; cpus * sets],
+            entries: vec![Summary::default(); cpus * sets * SUMMARY_WAYS],
+            cursors: vec![0; cpus * sets],
+            holders: Vec::new(),
+        }
+    }
+
+    /// Covers one more region.
+    fn add_region(&mut self) {
+        self.holders.push(0);
+    }
+
+    /// Covers regions `0..regions` in one calloc-backed growth.
+    fn cover_bulk(&mut self, regions: usize) {
+        grow_zeroed(&mut self.holders, regions);
+    }
+
+    /// `cpu`'s set for region `rid`.
+    #[inline]
+    fn set_of(&self, cpu: usize, rid: u32) -> usize {
+        cpu * self.sets + (rid as usize & (self.sets - 1))
+    }
+
+    /// Index of `cpu`'s entry for region `rid`, if it has one. The ways
+    /// are compared without branching; a region sits in one way at most.
+    #[inline]
+    fn find(&self, cpu: usize, rid: u32) -> Option<usize> {
+        let set = self.set_of(cpu, rid);
+        let hits = self.tags[set]
+            .iter()
+            .enumerate()
+            .fold(0u32, |m, (w, &t)| m | u32::from(t == rid) << w);
+        (hits != 0).then(|| set * SUMMARY_WAYS + hits.trailing_zeros() as usize)
+    }
+
+    /// Makes an entry (holding no claim) for region `rid` on `cpu`, which
+    /// has none, and returns its index. An index stays valid until the
+    /// next insertion.
+    fn insert(&mut self, cpu: usize, rid: u32) -> usize {
+        debug_assert!(self.find(cpu, rid).is_none(), "region {rid} already cached");
+        let set = self.set_of(cpu, rid);
+        let base = set * SUMMARY_WAYS;
+        let tags = &self.tags[set];
+        let way = (0..self.ways)
+            .find(|&w| tags[w] == NO_REGION || !self.entries[base + w].is_live())
+            .unwrap_or_else(|| {
+                let cursor = &mut self.cursors[set];
+                let w = *cursor as usize;
+                *cursor = ((w + 1) % self.ways) as u32;
+                w
+            });
+        let old = self.tags[set][way];
+        if old != NO_REGION {
+            self.holders[old as usize] &= !(1 << cpu);
+            self.entries[base + way].bump();
+        }
+        self.tags[set][way] = rid;
+        self.holders[rid as usize] |= 1 << cpu;
+        base + way
+    }
+
+    /// Bumps the view of region `rid` on every CPU in `mask` that holds
+    /// an entry for it.
+    #[inline]
+    fn bump(&mut self, rid: u32, mask: u32) {
+        let mut m = mask & self.holders[rid as usize];
+        while m != 0 {
+            let cpu = m.trailing_zeros() as usize;
+            let i = self.find(cpu, rid).expect("a holder bit implies an entry");
+            self.entries[i].bump();
+            m &= m - 1;
+        }
+    }
+
+    /// Entries in use.
+    fn len(&self) -> usize {
+        self.tags
+            .iter()
+            .flatten()
+            .filter(|&&t| t != NO_REGION)
+            .count()
+    }
+
+    /// Bytes the cache holds apart from `holders`: its fixed arrays and
+    /// the entries' buffers.
+    fn bytes(&self) -> usize {
+        size_of_val(self.tags.as_slice())
+            + size_of_val(self.entries.as_slice())
+            + size_of_val(self.cursors.as_slice())
+            + self.entries.iter().map(Summary::heap_bytes).sum::<usize>()
+    }
+
+    /// Panics unless `holders` agrees with the tags.
+    fn verify(&self) {
+        let mut want = vec![0u32; self.holders.len()];
+        for (set, tags) in self.tags.iter().enumerate() {
+            let cpu = set / self.sets;
+            for &t in tags.iter().filter(|&&t| t != NO_REGION) {
+                let bit = 1 << cpu;
+                assert_eq!(
+                    want[t as usize] & bit,
+                    0,
+                    "region {t} cached twice on cpu {cpu}"
+                );
+                want[t as usize] |= bit;
+            }
+        }
+        assert_eq!(
+            want, self.holders,
+            "summary-cache holders diverged from its tags"
+        );
     }
 }
 
@@ -281,15 +585,12 @@ const LAZY_CHUNK: usize = 1 << 12;
 
 /// Flat per-(region, CPU) slot table whose logical length grows in O(1).
 ///
-/// [`Summary`] and [`CodeSummary`] are not zero-default types (they hold
-/// `Vec`s and `u64::MAX` sentinels), so the `alloc_zeroed` trick that
-/// keeps the directory and the integer tables untouched at construction
-/// (see [`crate::zeroed`]) cannot apply. Instead, growth just records the
-/// new logical length; a slot's backing chunk materializes to defaults on
-/// first *mutable* access, and shared reads of never-written slots see
-/// one canonical default instance. A million-flow machine provisions
-/// tens of millions of slots but its run only ever touches the regions
-/// its workload reaches, so almost all chunks stay unmaterialized.
+/// Holds [`CodeSummary`]s. Growth just records the new logical length; a
+/// slot's backing chunk materializes to defaults on first *mutable*
+/// access, and shared reads of never-written slots see one canonical
+/// default instance. Only code regions are ever fetched or lose a line
+/// from the trace cache, so only their chunks materialize: a few, however
+/// many flows a machine provisions.
 ///
 /// Chunked (4096 slots) rather than prefix-grown so a sparse touch at a
 /// high region index — e.g. a victim-eviction bump against a late
@@ -344,6 +645,18 @@ impl<T: Default + Clone> LazySlots<T> {
         let chunk = self.chunks[i / LAZY_CHUNK]
             .get_or_insert_with(|| vec![T::default(); LAZY_CHUNK].into_boxed_slice());
         &mut chunk[i % LAZY_CHUNK]
+    }
+
+    /// Bytes held: the chunk table, materialized chunks, and `heap(slot)`
+    /// for each of their slots.
+    fn bytes(&self, heap: impl Fn(&T) -> usize) -> usize {
+        size_of_val(self.chunks.as_slice())
+            + self
+                .chunks
+                .iter()
+                .flatten()
+                .map(|c| size_of_val(&**c) + c.iter().map(&heap).sum::<usize>())
+                .sum::<usize>()
     }
 }
 
@@ -429,23 +742,15 @@ pub struct MemorySystem {
     config: MemoryConfig,
     regions: RegionTable,
     cpus: Vec<CpuCaches>,
-    /// Dense directory, indexed by line address. A default entry is
-    /// equivalent to "line unknown".
-    directory: Vec<DirEntry>,
+    /// Paged coherence directory, indexed by line address. A default
+    /// entry is equivalent to "line unknown".
+    directory: Directory,
     /// Region index per page, for attributing cache and directory events
     /// (a touch can run past its region's end, so attribution goes by the
     /// line actually affected, not by the touched region).
     page_region: Vec<u32>,
-    /// `summaries[region * cpus + cpu]`: residency fast-path state, flat
-    /// and region-contiguous so a touch indexes it with the same offset
-    /// arithmetic as `gens`. Lazily materialized (see [`LazySlots`]) so
-    /// million-region machines only pay for the slots their run reaches.
-    summaries: LazySlots<Summary>,
-    /// `gens[region * cpus + cpu]`: the (CPU, region) change generation
-    /// guarding that summary's claims. Kept flat and region-contiguous so
-    /// the fill path can bump every CPU's view of a region with one short
-    /// contiguous run of increments.
-    gens: Vec<u64>,
+    /// Per-CPU data-side fast-path state ([`Summary`]), tagged by region.
+    summaries: SummaryCache,
     /// `excl[region * cpus + cpu]`: incremental coherence-directory
     /// aggregate — the number of the region's own lines whose sharer set
     /// is exactly `{cpu}`. Maintained by delta at every directory
@@ -459,8 +764,8 @@ pub struct MemorySystem {
     /// count toward `excl` (touches can run past a region's end into
     /// overflow pages attributed to it; those lines must not count).
     region_last: Vec<u64>,
-    /// `code_summaries[region * cpus + cpu]`: trace-cache fast-path state,
-    /// laid out (and lazily materialized) like `summaries`.
+    /// `code_summaries[region * cpus + cpu]`: trace-cache fast-path
+    /// state, lazily materialized (see [`LazySlots`]).
     code_summaries: LazySlots<CodeSummary>,
     /// Reused per-line sharer-mask buffer for [`MemorySystem::dma_write`]'s
     /// two-pass directory delta (gather sharers, then apply per CPU).
@@ -477,9 +782,10 @@ pub struct MemorySystem {
     /// Reused per-touch accumulator of pending generation bumps,
     /// `(region, cpu mask)`. The walks record which (region, CPU) views
     /// changed and apply all bumps once at the end ([`apply_bumps`])
-    /// instead of bumping per line: nothing reads `gens` mid-walk, and
-    /// claims only compare stamped generations for equality, so one bump
-    /// per touch invalidates exactly the same claims as one per line.
+    /// instead of bumping per line: nothing reads a summary generation
+    /// mid-walk, and claims only compare stamped generations for
+    /// equality, so one bump per touch invalidates exactly the same
+    /// claims as one per line.
     #[serde(skip)]
     bump_masks: Vec<(u32, u32)>,
     line_shift: u32,
@@ -504,14 +810,9 @@ fn note_bump(bumps: &mut Vec<(u32, u32)>, rid: u32, mask: u32) {
 /// touch become stale exactly as they would under per-line bumping; the
 /// absolute generation values differ but only equality is ever tested.
 #[inline]
-fn apply_bumps(gens: &mut [u64], bumps: &[(u32, u32)], ncpus: usize) {
+fn apply_bumps(summaries: &mut SummaryCache, bumps: &[(u32, u32)]) {
     for &(rid, mask) in bumps {
-        let b = rid as usize * ncpus;
-        let mut m = mask;
-        while m != 0 {
-            gens[b + m.trailing_zeros() as usize] += 1;
-            m &= m - 1;
-        }
+        summaries.bump(rid, mask);
     }
 }
 
@@ -540,6 +841,21 @@ impl MemorySystem {
     /// config through its helpers to avoid this.
     #[must_use]
     pub fn new(config: MemoryConfig) -> Self {
+        Self::with_summary_cache(config, SUMMARY_SETS, SUMMARY_WAYS)
+    }
+
+    /// Builds a memory system whose summary cache holds a single entry
+    /// per CPU, so nearly every touch of a new region evicts. Simulated
+    /// state is identical to [`new`](Self::new)'s under any cache
+    /// capacity; this is the oracle the exactness property test compares
+    /// against.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_single_summary_entry(config: MemoryConfig) -> Self {
+        Self::with_summary_cache(config, 1, 1)
+    }
+
+    fn with_summary_cache(config: MemoryConfig, sets: usize, ways: usize) -> Self {
         config.validate().expect("invalid memory configuration");
         let line = config.line_size;
         let cpus: Vec<CpuCaches> = (0..config.cpus)
@@ -576,10 +892,9 @@ impl MemorySystem {
             line_shift: config.line_size.trailing_zeros(),
             page_shift: config.page_size.trailing_zeros(),
             regions: RegionTable::new(config.page_size as u64),
-            directory: Vec::new(),
+            directory: Directory::new(),
             page_region: Vec::new(),
-            summaries: LazySlots::new(),
-            gens: Vec::new(),
+            summaries: SummaryCache::new(cpus.len(), sets, ways),
             excl: Vec::new(),
             region_last: Vec::new(),
             code_summaries: LazySlots::new(),
@@ -610,8 +925,9 @@ impl MemorySystem {
         // so line indexing never leaves the flat structures.
         let cover = (base + 2 * size).max(self.regions.footprint());
         let lines = (cover >> self.line_shift) as usize + 1;
-        if self.directory.len() < lines {
-            self.directory.resize(lines, DirEntry::default());
+        let dir_pages = Directory::pages_for(lines);
+        if self.directory.top.len() < dir_pages {
+            self.directory.top.resize(dir_pages, 0);
         }
         let first_page = (base >> self.page_shift) as usize;
         let pages = (cover >> self.page_shift) as usize + 1;
@@ -623,13 +939,11 @@ impl MemorySystem {
         for p in &mut self.page_region[first_page..pages] {
             *p = id.index() as u32;
         }
-        let ncpus = self.cpus.len();
-        let slots = self.regions.len() * ncpus;
-        self.summaries.grow_to(slots);
-        self.gens.extend(std::iter::repeat_n(0, ncpus));
-        self.excl.extend(std::iter::repeat_n(0, ncpus));
+        self.summaries.add_region();
+        self.code_summaries
+            .grow_to(self.regions.len() * self.cpus.len());
+        self.excl.extend(std::iter::repeat_n(0, self.cpus.len()));
         self.region_last.push((base + size - 1) >> self.line_shift);
-        self.code_summaries.grow_to(slots);
         id
     }
 
@@ -645,13 +959,14 @@ impl MemorySystem {
     /// - **Ids and bases.** `RegionTable::add` is independent of the
     ///   surrounding bookkeeping, so pushing all table entries first
     ///   yields the same ids and bases as the interleaved sequence.
-    /// - **Structure lengths.** The incremental path grows `directory`
-    ///   and `page_region` monotonically to per-region high-water marks
-    ///   (`cover_i`), so the final lengths are the running *maximum*
-    ///   over all entries — computed here in one scan, applied in one
-    ///   `resize`. The resize fill values (`DirEntry::default()`, page
-    ///   owner `0`) match the incremental fills, and cells beyond every
-    ///   page-run write end up `0` on both paths.
+    /// - **Structure lengths.** The incremental path grows the
+    ///   directory's top table and `page_region` monotonically to
+    ///   per-region high-water marks (`cover_i`), so the final lengths
+    ///   are the running *maximum* over all entries — computed here in
+    ///   one scan, applied in one growth. The fill values (top entry `0`,
+    ///   the shared default leaf; page owner `0`) match the incremental
+    ///   fills, and cells beyond every page-run write end up `0` on both
+    ///   paths. Neither path creates a directory leaf.
     /// - **Page ownership.** Each region writes the run
     ///   `[first_page_i, pages_i)`; runs *overlap* (an earlier large
     ///   region's cover can reach past a later small region's), and the
@@ -659,10 +974,10 @@ impl MemorySystem {
     ///   allocation order. Replaying the same writes in the same order
     ///   over the pre-sized table reproduces the exact final ownership.
     ///   A reverse-order or watermark fill would *not*.
-    /// - **Per-CPU vectors.** `summaries`/`gens`/`excl`/
-    ///   `code_summaries` grow by exactly `ncpus` defaults per region
-    ///   regardless of interleaving; one `resize` to
-    ///   `regions.len() * ncpus` is equivalent.
+    /// - **Per-region vectors.** `excl` grows by exactly `ncpus` zeros
+    ///   per region, `code_summaries` by `ncpus` slots and the summary
+    ///   cache's `holders` by one, regardless of interleaving; one growth
+    ///   to the final length is equivalent.
     ///
     /// `cover_i` needs the footprint *as of* entry `i`, which for all
     /// but the last entry equals the next region's base (the table
@@ -680,7 +995,7 @@ impl MemorySystem {
             self.regions.add(name, bytes);
         }
         let footprint = self.regions.footprint();
-        let mut max_lines = self.directory.len();
+        let mut max_lines = self.directory.top.len() * DIR_LEAF_LINES;
         let mut max_pages = self.page_region.len();
         for i in 0..n {
             let r = self.regions.get(span.get(i));
@@ -693,13 +1008,11 @@ impl MemorySystem {
             max_lines = max_lines.max((cover >> self.line_shift) as usize + 1);
             max_pages = max_pages.max((cover >> self.page_shift) as usize + 1);
         }
-        // Zero-touch growth: the grown tails are fresh `alloc_zeroed`
-        // pages (content-identical to the incremental `resize` fills, see
-        // `crate::zeroed`), faulted in only where the run later reaches —
-        // at million-flow sizes the directory alone is gigabytes, and
-        // eagerly dirtying it would dominate construction.
-        crate::zeroed::grow_zeroed(&mut self.directory, max_lines);
-        crate::zeroed::grow_zeroed(&mut self.page_region, max_pages);
+        // Calloc-backed growth (content-identical to the incremental
+        // `resize` fills): the tails fault in only where the run later
+        // writes.
+        grow_zeroed(&mut self.directory.top, Directory::pages_for(max_lines));
+        grow_zeroed(&mut self.page_region, max_pages);
         self.region_last.reserve(n);
         for i in 0..n {
             let id = span.get(i);
@@ -716,12 +1029,10 @@ impl MemorySystem {
             self.page_region[first_page..pages].fill(id.index() as u32);
             self.region_last.push((base + size - 1) >> self.line_shift);
         }
-        let ncpus = self.cpus.len();
-        let slots = self.regions.len() * ncpus;
-        self.summaries.grow_to(slots);
-        crate::zeroed::grow_zeroed(&mut self.gens, slots);
-        crate::zeroed::grow_zeroed(&mut self.excl, slots);
-        self.code_summaries.grow_to(slots);
+        let regions = self.regions.len();
+        self.summaries.cover_bulk(regions);
+        self.code_summaries.grow_to(regions * self.cpus.len());
+        grow_zeroed(&mut self.excl, regions * self.cpus.len());
         span
     }
 
@@ -787,7 +1098,6 @@ impl MemorySystem {
             directory,
             page_region,
             summaries,
-            gens,
             excl,
             region_last,
             remote_invals,
@@ -796,8 +1106,8 @@ impl MemorySystem {
             ..
         } = self;
         let ncpus = cpus.len();
-        // Flat (region, cpu) offset, shared by `gens`, `excl` and
-        // `summaries`.
+        let rid = region.index() as u32;
+        // Flat (region, cpu) offset into `excl`.
         let si = region.index() * ncpus + idx;
         let region_lines = region_last_line - region_first_line + 1;
 
@@ -819,30 +1129,38 @@ impl MemorySystem {
         // — applied by pre-resolved storage slot, skipping the set scan.
         // Touches that run past the region end (offset wrap) take the
         // slow path — the summary only covers the region's own lines.
-        let gen = gens[si];
-        let s = summaries.get(si);
-        if s.is_current(gen) && (!write || all_excl) && last <= region_last_line {
-            let lo = (first - region_first_line) as usize;
-            cpus[idx]
-                .l1
-                .touch_resident_run(&s.slots[lo..lo + result.lines as usize], first, write);
-            return result;
-        }
-        // Span fast path: an exact repeat of the last promoted touch of
-        // this region, while nothing that could move or reclassify its
-        // lines has happened. The span is fully L1-resident (pure hits),
-        // and for writes the span is privately owned, so coherence and
-        // the directory are no-ops either way.
-        if let Some(c) = s.span_matching(gen, first, last, write) {
-            cpus[idx].l1.touch_resident_run(&c.slots, first, write);
-            return result;
+        let found = summaries.find(idx, rid);
+        if let Some(i) = found {
+            let s = &summaries.entries[i];
+            if s.is_current() && (!write || all_excl) && last <= region_last_line {
+                let lo = (first - region_first_line) as usize;
+                cpus[idx].l1.touch_resident_run(
+                    &s.slots[lo..lo + result.lines as usize],
+                    first,
+                    write,
+                );
+                return result;
+            }
+            // Span fast path: an exact repeat of the last promoted touch
+            // of this region, while nothing that could move or reclassify
+            // its lines has happened. The span is fully L1-resident (pure
+            // hits), and for writes the span is privately owned, so
+            // coherence and the directory are no-ops either way.
+            if let Some(c) = s.span_matching(first, last, write) {
+                cpus[idx].l1.touch_resident_run(&c.slots, first, write);
+                return result;
+            }
         }
         // Pick the claim this walk will (try to) establish and borrow its
         // slot buffer, so promotion below is scan-free. Stale claims are
         // recycled first; otherwise replacement round-robins. The choice
         // has no observable effect, so any deterministic policy is fine.
+        // The entry's index stays valid to the end of the touch: bumps
+        // never add or evict entries.
+        let entry = found.unwrap_or_else(|| summaries.insert(idx, rid));
         let (span_idx, mut span_slots) = {
-            let s = summaries.get_mut(si);
+            let s = &mut summaries.entries[entry];
+            let gen = s.gen;
             let i = if let Some(i) = s.spans.iter().position(|c| c.gen != gen) {
                 i
             } else if s.spans.len() < SPAN_CLAIMS {
@@ -860,7 +1178,7 @@ impl MemorySystem {
         // the rare coherence actions against *other* CPUs' caches are
         // recorded and applied after the loop. Deferral is exact: the
         // walk's lines are distinct and the walk only reads its own
-        // hierarchy and the directory, never a remote cache or `gens` —
+        // hierarchy and the directory, never a remote cache or a summary —
         // so a remote invalidation or downgrade commutes with everything
         // between its original position and the end of the walk, and the
         // accumulated generation bumps ([`note_bump`]) can land after the
@@ -919,7 +1237,8 @@ impl MemorySystem {
                 // coherence-first order.
                 match kind {
                     AccessKind::Write => {
-                        let entry = &mut directory[line as usize];
+                        let di = directory.index_mut(line);
+                        let entry = &mut directory.entries[di];
                         let old = entry.sharers;
                         let others = old & !me_bit;
                         entry.sharers = old & me_bit;
@@ -987,7 +1306,7 @@ impl MemorySystem {
                                 // directory's view of this CPU.
                                 my.l1.invalidate(victim);
                                 my.l2.invalidate(victim);
-                                let e = &mut directory[victim as usize];
+                                let e = directory.get_mut(victim);
                                 let vold = e.sharers;
                                 e.sharers = vold & !me_bit;
                                 if e.owner_is(me) {
@@ -1003,7 +1322,7 @@ impl MemorySystem {
                             // set empty, so it becomes exactly `{me}`.
                             // The sharer set grows, so every CPU's view
                             // of this line's region may change.
-                            directory[line as usize].sharers = me_bit;
+                            directory.entries[di].sharers = me_bit;
                             let rid = page_region[(line >> lpp) as usize];
                             if line <= region_last[rid as usize] {
                                 excl_delta(excl, rid as usize * ncpus, 0, me_bit);
@@ -1021,7 +1340,8 @@ impl MemorySystem {
                         if let Some(victim) = l1.evicted {
                             note_bump(bump_masks, page_region[(victim >> lpp) as usize], me_bit);
                         }
-                        let entry = &mut directory[line as usize];
+                        let di = directory.index_mut(line);
+                        let entry = &mut directory.entries[di];
                         if entry.sharers & me_bit != 0 {
                             // In this CPU's LLC, so its owner can only be
                             // this CPU or nobody (a remote write would
@@ -1063,7 +1383,7 @@ impl MemorySystem {
                         if let Some(victim) = llc.evicted {
                             my.l1.invalidate(victim);
                             my.l2.invalidate(victim);
-                            let e = &mut directory[victim as usize];
+                            let e = directory.get_mut(victim);
                             let vold = e.sharers;
                             e.sharers = vold & !me_bit;
                             if e.owner_is(me) {
@@ -1076,7 +1396,7 @@ impl MemorySystem {
                             note_bump(bump_masks, vrid, me_bit);
                         }
                         // Record residency.
-                        let entry = &mut directory[line as usize];
+                        let entry = &mut directory.entries[di];
                         let old = entry.sharers;
                         entry.sharers = old | me_bit;
                         let rid = page_region[(line >> lpp) as usize];
@@ -1106,37 +1426,36 @@ impl MemorySystem {
             c.l2.clean(line);
             c.llc.clean(line);
         }
-        apply_bumps(gens, bump_masks, ncpus);
+        apply_bumps(summaries, bump_masks);
 
         // Promotion: a touch that never left the L1 cannot have changed
         // anything mid-walk, so a verification scan over the region's own
         // lines can (re-)establish the summary for future touches. The
         // scan only resolves L1 slots now — write exclusivity comes from
         // the live `excl` count, so the directory is not read at all.
-        let gen_now = gens[si];
-        if result.l1_misses == 0 {
-            let s = summaries.get_mut(si);
-            if !s.is_current(gen_now)
-                && s.failed_gen != gen_now
-                && region_lines <= cpus[idx].l1.capacity_lines() as u64
-            {
-                let l1 = &cpus[idx].l1;
-                let mut hot = true;
-                s.slots.clear();
-                for line in region_first_line..=region_last_line {
-                    let Some(slot) = l1.slot_of(line) else {
-                        hot = false;
-                        break;
-                    };
-                    s.slots.push(slot);
-                }
-                if hot {
-                    s.hot = true;
-                    s.verified_gen = gen_now;
-                } else {
-                    s.hot = false;
-                    s.failed_gen = gen_now;
-                }
+        let s = &mut summaries.entries[entry];
+        let gen_now = s.gen;
+        if result.l1_misses == 0
+            && !s.is_current()
+            && s.failed_gen != gen_now
+            && region_lines <= cpus[idx].l1.capacity_lines() as u64
+        {
+            let l1 = &cpus[idx].l1;
+            let mut hot = true;
+            s.slots.clear();
+            for line in region_first_line..=region_last_line {
+                let Some(slot) = l1.slot_of(line) else {
+                    hot = false;
+                    break;
+                };
+                s.slots.push(slot);
+            }
+            if hot {
+                s.hot = true;
+                s.verified_gen = gen_now;
+            } else {
+                s.hot = false;
+                s.failed_gen = gen_now;
             }
         }
 
@@ -1152,7 +1471,6 @@ impl MemorySystem {
         // whose events bump other summaries. The generation is stamped
         // after the walk, absorbing bumps the walk's own victims caused;
         // unclaimable spans leave their claim withdrawn.
-        let s = summaries.get_mut(si);
         let c = &mut s.spans[span_idx];
         c.first = first;
         c.last = last;
@@ -1202,8 +1520,7 @@ impl MemorySystem {
             cpus,
             directory,
             page_region,
-            summaries: _,
-            gens,
+            summaries,
             excl,
             region_last,
             code_summaries,
@@ -1211,7 +1528,7 @@ impl MemorySystem {
             ..
         } = self;
         let ncpus = cpus.len();
-        // Flat (region, cpu) offset, shared by `gens` and `code_summaries`.
+        // Flat (region, cpu) offset into `code_summaries`.
         let si = region.index() * ncpus + idx;
 
         // Fast path: the last verified fetch covered exactly this span
@@ -1249,7 +1566,10 @@ impl MemorySystem {
                 let vr = page_region[(victim >> lpp) as usize] as usize;
                 code_summaries.get_mut(vr * ncpus + idx).bump();
             }
-            if directory[line as usize].sharers & me_bit != 0 {
+            // A clear bit means the line is filled and recorded below, so
+            // its leaf is needed either way.
+            let di = directory.index_mut(line);
+            if directory.entries[di].sharers & me_bit != 0 {
                 // In this CPU's LLC (sharer bit ⟺ LLC residency): the L2
                 // may miss but the LLC cannot, and the refill changes no
                 // directory state, so no generation moves.
@@ -1274,7 +1594,7 @@ impl MemorySystem {
             if let Some(victim) = llc.evicted {
                 caches.l1.invalidate(victim);
                 caches.l2.invalidate(victim);
-                let e = &mut directory[victim as usize];
+                let e = directory.get_mut(victim);
                 let vold = e.sharers;
                 e.sharers = vold & !me_bit;
                 if e.owner_is(me) {
@@ -1286,7 +1606,7 @@ impl MemorySystem {
                 }
                 note_bump(bump_masks, vrid, me_bit);
             }
-            let e = &mut directory[line as usize];
+            let e = &mut directory.entries[di];
             let old = e.sharers;
             e.sharers = old | me_bit;
             let rid = page_region[(line >> lpp) as usize];
@@ -1295,7 +1615,7 @@ impl MemorySystem {
             }
             note_bump(bump_masks, rid, all_mask);
         }
-        apply_bumps(gens, bump_masks, ncpus);
+        apply_bumps(summaries, bump_masks);
 
         // Promotion: the walk leaves every span line resident at its
         // recorded slot when either (a) the fetch was all hits (hits
@@ -1337,7 +1657,7 @@ impl MemorySystem {
             cpus,
             directory,
             page_region,
-            gens,
+            summaries,
             excl,
             region_last,
             dma_sharers,
@@ -1361,12 +1681,14 @@ impl MemorySystem {
         bump_masks.clear();
         let mut union_mask = 0u32;
         for line in first..=last {
-            let entry = &mut directory[line as usize];
-            let mask = entry.sharers;
+            // A non-zero mask means the entry is not in the shared
+            // default leaf, so resetting it through `index` is safe.
+            let di = directory.index(line);
+            let mask = directory.entries[di].sharers;
             dma_sharers.push(mask);
             if mask != 0 {
                 union_mask |= mask;
-                *entry = DirEntry::default();
+                directory.entries[di] = DirEntry::default();
                 let rid = page_region[(line >> lpp) as usize];
                 if line <= region_last[rid as usize] {
                     excl_delta(excl, rid as usize * ncpus, mask, 0);
@@ -1374,7 +1696,7 @@ impl MemorySystem {
                 note_bump(bump_masks, rid, mask);
             }
         }
-        apply_bumps(gens, bump_masks, ncpus);
+        apply_bumps(summaries, bump_masks);
         // Pass 2 applies the delta one CPU at a time, so each CPU's cache
         // arrays are walked in one contiguous burst. Invalidations of
         // distinct lines in distinct caches commute, so the per-CPU order
@@ -1425,7 +1747,10 @@ impl MemorySystem {
             cpus, directory, ..
         } = self;
         for line in first..=last {
-            if let Some(owner) = directory[line as usize].take_owner() {
+            // An owner means the entry is not in the shared default leaf.
+            let di = directory.index(line);
+            if let Some(owner) = directory.entries[di].owner() {
+                directory.entries[di].clear_owner();
                 let c = &mut cpus[owner as usize];
                 c.l1.clean(line);
                 c.l2.clean(line);
@@ -1453,6 +1778,16 @@ impl MemorySystem {
     #[must_use]
     pub fn llc_stats(&self, cpu: CpuId) -> CacheStats {
         self.cpus[cpu.index()].llc.stats()
+    }
+
+    /// L1 data-cache statistics for `cpu`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cpu` is out of range.
+    #[must_use]
+    pub fn l1_stats(&self, cpu: CpuId) -> CacheStats {
+        self.cpus[cpu.index()].l1.stats()
     }
 
     /// L2 statistics for `cpu`.
@@ -1508,7 +1843,7 @@ impl MemorySystem {
     /// naive full recompute, panicking on any divergence. Testing hook
     /// for the model-based property tests; not part of the public API.
     ///
-    /// Verifies the two invariants the hot paths rely on:
+    /// Verifies the invariants the hot paths rely on:
     ///
     /// 1. `excl[region][cpu]` equals the number of the region's own lines
     ///    whose directory sharer set is exactly `{cpu}` (the incremental
@@ -1516,20 +1851,30 @@ impl MemorySystem {
     /// 2. a line's sharer bit for a CPU is set **iff** the line is
     ///    resident in that CPU's LLC, and inclusion bounds L1/L2 by the
     ///    LLC (what lets walks turn a clear bit into scan-free fills and
-    ///    a set bit into a guaranteed LLC hit).
+    ///    a set bit into a guaranteed LLC hit);
+    /// 3. the directory's shared leaf, which every absent leaf reads as,
+    ///    is still all default entries;
+    /// 4. the summary cache's per-region holder masks match its tags.
     ///
     /// # Panics
     ///
     /// Panics if any invariant is violated.
     #[doc(hidden)]
     pub fn verify_incremental_state(&self) {
+        assert!(
+            self.directory.entries[..DIR_LEAF_LINES]
+                .iter()
+                .all(|e| *e == DirEntry::default()),
+            "the shared default directory leaf was written"
+        );
+        self.summaries.verify();
         let ncpus = self.cpus.len();
         for (id, r) in self.regions.iter() {
             let first = self.line_of(r.base());
             let last = self.line_of(r.base() + r.size() - 1);
             let mut naive = vec![0u32; ncpus];
             for line in first..=last {
-                let e = &self.directory[line as usize];
+                let e = self.directory.get(line);
                 if e.sharers.count_ones() == 1 {
                     naive[e.sharers.trailing_zeros() as usize] += 1;
                 }
@@ -1562,22 +1907,50 @@ impl MemorySystem {
         }
     }
 
-    /// Snapshot of the construction-time layout: directory and page-table
-    /// shape, full page ownership, per-region last-line indexes, and the
-    /// per-CPU vector lengths. Two systems built by different provisioning
-    /// paths (incremental `add_region` loop vs `add_regions_bulk`) must
-    /// compare equal here — the equivalence the bulk path's property test
-    /// pins.
+    /// Snapshot of the construction-time layout: directory shape, full
+    /// page ownership, per-region last-line indexes, and the per-region
+    /// table lengths. Two systems built by different provisioning paths
+    /// (incremental `add_region` loop vs `add_regions_bulk`) must compare
+    /// equal here — the equivalence the bulk path's property test pins.
     #[must_use]
     pub fn construction_layout(&self) -> ConstructionLayout {
         ConstructionLayout {
-            directory_lines: self.directory.len(),
+            directory_pages: self.directory.top.len(),
+            directory_leaves: self.directory.leaves(),
             page_region: self.page_region.clone(),
             region_last: self.region_last.clone(),
-            gens: self.gens.clone(),
             excl: self.excl.clone(),
-            summary_slots: self.summaries.len(),
+            summary_regions: self.summaries.holders.len(),
             code_summary_slots: self.code_summaries.len(),
+        }
+    }
+
+    /// Resident bytes per table, and the counts that drive them.
+    ///
+    /// Tables that grow with what a run reaches count what they hold:
+    /// directory leaves, the summary cache's entries and buffers, the
+    /// code summaries' materialized chunks. The directory's top table is
+    /// calloc-backed and its entries never return to zero, so it counts
+    /// the 4 KiB pages holding a non-zero entry — exactly the pages a run
+    /// has written. The other tables sized by what a machine provisions
+    /// (`excl`, `page_region`, the summary cache's holder masks) count
+    /// their full length: `page_region` is written whole at
+    /// construction, and the other two are calloc-backed, so for them
+    /// the figure is an upper bound that a run reaching every region
+    /// attains.
+    #[must_use]
+    pub fn footprint(&self) -> Footprint {
+        let d = &self.directory;
+        Footprint {
+            directory_leaves: d.leaves() - 1,
+            summary_entries: self.summaries.len(),
+            directory_top_bytes: written_bytes(&d.top),
+            directory_leaf_bytes: size_of_val(d.entries.as_slice()),
+            summary_cache_bytes: self.summaries.bytes(),
+            holder_bytes: size_of_val(self.summaries.holders.as_slice()),
+            code_summary_bytes: self.code_summaries.bytes(CodeSummary::heap_bytes),
+            excl_bytes: size_of_val(self.excl.as_slice()),
+            page_region_bytes: size_of_val(self.page_region.as_slice()),
         }
     }
 
@@ -1600,20 +1973,45 @@ impl MemorySystem {
 /// [`MemorySystem::construction_layout`]; see there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConstructionLayout {
-    /// `directory` length in cache lines.
-    pub directory_lines: usize,
+    /// Directory top-table length (leaf-sized pages of lines covered).
+    pub directory_pages: usize,
+    /// Directory leaves, the shared default leaf included.
+    pub directory_leaves: usize,
     /// Full page-ownership table (`page -> region index`).
     pub page_region: Vec<u32>,
     /// Per-region last-line index.
     pub region_last: Vec<u64>,
-    /// Per-region × per-CPU residency generations.
-    pub gens: Vec<u64>,
     /// Per-region × per-CPU live exclusivity counts.
     pub excl: Vec<u32>,
-    /// `summaries` slot count (`regions × ncpus`).
-    pub summary_slots: usize,
+    /// Regions the data summary cache's holder masks cover.
+    pub summary_regions: usize,
     /// `code_summaries` slot count (`regions × ncpus`).
     pub code_summary_slots: usize,
+}
+
+/// Per-table memory of a [`MemorySystem`], returned by
+/// [`MemorySystem::footprint`]; see there.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// Directory leaves created by writes (the shared default leaf not
+    /// counted).
+    pub directory_leaves: usize,
+    /// Summary-cache entries in use.
+    pub summary_entries: usize,
+    /// Written pages of the directory's top table.
+    pub directory_top_bytes: usize,
+    /// Directory leaves.
+    pub directory_leaf_bytes: usize,
+    /// The summary cache's fixed arrays and entry buffers.
+    pub summary_cache_bytes: usize,
+    /// The summary cache's per-region holder masks (full length).
+    pub holder_bytes: usize,
+    /// Materialized code-summary chunks and their slot buffers.
+    pub code_summary_bytes: usize,
+    /// `excl` (full length).
+    pub excl_bytes: usize,
+    /// `page_region` (full length).
+    pub page_region_bytes: usize,
 }
 
 #[cfg(test)]

@@ -1,9 +1,79 @@
 //! Property-based tests for the cache/coherence invariants the machine
 //! model depends on.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use sim_core::CpuId;
-use sim_mem::{AccessKind, Cache, MemoryConfig, MemorySystem, RegionName, RegionPlan, Tlb};
+use sim_mem::{
+    AccessKind, Cache, MemoryConfig, MemorySystem, RegionId, RegionName, RegionPlan, Tlb,
+    DIR_LEAF_LINES,
+};
+
+/// One memory-system operation: `(kind, cpu, region, offset, bytes)`,
+/// with `kind` 0 read, 1 write, 2 code fetch, 3 DMA write, 4 DMA read,
+/// anything else a TLB flush.
+type Op = (u8, u32, usize, u64, u64);
+
+/// Applies `op` to `m`, returning the touch or fetch result as a tuple
+/// of counts (zeros for the operations that return nothing).
+fn apply(m: &mut MemorySystem, regions: &[RegionId], op: Op) -> [u64; 5] {
+    let (kind, cpu, rix, off, len) = op;
+    let cpu = CpuId::new(cpu);
+    let r = regions[rix];
+    match kind {
+        0 | 1 => {
+            let t = m.data_touch(cpu, r, off, len, kind == 1);
+            [
+                t.lines,
+                t.l1_misses,
+                t.l2_misses,
+                t.llc_misses,
+                t.dtlb_misses,
+            ]
+        }
+        2 => {
+            let f = m.code_fetch(cpu, r, off, len.min(300));
+            [
+                f.lines,
+                f.tc_misses,
+                f.l2_misses,
+                f.llc_misses,
+                f.itlb_misses,
+            ]
+        }
+        3 => {
+            m.dma_write(r, off, len);
+            [0; 5]
+        }
+        4 => {
+            m.dma_read(r, off, len);
+            [0; 5]
+        }
+        _ => {
+            m.flush_tlbs(cpu);
+            [0; 5]
+        }
+    }
+}
+
+/// Directory leaves holding a line `op` touches from a CPU (a data touch
+/// or code fetch; DMA only clears lines some CPU touched before).
+fn touched_leaves(m: &MemorySystem, regions: &[RegionId], op: Op, leaves: &mut BTreeSet<u64>) {
+    let (kind, _, rix, off, len) = op;
+    let len = match kind {
+        0 | 1 => len,
+        2 => len.min(300),
+        _ => return,
+    };
+    let r = m.regions().get(regions[rix]);
+    let line = u64::from(m.config().line_size);
+    let start = r.addr(off);
+    let end = start + len.min(r.size());
+    for l in start / line..=(end - 1) / line {
+        leaves.insert(l / DIR_LEAF_LINES as u64);
+    }
+}
 
 proptest! {
     /// Hits + misses always equals accesses, and residency never exceeds
@@ -124,6 +194,11 @@ proptest! {
     /// directory and the actual cache contents and panics on any
     /// divergence, so a bug in any delta-update site shrinks to a
     /// minimal op sequence.
+    ///
+    /// The directory is paged, so the same sequence also pins its
+    /// footprint: after every step, the leaves it holds are exactly the
+    /// leaves of the lines some CPU has touched — a leaf is created by
+    /// the first write to one of its lines and by nothing else.
     #[test]
     fn incremental_directory_matches_full_recompute(
         ops in prop::collection::vec(
@@ -135,32 +210,93 @@ proptest! {
         // back-invalidations and cross-CPU steals happen constantly.
         let mut m = MemorySystem::new(MemoryConfig::tiny(3));
         let regions = [m.add_region("a", 4096), m.add_region("b", 8192)];
-        for &(kind, cpu, rix, off, len) in &ops {
-            let cpu = CpuId::new(cpu);
-            let r = regions[rix];
-            match kind {
-                0 => { m.data_touch(cpu, r, off, len, false); }
-                1 => { m.data_touch(cpu, r, off, len, true); }
-                2 => { m.code_fetch(cpu, r, off, len.min(300)); }
-                3 => m.dma_write(r, off, len),
-                4 => m.dma_read(r, off, len),
-                _ => m.flush_tlbs(cpu),
-            }
+        let mut leaves = BTreeSet::new();
+        for &op in &ops {
+            apply(&mut m, &regions, op);
+            touched_leaves(&m, &regions, op, &mut leaves);
             m.verify_incremental_state();
+            prop_assert_eq!(m.footprint().directory_leaves, leaves.len());
         }
+    }
+
+    /// Summary-cache exactness oracle: the data-side fast-path summaries
+    /// live in a fixed-capacity per-CPU cache, and its capacity must be
+    /// unobservable. The same random reads, writes, code fetches and DMA
+    /// go through a system with the default cache and through one that
+    /// holds a single entry per CPU (so nearly every access evicts); every
+    /// per-op result and every cache and TLB counter must agree. Data
+    /// touches dominate the mix, and offsets and lengths come from small
+    /// sets, so exact spans repeat and small regions fit the L1: that is
+    /// what engages the hot and span fast paths on the default side and
+    /// replaces live entries on the single-entry side.
+    #[test]
+    fn summary_cache_capacity_is_unobservable(
+        ops in prop::collection::vec(
+            (0u8..10, 0u32..2, 0usize..4, 0u64..4, 0usize..4),
+            1..200,
+        ),
+    ) {
+        let config = MemoryConfig {
+            l1_size: 1024,
+            l1_assoc: 4,
+            ..MemoryConfig::tiny(2)
+        };
+        let mut cached = MemorySystem::new(config.clone());
+        let mut single = MemorySystem::with_single_summary_entry(config);
+        let sizes = [64u64, 192, 256, 4096];
+        let regions: Vec<RegionId> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &size)| {
+                let a = cached.add_region(format!("r{i}"), size);
+                let b = single.add_region(format!("r{i}"), size);
+                assert_eq!(a, b);
+                a
+            })
+            .collect();
+        for &(kind, cpu, rix, off, len) in &ops {
+            // 0..=5 data touches (odd kinds write), then one each of code
+            // fetch, DMA write, DMA read and TLB flush.
+            let kind = if kind < 6 { kind % 2 } else { kind - 4 };
+            let op = (kind, cpu, rix, off * 64, [64u64, 100, 256, 700][len]);
+            prop_assert_eq!(
+                apply(&mut cached, &regions, op),
+                apply(&mut single, &regions, op),
+                "op {:?} diverged", op
+            );
+        }
+        for cpu in (0..2).map(CpuId::new) {
+            prop_assert_eq!(cached.l1_stats(cpu), single.l1_stats(cpu));
+            prop_assert_eq!(cached.l2_stats(cpu), single.l2_stats(cpu));
+            prop_assert_eq!(cached.llc_stats(cpu), single.llc_stats(cpu));
+            prop_assert_eq!(cached.tc_stats(cpu), single.tc_stats(cpu));
+            prop_assert_eq!(cached.tlb_stats(cpu), single.tlb_stats(cpu));
+        }
+        cached.verify_incremental_state();
+        single.verify_incremental_state();
+        prop_assert_eq!(
+            cached.footprint().directory_leaves,
+            single.footprint().directory_leaves
+        );
     }
 
     /// `add_regions_bulk` is byte-identical to a loop of `add_region`
     /// calls: same `RegionId`s, names, bases, sizes, footprint, directory
-    /// and page-table shape, full page ownership, and per-CPU vector
-    /// state — for arbitrary size sequences (including zero-size regions
-    /// and the overlap case where a large region's cover runs past later
-    /// small regions' pages), optionally on top of pre-existing
-    /// incrementally-added regions.
+    /// top-table length and leaf count, full page ownership, and
+    /// per-region table state — for arbitrary size sequences (including
+    /// zero-size regions and the overlap case where a large region's
+    /// cover runs past later small regions' pages), optionally on top of
+    /// pre-existing incrementally-added regions. The two systems then run
+    /// the same operations to identical results, directory leaves and
+    /// layouts.
     #[test]
     fn bulk_region_allocation_matches_incremental(
         pre in prop::collection::vec(1u64..5000, 0..4),
         sizes in prop::collection::vec(0u64..40_000, 1..40),
+        ops in prop::collection::vec(
+            (0u8..6, 0u32..3, 0usize..40, 0u64..60_000, 1u64..3000),
+            0..30,
+        ),
     ) {
         let mut inc = MemorySystem::new(MemoryConfig::tiny(3));
         let mut bulk = MemorySystem::new(MemoryConfig::tiny(3));
@@ -184,6 +320,19 @@ proptest! {
         }
         prop_assert_eq!(inc.regions().len(), bulk.regions().len());
         prop_assert_eq!(inc.regions().footprint(), bulk.regions().footprint());
+        prop_assert_eq!(inc.construction_layout(), bulk.construction_layout());
+        bulk.verify_incremental_state();
+        // Ops only target non-empty regions.
+        let live: Vec<RegionId> = inc_ids
+            .iter()
+            .copied()
+            .filter(|&id| inc.regions().get(id).size() > 0)
+            .collect();
+        for &(kind, cpu, rix, off, len) in ops.iter().filter(|_| !live.is_empty()) {
+            let op = (kind, cpu, rix % live.len(), off, len);
+            prop_assert_eq!(apply(&mut inc, &live, op), apply(&mut bulk, &live, op));
+        }
+        prop_assert_eq!(inc.footprint(), bulk.footprint());
         prop_assert_eq!(inc.construction_layout(), bulk.construction_layout());
         bulk.verify_incremental_state();
     }

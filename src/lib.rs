@@ -9,6 +9,8 @@
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory and
 //! `EXPERIMENTS.md` for the paper-vs-measured record.
 
+#![forbid(unsafe_code)]
+
 pub use affinity_sim::*;
 
 /// The substrate crates, re-exported for users who want to poke at the
