@@ -234,10 +234,13 @@ impl ExperimentConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `cpus` is outside `1..=64` or `flows` is zero.
+    /// Panics if `cpus` is outside `1..=32` or `flows` is zero.
     #[must_use]
     pub fn scale(direction: Direction, cpus: usize, flows: usize, mode: AffinityMode) -> Self {
-        assert!((1..=64).contains(&cpus), "scale supports 1..=64 CPUs");
+        assert!(
+            (1..=MemoryConfig::MAX_CPUS).contains(&cpus),
+            "scale supports 1..=32 CPUs"
+        );
         assert!(flows > 0, "need at least one flow");
         let mut config = ExperimentConfig::paper_sut(direction, 4096, mode);
         config.cpus = cpus;
@@ -256,10 +259,13 @@ impl ExperimentConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `cpus` is outside `1..=64` or `flows` is zero.
+    /// Panics if `cpus` is outside `1..=32` or `flows` is zero.
     #[must_use]
     pub fn steer_sweep(direction: Direction, cpus: usize, flows: usize, spec: SteerSpec) -> Self {
-        assert!((1..=64).contains(&cpus), "steer_sweep supports 1..=64 CPUs");
+        assert!(
+            (1..=MemoryConfig::MAX_CPUS).contains(&cpus),
+            "steer_sweep supports 1..=32 CPUs"
+        );
         assert!(flows > 0, "need at least one flow");
         let mut config = ExperimentConfig::paper_sut(direction, 4096, AffinityMode::Irq);
         config.cpus = cpus;
@@ -281,7 +287,7 @@ impl ExperimentConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `cpus` is outside `1..=64` or `flows` is zero.
+    /// Panics if `cpus` is outside `1..=32` or `flows` is zero.
     #[must_use]
     pub fn poll_sweep(direction: Direction, cpus: usize, flows: usize) -> Self {
         let spec = SteerSpec {
@@ -306,7 +312,7 @@ impl ExperimentConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `cpus` is outside `1..=64` or `flows` is zero.
+    /// Panics if `cpus` is outside `1..=32` or `flows` is zero.
     #[must_use]
     pub fn churn(cpus: usize, flows: usize, spec: SteerSpec, dataplane: DataplaneMode) -> Self {
         let server = ServerWorkload::churn(flows as u64);

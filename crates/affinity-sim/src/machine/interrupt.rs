@@ -179,7 +179,7 @@ impl Machine {
 
     pub(super) fn deliver_interrupt(&mut self, queue: usize, t: u64) {
         let vector = self.vectors[queue];
-        let mut target = self.apic.deliver(vector);
+        let mut target = self.apic.route(vector);
         let mut t = t;
         if self.steering.dynamic() {
             // Directed steering (Flow Director / aRFS): re-target the

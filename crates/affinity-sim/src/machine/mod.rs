@@ -222,8 +222,8 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns a configuration error if the stack config is invalid or
-    /// an affinity mask cannot be applied.
+    /// Returns a configuration error if the memory or stack config is
+    /// invalid or an affinity mask cannot be applied.
     pub fn new(config: &ExperimentConfig) -> Result<Self> {
         let cpus = config.cpus;
         assert!(
@@ -233,6 +233,7 @@ impl Machine {
         let nics_n = config.nics;
         let flows = config.connections;
         assert!(flows > 0, "machine needs at least one connection");
+        config.mem.validate()?;
         let mut mem = MemorySystem::new(config.mem.clone());
         let mut rng = SimRng::new(config.seed);
 
@@ -1147,64 +1148,6 @@ impl Machine {
             .as_ref()
             .map(|plane| plane.counters.clone())
             .unwrap_or_default()
-    }
-
-    /// Name of the active steering policy.
-    #[must_use]
-    pub fn steering_name(&self) -> &'static str {
-        self.steering.name()
-    }
-
-    /// Dynamic vector re-targets performed by the IO-APIC (measurement
-    /// window).
-    #[must_use]
-    pub fn apic_retargets(&self) -> u64 {
-        self.apic.retargets()
-    }
-
-    /// IPIs received per CPU (reschedule kind).
-    #[must_use]
-    pub fn resched_ipis_received(&self, cpu: CpuId) -> u64 {
-        self.ipi.received(cpu, IpiKind::Reschedule)
-    }
-
-    /// Fraction of `cpu`'s time spent in interrupt context so far.
-    #[must_use]
-    pub fn irq_load_fraction(&self, cpu: CpuId) -> f64 {
-        self.irq_load(cpu.index())
-    }
-
-    /// Where each connection's process context last ran, by connection.
-    #[must_use]
-    pub fn process_cpus(&self) -> Vec<Option<CpuId>> {
-        self.last_process_cpu.clone()
-    }
-
-    /// Where each connection's bottom halves last ran, by connection.
-    #[must_use]
-    pub fn softirq_cpus(&self) -> Vec<Option<CpuId>> {
-        self.last_softirq_cpu.clone()
-    }
-
-    /// Scheduler statistics (wakeups, migrations, IPIs).
-    #[must_use]
-    pub fn scheduler_stats(&self) -> sim_os::SchedulerStats {
-        self.sched.stats()
-    }
-
-    /// Per-task `(migrations, wakeups, run_cycles)` since construction.
-    #[must_use]
-    pub fn task_stats(&self) -> Vec<(u64, u64, u64)> {
-        self.sched
-            .tasks()
-            .map(|t| (t.migrations, t.wakeups, t.run_cycles))
-            .collect()
-    }
-
-    /// Total IPIs of any kind received across CPUs.
-    #[must_use]
-    pub fn total_ipis(&self) -> u64 {
-        self.ipi.total()
     }
 }
 

@@ -51,26 +51,10 @@ impl AffinityMode {
         }
     }
 
-    /// Whether interrupts are split across CPUs in this mode.
-    #[must_use]
-    pub fn irq_split(self) -> bool {
-        matches!(
-            self,
-            AffinityMode::Irq | AffinityMode::Full | AffinityMode::Rss
-        )
-    }
-
     /// Whether processes are pinned in this mode.
     #[must_use]
     pub fn processes_pinned(self) -> bool {
         matches!(self, AffinityMode::Process | AffinityMode::Full)
-    }
-
-    /// Whether flows are RSS-hash-steered across NIC queues (instead of
-    /// the static round-robin flow→NIC assignment).
-    #[must_use]
-    pub fn rss_steered(self) -> bool {
-        matches!(self, AffinityMode::Rss)
     }
 
     /// The steering-policy bundle this mode presets. This is the *only*
@@ -112,49 +96,25 @@ mod tests {
     }
 
     #[test]
-    fn knob_matrix_matches_paper() {
-        assert!(!AffinityMode::None.irq_split());
-        assert!(!AffinityMode::None.processes_pinned());
-        assert!(AffinityMode::Irq.irq_split());
-        assert!(!AffinityMode::Irq.processes_pinned());
-        assert!(!AffinityMode::Process.irq_split());
-        assert!(AffinityMode::Process.processes_pinned());
-        assert!(AffinityMode::Full.irq_split());
-        assert!(AffinityMode::Full.processes_pinned());
-    }
-
-    #[test]
     fn rss_is_outside_the_paper_matrix() {
         assert!(!AffinityMode::ALL.contains(&AffinityMode::Rss));
-        assert!(AffinityMode::Rss.irq_split());
-        assert!(!AffinityMode::Rss.processes_pinned());
-        assert!(AffinityMode::Rss.rss_steered());
-        for mode in AffinityMode::ALL {
-            assert!(!mode.rss_steered(), "{mode} must use round-robin flows");
-        }
     }
 
     #[test]
     fn presets_encode_the_knob_matrix() {
-        for mode in [
-            AffinityMode::None,
-            AffinityMode::Irq,
-            AffinityMode::Process,
-            AffinityMode::Full,
-            AffinityMode::Rss,
+        // (mode, interrupts split, processes pinned, flows RSS-hashed)
+        for (mode, split, pinned, rss) in [
+            (AffinityMode::None, false, false, false),
+            (AffinityMode::Irq, true, false, false),
+            (AffinityMode::Process, false, true, false),
+            (AffinityMode::Full, true, true, false),
+            (AffinityMode::Rss, true, false, true),
         ] {
             let spec = mode.steer_preset();
-            assert_eq!(
-                spec.vectors == VectorLayout::SplitEven,
-                mode.irq_split(),
-                "{mode}"
-            );
-            assert_eq!(spec.pin_processes, mode.processes_pinned(), "{mode}");
-            assert_eq!(
-                spec.placement == FlowPlacement::RssHash,
-                mode.rss_steered(),
-                "{mode}"
-            );
+            assert_eq!(spec.vectors == VectorLayout::SplitEven, split, "{mode}");
+            assert_eq!(mode.processes_pinned(), pinned, "{mode}");
+            assert_eq!(spec.pin_processes, pinned, "{mode}");
+            assert_eq!(spec.placement == FlowPlacement::RssHash, rss, "{mode}");
             assert_eq!(spec.dynamic, DynamicSteer::Off, "{mode}");
         }
     }

@@ -13,9 +13,11 @@ use std::hint::black_box;
 const CPU0: CpuId = CpuId::new(0);
 const CPU1: CpuId = CpuId::new(1);
 
-/// Repeated reads of an L1-resident connection context: after the first
-/// two touches the residency summary engages and every iteration should
-/// replay by slot (no directory traffic, no set scans).
+/// Repeated reads of an L1-resident connection context: the whole
+/// 24-line region is one touch span, so after the warm-up every iteration
+/// is a span-claim replay by slot (no directory traffic, no set scans).
+/// The name dates from a removed whole-region summary tier that served
+/// this touch; it stays so the benchmark's history stays comparable.
 fn bench_touch_hot_region(c: &mut Criterion) {
     c.bench_function("touch_hot_region", |b| {
         let mut mem = MemorySystem::new(MemoryConfig::paper_sut(2));
@@ -59,7 +61,7 @@ fn bench_directory_lookup(c: &mut Criterion) {
 
 /// A single-line read of a hot per-flow counter: the smallest possible
 /// touch, so fixed per-call overhead (address resolution, TLB probe,
-/// summary check) dominates. The floor every other path builds on.
+/// span-claim lookup) dominates. The floor every other path builds on.
 fn bench_touch_single_line_hit(c: &mut Criterion) {
     c.bench_function("touch_single_line_hit", |b| {
         let mut mem = MemorySystem::new(MemoryConfig::paper_sut(2));
@@ -70,10 +72,10 @@ fn bench_touch_single_line_hit(c: &mut Criterion) {
     });
 }
 
-/// An exact-repeat 2 KB line run on a region too big for the whole-region
-/// summary (16 KB > L1): the span-claim fast path must engage and replay
-/// the 32-line run by pre-resolved slot — the line-run batch the TX
-/// payload path lives on.
+/// An exact-repeat 2 KB line run inside a region larger than the L1
+/// (16 KB): the span-claim fast path must engage and replay the 32-line
+/// run by pre-resolved slot — the line-run batch the TX payload path
+/// lives on.
 fn bench_span_line_run_replay(c: &mut Criterion) {
     c.bench_function("span_line_run_replay", |b| {
         let mut mem = MemorySystem::new(MemoryConfig::paper_sut(2));
@@ -84,10 +86,12 @@ fn bench_span_line_run_replay(c: &mut Criterion) {
     });
 }
 
-/// Repeated whole-region writes from one CPU: after the first pass the
-/// region's live exclusivity count equals its line count, so every
-/// iteration takes the O(1) exclusivity check and the directory-free
-/// write walk (no sharer narrows, no generation bumps).
+/// Repeated whole-region writes from one CPU: the first pass leaves every
+/// line with sharer set `{cpu0}` and claims the span as owned, so every
+/// iteration is a span-claim replay of a write (no sharer narrows, no
+/// generation bumps). The name dates from a removed directory-free walk
+/// that served this touch; it stays so the benchmark's history stays
+/// comparable.
 fn bench_write_exclusive_region(c: &mut Criterion) {
     c.bench_function("write_exclusive_region", |b| {
         let mut mem = MemorySystem::new(MemoryConfig::paper_sut(2));
@@ -99,8 +103,7 @@ fn bench_write_exclusive_region(c: &mut Criterion) {
 }
 
 /// One receive descriptor's worth of directory delta: a DMA write
-/// resets 4 KB of sharer state (incremental `excl` deltas + batched
-/// generation bumps), then the consuming CPU's read refills it with
+/// resets 4 KB of sharer state (with batched generation bumps), then the consuming CPU's read refills it with
 /// scan-free fills and per-line residency records. The Rx payload
 /// churn that dominates the figure matrix.
 fn bench_dma_directory_delta(c: &mut Criterion) {

@@ -356,16 +356,6 @@ pub fn average_metrics(runs: &[RunMetrics]) -> RunMetrics {
     avg
 }
 
-/// Runs one cell for every figure seed and averages the results.
-#[must_use]
-pub fn seed_averaged(direction: Direction, size: u64, mode: AffinityMode) -> RunMetrics {
-    let runs: Vec<RunMetrics> = FIGURE_SEEDS
-        .iter()
-        .map(|&s| run_cell(direction, size, mode, s).metrics)
-        .collect();
-    average_metrics(&runs)
-}
-
 /// Runs a whole figure row (all four modes for one size/direction) on
 /// the job pool, seed-averaged. The row is assembled in matrix order
 /// (mode-major, seed-minor), so the output is independent of how many

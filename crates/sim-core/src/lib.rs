@@ -10,8 +10,7 @@
 //! * [`SimTime`] — simulated time measured in clock cycles,
 //! * [`EventQueue`] — a stable priority queue of timestamped events,
 //! * [`SimRng`] — a small, fully deterministic random number generator,
-//! * identifier newtypes ([`CpuId`], [`TaskId`], [`IrqVector`], [`DeviceId`]),
-//! * statistics helpers ([`Accumulator`], [`Histogram`], [`RateMeter`]).
+//! * identifier newtypes ([`CpuId`], [`TaskId`], [`IrqVector`], [`DeviceId`]).
 //!
 //! Higher layers (`sim-cpu`, `sim-os`, `sim-net`, `sim-tcp`) compose these
 //! into a machine model.
@@ -35,17 +34,13 @@ mod error;
 mod event;
 mod ids;
 mod rng;
-mod stats;
 mod time;
-mod trace;
 
 pub use error::SimError;
 pub use event::{EventQueue, ScheduledEvent, ShardedEventQueue};
 pub use ids::{ConnectionId, CpuId, DeviceId, IrqVector, TaskId};
 pub use rng::SimRng;
-pub use stats::{Accumulator, Histogram, RateMeter};
 pub use time::{Frequency, SimTime};
-pub use trace::{TraceEntry, TraceRing};
 
 /// Result alias used across the simulation crates.
 pub type Result<T> = std::result::Result<T, SimError>;

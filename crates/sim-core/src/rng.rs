@@ -127,15 +127,6 @@ impl SimRng {
             items.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element, or `None` for an empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.next_below(items.len() as u64) as usize])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -221,14 +212,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut r = SimRng::new(29);
-        let empty: [u8; 0] = [];
-        assert!(r.choose(&empty).is_none());
-        assert_eq!(r.choose(&[42]), Some(&42));
     }
 
     #[test]

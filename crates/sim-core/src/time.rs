@@ -58,12 +58,6 @@ impl SimTime {
     pub const fn saturating_since(self, earlier: SimTime) -> u64 {
         self.0.saturating_sub(earlier.0)
     }
-
-    /// Converts this timestamp to seconds under the given clock frequency.
-    #[must_use]
-    pub fn as_seconds(self, freq: Frequency) -> f64 {
-        self.0 as f64 / freq.hertz() as f64
-    }
 }
 
 impl Add<u64> for SimTime {
@@ -111,25 +105,11 @@ impl fmt::Display for SimTime {
 ///
 /// let f = Frequency::from_ghz(2.0);
 /// assert_eq!(f.hertz(), 2_000_000_000);
-/// let t = SimTime::from_cycles(1_000_000_000);
-/// assert!((t.as_seconds(f) - 0.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Frequency(u64);
 
 impl Frequency {
-    /// Creates a frequency from a hertz count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hertz` is zero; a zero-frequency clock never advances
-    /// and would make every time conversion divide by zero.
-    #[must_use]
-    pub fn from_hertz(hertz: u64) -> Self {
-        assert!(hertz > 0, "frequency must be positive");
-        Frequency(hertz)
-    }
-
     /// Creates a frequency from gigahertz.
     ///
     /// # Panics
@@ -151,12 +131,6 @@ impl Frequency {
     #[must_use]
     pub fn ghz(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Number of cycles elapsed in `seconds` at this frequency.
-    #[must_use]
-    pub fn cycles_in(self, seconds: f64) -> u64 {
-        (seconds * self.0 as f64) as u64
     }
 }
 
@@ -211,10 +185,8 @@ mod tests {
     #[test]
     fn frequency_conversions() {
         let f = Frequency::from_ghz(2.0);
-        assert_eq!(f.cycles_in(1.0), 2_000_000_000);
+        assert_eq!(f.hertz(), 2_000_000_000);
         assert!((f.ghz() - 2.0).abs() < 1e-12);
-        let t = SimTime::from_cycles(2_000_000_000);
-        assert!((t.as_seconds(f) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -225,7 +197,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_frequency_rejected() {
-        let _ = Frequency::from_hertz(0);
+        let _ = Frequency::from_ghz(0.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
-use sim_core::{Accumulator, EventQueue, Histogram, ShardedEventQueue, SimRng, SimTime};
+use sim_core::{EventQueue, ShardedEventQueue, SimRng, SimTime};
 
 /// Reference model of the pre-calendar event queue: one binary heap
 /// ordered by `(time, seq)`, with the same causality watermark. The
@@ -99,33 +99,6 @@ proptest! {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
-    }
-
-    /// Parallel (merged) Welford equals the sequential accumulation.
-    #[test]
-    fn accumulator_merge_equals_sequential(
-        xs in prop::collection::vec(-1e6f64..1e6, 0..100),
-        split in 0usize..100,
-    ) {
-        let split = split.min(xs.len());
-        let mut whole = Accumulator::new();
-        for &x in &xs {
-            whole.add(x);
-        }
-        let mut left = Accumulator::new();
-        let mut right = Accumulator::new();
-        for &x in &xs[..split] {
-            left.add(x);
-        }
-        for &x in &xs[split..] {
-            right.add(x);
-        }
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        if !xs.is_empty() {
-            prop_assert!((left.mean() - whole.mean()).abs() < 1e-6);
-            prop_assert!((left.variance() - whole.variance()).abs() < 1.0);
-        }
     }
 
     /// The calendar-backed queue matches the old binary-heap queue on
@@ -252,17 +225,5 @@ proptest! {
         } else {
             prop_assert!(result.is_ok(), "push at/after the watermark must not panic");
         }
-    }
-
-    /// Histogram never loses observations.
-    #[test]
-    fn histogram_conserves_counts(values in prop::collection::vec(0u64..10_000, 0..200)) {
-        let mut h = Histogram::new(64, 32);
-        for &v in &values {
-            h.record(v);
-        }
-        let bucketed: u64 = h.iter().map(|(_, c)| c).sum();
-        prop_assert_eq!(bucketed + h.overflow(), values.len() as u64);
-        prop_assert_eq!(h.total(), values.len() as u64);
     }
 }

@@ -86,8 +86,8 @@ pub struct AccessOutcome {
     pub evicted: Option<u64>,
     /// The evicted victim was dirty (would be written back).
     pub evicted_dirty: bool,
-    /// Storage slot now holding the line (as [`Cache::slot_of`] would
-    /// report), for callers that maintain residency slot caches.
+    /// Storage slot now holding the line, for callers that maintain
+    /// residency slot caches.
     pub slot: u32,
 }
 
@@ -154,7 +154,7 @@ impl Cache {
     ///
     /// The hit case is small enough to inline into the touch loops that
     /// dominate simulation time; the fill/eviction tail stays out of line
-    /// ([`Cache::fill`]) so inlining it doesn't bloat those loops.
+    /// (`Cache::fill`) so inlining it doesn't bloat those loops.
     #[inline]
     pub fn access(&mut self, line: u64, kind: AccessKind) -> AccessOutcome {
         self.clock += 1;
@@ -240,20 +240,10 @@ impl Cache {
         }
     }
 
-    /// Returns the storage slot holding `line`, if resident. The slot
-    /// stays valid until the line is evicted, invalidated or flushed —
-    /// callers caching slots must invalidate their cache on any of those
-    /// (see `sim-mem`'s residency summaries).
-    #[must_use]
-    pub fn slot_of(&self, line: u64) -> Option<u32> {
-        let base = (line & self.set_mask) as usize * self.ways;
-        self.find(base, line).map(|w| (base + w) as u32)
-    }
-
     /// Touches a run of resident lines by pre-resolved storage slot:
-    /// `slots[i]` must hold line `first_line + i` (as returned by
-    /// [`Cache::slot_of`] with no intervening eviction, invalidation or
-    /// flush). Bookkeeping is identical to calling [`Cache::access`] on
+    /// `slots[i]` must hold line `first_line + i` (the `slot` an access or
+    /// fill of that line reported, with no intervening eviction,
+    /// invalidation or flush). Bookkeeping is identical to calling [`Cache::access`] on
     /// each line in order when every access hits: the clock advances once
     /// per line, each line becomes most recently used in access order,
     /// and each access counts one hit.
@@ -418,12 +408,15 @@ mod tests {
         // (evictions, stats) must be indistinguishable.
         let mut a = Cache::new("a", 4, 2);
         let mut b = Cache::new("b", 4, 2);
-        for line in 0..6u64 {
-            a.access(line, AccessKind::Read);
-            b.access(line, AccessKind::Read);
-        }
-        let slots: Vec<u32> = (2..6u64).map(|l| a.slot_of(l).expect("resident")).collect();
-        a.touch_resident_run(&slots, 2, true);
+        // Six lines in eight ways: nothing is evicted, so every slot the
+        // warm-up reports still holds its line.
+        let slots: Vec<u32> = (0..6u64)
+            .map(|line| {
+                b.access(line, AccessKind::Read);
+                a.access(line, AccessKind::Read).slot
+            })
+            .collect();
+        a.touch_resident_run(&slots[2..], 2, true);
         for line in 2..6u64 {
             assert!(b.access(line, AccessKind::Write).hit);
         }
@@ -458,17 +451,6 @@ mod tests {
             let ob = b.access(line, AccessKind::Read);
             assert_eq!(oa, ob, "future divergence at line {line}");
         }
-    }
-
-    #[test]
-    fn slot_of_reports_residency() {
-        let mut c = small();
-        assert_eq!(c.slot_of(5), None);
-        c.access(5, AccessKind::Read);
-        let slot = c.slot_of(5).expect("resident");
-        assert!((slot as usize) < c.capacity_lines());
-        c.invalidate(5);
-        assert_eq!(c.slot_of(5), None);
     }
 
     #[test]

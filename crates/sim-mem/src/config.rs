@@ -43,6 +43,10 @@ pub struct MemoryConfig {
 }
 
 impl MemoryConfig {
+    /// Most CPUs a memory system supports: directory sharer sets and the
+    /// fast-path bump masks are 32-bit CPU masks.
+    pub const MAX_CPUS: usize = 32;
+
     /// Geometry of the paper's system under test for `cpus` processors.
     #[must_use]
     pub fn paper_sut(cpus: usize) -> Self {
@@ -89,11 +93,19 @@ impl MemoryConfig {
     ///
     /// Returns [`sim_core::SimError::InvalidConfig`] if any capacity is not
     /// a positive multiple of the line size, an associativity is zero or
-    /// exceeds the number of lines, or there are no CPUs.
+    /// exceeds the number of lines, or the CPU count is outside
+    /// `1..=`[`MAX_CPUS`](Self::MAX_CPUS).
     pub fn validate(&self) -> sim_core::Result<()> {
         use sim_core::SimError;
         if self.cpus == 0 {
             return Err(SimError::config("need at least one cpu"));
+        }
+        if self.cpus > Self::MAX_CPUS {
+            return Err(SimError::config(format!(
+                "{} cpus exceed the coherence directory's limit of {}",
+                self.cpus,
+                Self::MAX_CPUS
+            )));
         }
         if self.line_size == 0 || !self.line_size.is_power_of_two() {
             return Err(SimError::config("line size must be a power of two"));
@@ -163,6 +175,15 @@ mod tests {
         let mut c = MemoryConfig::paper_sut(2);
         c.cpus = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn cpu_count_is_limited_to_the_sharer_mask_width() {
+        MemoryConfig::paper_sut(MemoryConfig::MAX_CPUS)
+            .validate()
+            .unwrap();
+        let err = MemoryConfig::paper_sut(33).validate().unwrap_err();
+        assert!(err.to_string().contains("limit of 32"), "{err}");
     }
 
     #[test]

@@ -38,27 +38,24 @@
 //!   skipping the doomed hit scans), a set bit means the LLC cannot miss
 //!   and no remote modified owner can exist (skipping the downgrade
 //!   check and the redundant re-record of residency).
-//! * The directory keeps per-(region, CPU) **incremental exclusivity
-//!   counts** (`excl`): how many of the region's own lines have sharer
-//!   set exactly `{cpu}`, updated by delta at each sharer-set mutation
-//!   and never recomputed by scan. A region whose count equals its line
-//!   count is written (or read) with no directory traffic at all; the
-//!   counts also give the write fast path its O(1) exclusivity check.
 //! * TLBs are probed once per *page* of a touch instead of once per line
 //!   ([`Tlb::access_n`] keeps the bookkeeping identical).
-//! * A generation-stamped per-(CPU, region) [`Summary`] records when every
-//!   line of a region is resident in the CPU's L1 (`hot`). While the
-//!   stamp is current, a touch of a hot region (writes additionally need
-//!   the live exclusivity count at full coverage) short-circuits the
-//!   per-line coherence-and-hierarchy walk down to the L1 hit
-//!   bookkeeping, which is the only part with observable effects. Every
-//!   event that could falsify a summary (fills, evictions, invalidations,
-//!   DMA writes) advances the summary's own generation, so the fast path
-//!   can never mask a miss or skip an invalidation: observable counters
-//!   are bit-identical to the per-line walk. Generations move once per
-//!   touch (accumulated masks, [`SummaryCache::bump`]) rather than once
-//!   per line — claims only test stamp equality, so the batching is
-//!   invisible.
+//! * A data touch has one fast path over one walk. Each walk records the
+//!   L1 storage slot of every line it leaves resident, and a walk that
+//!   leaves its whole span resident stamps a [`SpanClaim`] with the
+//!   (CPU, region) [`Summary`]'s generation. While the stamp is current,
+//!   an exact repeat of the span (a write also needs a claim from a write
+//!   walk, which left every line with sharer set `{cpu}`) is pure L1 hits
+//!   with no coherence work, so it replays the L1 bookkeeping by direct
+//!   index ([`Cache::touch_resident_run`]) — the only part with observable
+//!   effects. Every event that could falsify a claim (fills, evictions,
+//!   invalidations, DMA writes) advances the summary's generation, so
+//!   the fast path can never mask a miss or skip an invalidation:
+//!   observable counters are bit-identical to the per-line walk, which
+//!   [`MemorySystem::reference`] runs for every touch. Generations move
+//!   once per touch (accumulated masks, [`SummaryCache::bump`]) rather
+//!   than once per line — claims only test stamp equality, so the
+//!   batching is invisible.
 //! * Summaries live in a fixed-capacity per-CPU [`SummaryCache`] tagged by
 //!   region, not in a table over every (region, CPU) pair. A bump of a
 //!   pair with no entry is a no-op (no entry, no claim to withdraw), and
@@ -66,11 +63,6 @@
 //!   only costs a later slow walk. A claim needs its lines in the L1, so
 //!   an 8 KiB L1 (128 lines) can back live claims for at most 128 regions
 //!   per CPU.
-//! * The verification scan also records each line's L1 storage slot, so
-//!   the fast path updates LRU state by direct index
-//!   ([`Cache::touch_resident_run`]) instead of re-running the
-//!   set-and-way search per line. Slots can only go stale through events
-//!   that bump the generation, so a current summary implies current slots.
 //! * Code fetches get the same treatment via [`CodeSummary`]: every fetch
 //!   whose span ends up fully resident (all hits, or a span no larger
 //!   than the trace cache's set count, where consecutive lines cannot
@@ -242,38 +234,20 @@ fn written_bytes(v: &[u32]) -> usize {
         .sum()
 }
 
-/// Residency summary for one (CPU, region) pair, backing the touch fast
-/// path.
+/// Fast-path state for one (CPU, region) pair: the replayable touch
+/// spans of the region and the generation guarding them.
 ///
-/// The `hot` claim is trusted only while `verified_gen` matches `gen`;
-/// every event that could falsify it — an L1 fill or eviction, a
-/// coherence invalidation, a directory sharer change, DMA — bumps `gen`,
-/// so a stale summary simply falls back to the exact per-line walk until
-/// a verification scan re-establishes it. Write exclusivity is not a
-/// stamped claim at all: [`MemorySystem::excl`] tracks it incrementally,
-/// so the write fast path reads the live count instead of re-scanning.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A claim is trusted only while its stamp matches `gen`; every event that
+/// could falsify one — an L1 fill or eviction, a coherence invalidation, a
+/// directory sharer change, DMA — bumps `gen`, so a stale claim simply
+/// falls back to the exact per-line walk.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct Summary {
     /// The (CPU, region) change generation guarding every claim below.
     gen: u64,
-    /// Value of `gen` when the claims were last verified.
-    verified_gen: u64,
-    /// Value of `gen` when a verification scan last failed; suppresses
-    /// re-scans until the state moves again.
-    failed_gen: u64,
-    /// Every line of the region is resident in this CPU's L1, so reads
-    /// are pure L1 hits and read coherence is a no-op (a resident line's
-    /// owner can only be this CPU or nobody).
-    hot: bool,
-    /// L1 storage slot of each region line (index `line - first_line`),
-    /// recorded by the verification scan. Valid exactly as long as the
-    /// summary is: any eviction, invalidation or fill that could move a
-    /// line bumps `gen` first.
-    slots: Vec<u32>,
-    /// Recently promoted touch spans (see [`SpanClaim`]). A touch whose
-    /// exact span carries a current claim replays by slot even when the
-    /// whole region is not resident (`hot` unset). Touch patterns repeat
-    /// a handful of distinct spans per region, so a few claims suffice.
+    /// Recently promoted touch spans (see [`SpanClaim`]). Touch patterns
+    /// repeat a handful of distinct spans per region, so a few claims
+    /// suffice.
     spans: Vec<SpanClaim>,
     /// Round-robin replacement cursor for `spans` when every claim is
     /// still current.
@@ -316,27 +290,7 @@ impl Default for SpanClaim {
     }
 }
 
-impl Default for Summary {
-    fn default() -> Self {
-        Summary {
-            gen: 0,
-            verified_gen: 0,
-            // != gen so the first verification scan is allowed.
-            failed_gen: u64::MAX,
-            hot: false,
-            slots: Vec::new(),
-            spans: Vec::new(),
-            span_cursor: 0,
-        }
-    }
-}
-
 impl Summary {
-    #[inline]
-    fn is_current(&self) -> bool {
-        self.hot && self.verified_gen == self.gen
-    }
-
     #[inline]
     fn span_matching(&self, first: u64, last: u64, write: bool) -> Option<&SpanClaim> {
         self.spans.iter().find(|c| {
@@ -352,13 +306,12 @@ impl Summary {
 
     /// Whether a claim is current, so a later touch could still use it.
     fn is_live(&self) -> bool {
-        self.is_current() || self.spans.iter().any(|c| c.gen == self.gen)
+        self.spans.iter().any(|c| c.gen == self.gen)
     }
 
     /// Heap bytes held beyond the summary's own size.
     fn heap_bytes(&self) -> usize {
-        self.slots.capacity() * size_of::<u32>()
-            + self.spans.capacity() * size_of::<SpanClaim>()
+        self.spans.capacity() * size_of::<SpanClaim>()
             + self
                 .spans
                 .iter()
@@ -751,19 +704,6 @@ pub struct MemorySystem {
     page_region: Vec<u32>,
     /// Per-CPU data-side fast-path state ([`Summary`]), tagged by region.
     summaries: SummaryCache,
-    /// `excl[region * cpus + cpu]`: incremental coherence-directory
-    /// aggregate — the number of the region's own lines whose sharer set
-    /// is exactly `{cpu}`. Maintained by delta at every directory
-    /// mutation ([`excl_delta`]), never recomputed by scan, so write
-    /// touches check exclusivity of a whole region in O(1):
-    /// `excl == region lines` means a write is coherence- and
-    /// directory-free. The directory *owner* is deliberately excluded
-    /// from the predicate (see [`MemorySystem::dma_read`]).
-    excl: Vec<u32>,
-    /// Last line of each region's own range, for bounding which lines
-    /// count toward `excl` (touches can run past a region's end into
-    /// overflow pages attributed to it; those lines must not count).
-    region_last: Vec<u64>,
     /// `code_summaries[region * cpus + cpu]`: trace-cache fast-path
     /// state, lazily materialized (see [`LazySlots`]).
     code_summaries: LazySlots<CodeSummary>,
@@ -788,6 +728,9 @@ pub struct MemorySystem {
     /// claims as one per line.
     #[serde(skip)]
     bump_masks: Vec<(u32, u32)>,
+    /// Whether touches and fetches may replay a current claim instead of
+    /// walking; off only in the [`reference`](Self::reference) oracle.
+    replay: bool,
     line_shift: u32,
     page_shift: u32,
 }
@@ -816,20 +759,32 @@ fn apply_bumps(summaries: &mut SummaryCache, bumps: &[(u32, u32)]) {
     }
 }
 
-/// Incremental-directory delta: a line's sharer set changed from `old` to
-/// `new`, so the per-(region, CPU) exclusive-line counts at `base` move
-/// with it. A set is "exclusive" exactly when it is a single bit.
+/// Mask of CPUs `0..ncpus`.
 #[inline]
-fn excl_delta(excl: &mut [u32], base: usize, old: u32, new: u32) {
-    if old == new {
-        return;
+fn all_cpus_mask(ncpus: usize) -> u32 {
+    u32::MAX >> (32 - ncpus)
+}
+
+/// Drops `victim`, just evicted from CPU `me`'s inclusive LLC, from the
+/// CPU's inner levels and from the directory's view of the CPU, and notes
+/// the bump of the CPU's view of `victim`'s region `vrid`.
+#[inline]
+fn evict_from_llc(
+    caches: &mut CpuCaches,
+    directory: &mut Directory,
+    bumps: &mut Vec<(u32, u32)>,
+    victim: u64,
+    vrid: u32,
+    me: u8,
+) {
+    caches.l1.invalidate(victim);
+    caches.l2.invalidate(victim);
+    let e = directory.get_mut(victim);
+    e.sharers &= !(1u32 << me);
+    if e.owner_is(me) {
+        e.clear_owner();
     }
-    if old.count_ones() == 1 {
-        excl[base + old.trailing_zeros() as usize] -= 1;
-    }
-    if new.count_ones() == 1 {
-        excl[base + new.trailing_zeros() as usize] += 1;
-    }
+    note_bump(bumps, vrid, 1u32 << me);
 }
 
 impl MemorySystem {
@@ -842,6 +797,20 @@ impl MemorySystem {
     #[must_use]
     pub fn new(config: MemoryConfig) -> Self {
         Self::with_summary_cache(config, SUMMARY_SETS, SUMMARY_WAYS)
+    }
+
+    /// Builds a memory system that never replays a claim: every data
+    /// touch and every code fetch runs the coherent per-line walk. Its
+    /// results and counters equal [`new`](Self::new)'s for any operation
+    /// sequence; this is the reference the exactness property test
+    /// compares the fast paths against.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn reference(config: MemoryConfig) -> Self {
+        MemorySystem {
+            replay: false,
+            ..Self::new(config)
+        }
     }
 
     /// Builds a memory system whose summary cache holds a single entry
@@ -895,13 +864,12 @@ impl MemorySystem {
             directory: Directory::new(),
             page_region: Vec::new(),
             summaries: SummaryCache::new(cpus.len(), sets, ways),
-            excl: Vec::new(),
-            region_last: Vec::new(),
             code_summaries: LazySlots::new(),
             dma_sharers: Vec::new(),
             remote_invals: Vec::new(),
             remote_cleans: Vec::new(),
             bump_masks: Vec::new(),
+            replay: true,
             cpus,
             config,
         }
@@ -942,8 +910,6 @@ impl MemorySystem {
         self.summaries.add_region();
         self.code_summaries
             .grow_to(self.regions.len() * self.cpus.len());
-        self.excl.extend(std::iter::repeat_n(0, self.cpus.len()));
-        self.region_last.push((base + size - 1) >> self.line_shift);
         id
     }
 
@@ -974,10 +940,9 @@ impl MemorySystem {
     ///   allocation order. Replaying the same writes in the same order
     ///   over the pre-sized table reproduces the exact final ownership.
     ///   A reverse-order or watermark fill would *not*.
-    /// - **Per-region vectors.** `excl` grows by exactly `ncpus` zeros
-    ///   per region, `code_summaries` by `ncpus` slots and the summary
-    ///   cache's `holders` by one, regardless of interleaving; one growth
-    ///   to the final length is equivalent.
+    /// - **Per-region tables.** `code_summaries` grows by `ncpus` slots
+    ///   and the summary cache's `holders` by one per region, regardless
+    ///   of interleaving; one growth to the final length is equivalent.
     ///
     /// `cover_i` needs the footprint *as of* entry `i`, which for all
     /// but the last entry equals the next region's base (the table
@@ -1013,7 +978,6 @@ impl MemorySystem {
         // writes.
         grow_zeroed(&mut self.directory.top, Directory::pages_for(max_lines));
         grow_zeroed(&mut self.page_region, max_pages);
-        self.region_last.reserve(n);
         for i in 0..n {
             let id = span.get(i);
             let r = self.regions.get(id);
@@ -1027,12 +991,10 @@ impl MemorySystem {
             let first_page = (base >> self.page_shift) as usize;
             let pages = (cover >> self.page_shift) as usize + 1;
             self.page_region[first_page..pages].fill(id.index() as u32);
-            self.region_last.push((base + size - 1) >> self.line_shift);
         }
         let regions = self.regions.len();
         self.summaries.cover_bulk(regions);
         self.code_summaries.grow_to(regions * self.cpus.len());
-        grow_zeroed(&mut self.excl, regions * self.cpus.len());
         span
     }
 
@@ -1066,13 +1028,12 @@ impl MemorySystem {
         }
         let idx = cpu.index();
         assert!(idx < self.cpus.len(), "cpu {idx} out of range");
-        let (start, end, region_first_line, region_last_line) = {
+        let (start, end, region_last_line) = {
             let r = self.regions.get(region);
             let start = r.addr(offset);
             (
                 start,
                 start + bytes.min(r.size()),
-                r.base() >> self.line_shift,
                 (r.base() + r.size() - 1) >> self.line_shift,
             )
         };
@@ -1098,58 +1059,28 @@ impl MemorySystem {
             directory,
             page_region,
             summaries,
-            excl,
-            region_last,
             remote_invals,
             remote_cleans,
             bump_masks,
+            replay,
             ..
         } = self;
         let ncpus = cpus.len();
         let rid = region.index() as u32;
-        // Flat (region, cpu) offset into `excl`.
-        let si = region.index() * ncpus + idx;
-        let region_lines = region_last_line - region_first_line + 1;
 
-        // Live exclusivity: every one of the region's own lines has
-        // sharer set exactly `{me}`. The count is maintained
-        // incrementally at each directory mutation, so this is O(1) where
-        // the old `owned` stamp needed a verification scan. Exclusive
-        // lines need no coherence (no remote copies to invalidate), no
-        // directory write (the narrow and the owner store are no-ops —
-        // owner state is unobservable, see `dma_read`), and are
-        // guaranteed LLC-resident (a sharer bit is set iff the line is in
-        // that CPU's inclusive LLC).
-        let all_excl = last <= region_last_line
-            && region_lines <= u64::from(u32::MAX)
-            && excl[si] == region_lines as u32;
-
-        // Fast path: every line is a private L1 hit, so coherence and the
-        // directory update are no-ops and only the L1 bookkeeping remains
-        // — applied by pre-resolved storage slot, skipping the set scan.
-        // Touches that run past the region end (offset wrap) take the
-        // slow path — the summary only covers the region's own lines.
+        // Fast path: an exact repeat of a promoted touch span of this
+        // region, while nothing that could move or reclassify its lines
+        // has happened. The span is fully L1-resident (pure hits), and for
+        // writes it is privately owned, so coherence and the directory are
+        // no-ops either way and only the L1 bookkeeping remains — applied
+        // by pre-resolved storage slot, skipping the set scan.
         let found = summaries.find(idx, rid);
-        if let Some(i) = found {
-            let s = &summaries.entries[i];
-            if s.is_current() && (!write || all_excl) && last <= region_last_line {
-                let lo = (first - region_first_line) as usize;
-                cpus[idx].l1.touch_resident_run(
-                    &s.slots[lo..lo + result.lines as usize],
-                    first,
-                    write,
-                );
-                return result;
-            }
-            // Span fast path: an exact repeat of the last promoted touch
-            // of this region, while nothing that could move or reclassify
-            // its lines has happened. The span is fully L1-resident (pure
-            // hits), and for writes the span is privately owned, so
-            // coherence and the directory are no-ops either way.
-            if let Some(c) = s.span_matching(first, last, write) {
-                cpus[idx].l1.touch_resident_run(&c.slots, first, write);
-                return result;
-            }
+        if let Some(c) = found
+            .filter(|_| *replay)
+            .and_then(|i| summaries.entries[i].span_matching(first, last, write))
+        {
+            cpus[idx].l1.touch_resident_run(&c.slots, first, write);
+            return result;
         }
         // Pick the claim this walk will (try to) establish and borrow its
         // slot buffer, so promotion below is scan-free. Stale claims are
@@ -1186,151 +1117,37 @@ impl MemorySystem {
         remote_invals.clear();
         remote_cleans.clear();
         bump_masks.clear();
-        let all_mask = if ncpus >= 32 {
-            u32::MAX
-        } else {
-            (1u32 << ncpus) - 1
-        };
+        let all_mask = all_cpus_mask(ncpus);
         let my = &mut cpus[idx];
-        if all_excl {
-            // Directory-free walk: every line of the touch has sharer set
-            // exactly `{me}`, so there are no remote copies to invalidate
-            // or downgrade, the directory narrow/record writes are no-ops,
-            // and no other CPU can hold a current claim over any of these
-            // lines (a claim needs the line resident in *its* cache, which
-            // exclusivity rules out) — so their generation bumps can be
-            // skipped along with the directory traffic. Only the cache
-            // hierarchy itself is walked; exclusive lines are
-            // LLC-resident by the sharer-bit invariant, so the walk can
-            // never reach the fill-and-record tail.
-            for line in first..=last {
-                let l1 = my.l1.access(line, kind);
-                span_slots.push(l1.slot);
-                if l1.hit {
-                    continue;
-                }
-                result.l1_misses += 1;
-                if let Some(victim) = l1.evicted {
-                    note_bump(bump_masks, page_region[(victim >> lpp) as usize], me_bit);
-                }
-                if my.l2.access(line, kind).hit {
-                    continue;
-                }
-                result.l2_misses += 1;
-                let llc = my.llc.access(line, kind);
-                debug_assert!(
-                    llc.hit && llc.evicted.is_none(),
-                    "exclusive line {line} must be LLC-resident"
-                );
-            }
-        } else {
-            for line in first..=last {
-                // Coherence: writes invalidate remote copies; reads
-                // downgrade a remote modified owner. For a read, the L1 is
-                // probed first: a resident line's directory owner can only
-                // be this CPU or nobody (a remote write would have
-                // invalidated the copy), so read coherence on an L1 hit is
-                // a no-op and the directory — a large flat array — need
-                // not be touched at all. The remote downgrade and the
-                // local fill operate on disjoint state, so probing before
-                // the downgrade is indistinguishable from the
-                // coherence-first order.
-                match kind {
-                    AccessKind::Write => {
-                        let di = directory.index_mut(line);
-                        let entry = &mut directory.entries[di];
-                        let old = entry.sharers;
-                        let others = old & !me_bit;
-                        entry.sharers = old & me_bit;
-                        entry.set_owner(me);
-                        if others != 0 {
-                            let rid = page_region[(line >> lpp) as usize];
-                            note_bump(bump_masks, rid, others);
-                            if line <= region_last[rid as usize] {
-                                excl_delta(excl, rid as usize * ncpus, old, old & me_bit);
-                            }
-                            remote_invals.push((line, others));
-                        }
-                        if old & me_bit != 0 {
-                            // The sharer bit says the line is in this
-                            // CPU's LLC; the inner levels may still miss,
-                            // but the LLC cannot, so the walk never
-                            // reaches the fill-and-record tail — and the
-                            // refill changes no directory state (bit
-                            // already set, owner already this CPU), so
-                            // no generation moves either.
-                            let l1 = my.l1.access(line, kind);
-                            span_slots.push(l1.slot);
-                            if l1.hit {
-                                continue;
-                            }
-                            result.l1_misses += 1;
-                            if let Some(victim) = l1.evicted {
-                                note_bump(
-                                    bump_masks,
-                                    page_region[(victim >> lpp) as usize],
-                                    me_bit,
-                                );
-                            }
-                            if my.l2.access(line, kind).hit {
-                                continue;
-                            }
-                            result.l2_misses += 1;
-                            let llc = my.llc.access(line, kind);
-                            debug_assert!(
-                                llc.hit && llc.evicted.is_none(),
-                                "shared line {line} must be LLC-resident"
-                            );
-                        } else {
-                            // Clear bit ⇒ in none of this CPU's levels
-                            // (sharer bit ⟺ LLC residency, LLC
-                            // inclusive): straight fills, no doomed hit
-                            // scans at any level.
-                            result.l1_misses += 1;
-                            result.l2_misses += 1;
-                            result.llc_misses += 1;
-                            let l1 = my.l1.fill_absent(line, kind);
-                            span_slots.push(l1.slot);
-                            if let Some(victim) = l1.evicted {
-                                note_bump(
-                                    bump_masks,
-                                    page_region[(victim >> lpp) as usize],
-                                    me_bit,
-                                );
-                            }
-                            let _ = my.l2.fill_absent(line, kind);
-                            let llc = my.llc.fill_absent(line, kind);
-                            if let Some(victim) = llc.evicted {
-                                // Inclusive LLC: back-invalidate inner
-                                // levels and drop the victim from the
-                                // directory's view of this CPU.
-                                my.l1.invalidate(victim);
-                                my.l2.invalidate(victim);
-                                let e = directory.get_mut(victim);
-                                let vold = e.sharers;
-                                e.sharers = vold & !me_bit;
-                                if e.owner_is(me) {
-                                    e.clear_owner();
-                                }
-                                let vrid = page_region[(victim >> lpp) as usize];
-                                if victim <= region_last[vrid as usize] {
-                                    excl_delta(excl, vrid as usize * ncpus, vold, vold & !me_bit);
-                                }
-                                note_bump(bump_masks, vrid, me_bit);
-                            }
-                            // Record residency: the narrow above left the
-                            // set empty, so it becomes exactly `{me}`.
-                            // The sharer set grows, so every CPU's view
-                            // of this line's region may change.
-                            directory.entries[di].sharers = me_bit;
-                            let rid = page_region[(line >> lpp) as usize];
-                            if line <= region_last[rid as usize] {
-                                excl_delta(excl, rid as usize * ncpus, 0, me_bit);
-                            }
-                            note_bump(bump_masks, rid, all_mask);
-                        }
+        for line in first..=last {
+            // Coherence: writes invalidate remote copies; reads downgrade
+            // a remote modified owner. For a read, the L1 is probed first:
+            // a resident line's directory owner can only be this CPU or
+            // nobody (a remote write would have invalidated the copy), so
+            // read coherence on an L1 hit is a no-op and the directory — a
+            // large flat array — need not be touched at all. The remote
+            // downgrade and the local fill operate on disjoint state, so
+            // probing before the downgrade is indistinguishable from the
+            // coherence-first order.
+            match kind {
+                AccessKind::Write => {
+                    let di = directory.index_mut(line);
+                    let entry = &mut directory.entries[di];
+                    let old = entry.sharers;
+                    let others = old & !me_bit;
+                    entry.sharers = old & me_bit;
+                    entry.set_owner(me);
+                    if others != 0 {
+                        note_bump(bump_masks, page_region[(line >> lpp) as usize], others);
+                        remote_invals.push((line, others));
                     }
-                    AccessKind::Read => {
+                    if old & me_bit != 0 {
+                        // The sharer bit says the line is in this CPU's
+                        // LLC; the inner levels may still miss, but the
+                        // LLC cannot, so the walk never reaches the
+                        // fill-and-record tail — and the refill changes no
+                        // directory state (bit already set, owner already
+                        // this CPU), so no generation moves either.
                         let l1 = my.l1.access(line, kind);
                         span_slots.push(l1.slot);
                         if l1.hit {
@@ -1340,71 +1157,96 @@ impl MemorySystem {
                         if let Some(victim) = l1.evicted {
                             note_bump(bump_masks, page_region[(victim >> lpp) as usize], me_bit);
                         }
-                        let di = directory.index_mut(line);
-                        let entry = &mut directory.entries[di];
-                        if entry.sharers & me_bit != 0 {
-                            // In this CPU's LLC, so its owner can only be
-                            // this CPU or nobody (a remote write would
-                            // have cleared the bit): no downgrade, and
-                            // the LLC cannot miss. The refill changes no
-                            // directory state, so no generation moves.
-                            if my.l2.access(line, kind).hit {
-                                continue;
-                            }
-                            result.l2_misses += 1;
-                            let llc = my.llc.access(line, kind);
-                            debug_assert!(
-                                llc.hit && llc.evicted.is_none(),
-                                "shared line {line} must be LLC-resident"
-                            );
+                        if my.l2.access(line, kind).hit {
                             continue;
                         }
-                        if let Some(owner) = entry.owner() {
-                            if owner as usize != idx {
-                                // Remote modified copy: force writeback,
-                                // keep shared. Owner-only change: the
-                                // sharer set is untouched, so `excl`
-                                // does not move.
-                                entry.clear_owner();
-                                note_bump(
-                                    bump_masks,
-                                    page_region[(line >> lpp) as usize],
-                                    1u32 << owner,
-                                );
-                                remote_cleans.push((line, owner));
-                            }
-                        }
-                        // Clear bit ⇒ absent from every level: straight
-                        // fills (see the write path).
+                        result.l2_misses += 1;
+                        let llc = my.llc.access(line, kind);
+                        debug_assert!(
+                            llc.hit && llc.evicted.is_none(),
+                            "shared line {line} must be LLC-resident"
+                        );
+                    } else {
+                        // Clear bit ⇒ in none of this CPU's levels (sharer
+                        // bit ⟺ LLC residency, LLC inclusive): straight
+                        // fills, no doomed hit scans at any level.
+                        result.l1_misses += 1;
                         result.l2_misses += 1;
                         result.llc_misses += 1;
+                        let l1 = my.l1.fill_absent(line, kind);
+                        span_slots.push(l1.slot);
+                        if let Some(victim) = l1.evicted {
+                            note_bump(bump_masks, page_region[(victim >> lpp) as usize], me_bit);
+                        }
                         let _ = my.l2.fill_absent(line, kind);
                         let llc = my.llc.fill_absent(line, kind);
                         if let Some(victim) = llc.evicted {
-                            my.l1.invalidate(victim);
-                            my.l2.invalidate(victim);
-                            let e = directory.get_mut(victim);
-                            let vold = e.sharers;
-                            e.sharers = vold & !me_bit;
-                            if e.owner_is(me) {
-                                e.clear_owner();
-                            }
                             let vrid = page_region[(victim >> lpp) as usize];
-                            if victim <= region_last[vrid as usize] {
-                                excl_delta(excl, vrid as usize * ncpus, vold, vold & !me_bit);
-                            }
-                            note_bump(bump_masks, vrid, me_bit);
+                            evict_from_llc(my, directory, bump_masks, victim, vrid, me);
                         }
-                        // Record residency.
-                        let entry = &mut directory.entries[di];
-                        let old = entry.sharers;
-                        entry.sharers = old | me_bit;
-                        let rid = page_region[(line >> lpp) as usize];
-                        if line <= region_last[rid as usize] {
-                            excl_delta(excl, rid as usize * ncpus, old, old | me_bit);
-                        }
-                        note_bump(bump_masks, rid, all_mask);
+                        // Record residency: the narrow above left the set
+                        // empty, so it becomes exactly `{me}`. The sharer
+                        // set grows, so every CPU's view of this line's
+                        // region may change.
+                        directory.entries[di].sharers = me_bit;
+                        note_bump(bump_masks, page_region[(line >> lpp) as usize], all_mask);
                     }
+                }
+                AccessKind::Read => {
+                    let l1 = my.l1.access(line, kind);
+                    span_slots.push(l1.slot);
+                    if l1.hit {
+                        continue;
+                    }
+                    result.l1_misses += 1;
+                    if let Some(victim) = l1.evicted {
+                        note_bump(bump_masks, page_region[(victim >> lpp) as usize], me_bit);
+                    }
+                    let di = directory.index_mut(line);
+                    let entry = &mut directory.entries[di];
+                    if entry.sharers & me_bit != 0 {
+                        // In this CPU's LLC, so its owner can only be this
+                        // CPU or nobody (a remote write would have cleared
+                        // the bit): no downgrade, and the LLC cannot miss.
+                        // The refill changes no directory state, so no
+                        // generation moves.
+                        if my.l2.access(line, kind).hit {
+                            continue;
+                        }
+                        result.l2_misses += 1;
+                        let llc = my.llc.access(line, kind);
+                        debug_assert!(
+                            llc.hit && llc.evicted.is_none(),
+                            "shared line {line} must be LLC-resident"
+                        );
+                        continue;
+                    }
+                    if let Some(owner) = entry.owner() {
+                        if owner as usize != idx {
+                            // Remote modified copy: force writeback, keep
+                            // shared. The sharer set is untouched.
+                            entry.clear_owner();
+                            note_bump(
+                                bump_masks,
+                                page_region[(line >> lpp) as usize],
+                                1u32 << owner,
+                            );
+                            remote_cleans.push((line, owner));
+                        }
+                    }
+                    // Clear bit ⇒ absent from every level: straight fills
+                    // (see the write path).
+                    result.l2_misses += 1;
+                    result.llc_misses += 1;
+                    let _ = my.l2.fill_absent(line, kind);
+                    let llc = my.llc.fill_absent(line, kind);
+                    if let Some(victim) = llc.evicted {
+                        let vrid = page_region[(victim >> lpp) as usize];
+                        evict_from_llc(my, directory, bump_masks, victim, vrid, me);
+                    }
+                    // Record residency.
+                    directory.entries[di].sharers |= me_bit;
+                    note_bump(bump_masks, page_region[(line >> lpp) as usize], all_mask);
                 }
             }
         }
@@ -1428,49 +1270,20 @@ impl MemorySystem {
         }
         apply_bumps(summaries, bump_masks);
 
-        // Promotion: a touch that never left the L1 cannot have changed
-        // anything mid-walk, so a verification scan over the region's own
-        // lines can (re-)establish the summary for future touches. The
-        // scan only resolves L1 slots now — write exclusivity comes from
-        // the live `excl` count, so the directory is not read at all.
-        let s = &mut summaries.entries[entry];
-        let gen_now = s.gen;
-        if result.l1_misses == 0
-            && !s.is_current()
-            && s.failed_gen != gen_now
-            && region_lines <= cpus[idx].l1.capacity_lines() as u64
-        {
-            let l1 = &cpus[idx].l1;
-            let mut hot = true;
-            s.slots.clear();
-            for line in region_first_line..=region_last_line {
-                let Some(slot) = l1.slot_of(line) else {
-                    hot = false;
-                    break;
-                };
-                s.slots.push(slot);
-            }
-            if hot {
-                s.hot = true;
-                s.verified_gen = gen_now;
-            } else {
-                s.hot = false;
-                s.failed_gen = gen_now;
-            }
-        }
-
         // Span promotion: the walk leaves the whole span L1-resident at
         // the recorded slots when it was all hits (hits cannot evict) or
         // when the span fits in distinct L1 sets — consecutive lines,
         // span <= sets — so no fill in this touch can displace an earlier
         // span line. A write walk additionally leaves every span line
-        // with sharer set exactly `{cpu}` (the directory-free walk had
-        // that as its precondition), making a repeat write coherence-free
-        // too. Touches that run past the region end are
-        // not claimable: their trailing lines belong to other regions,
-        // whose events bump other summaries. The generation is stamped
-        // after the walk, absorbing bumps the walk's own victims caused;
-        // unclaimable spans leave their claim withdrawn.
+        // with sharer set exactly `{cpu}` (it narrows each line to this
+        // CPU and records it), making a repeat write coherence-free too.
+        // Touches that run past the region end are not claimable: their
+        // trailing lines belong to other regions, whose events bump other
+        // summaries. The generation is stamped after the walk, absorbing
+        // bumps the walk's own victims caused; unclaimable spans leave
+        // their claim withdrawn.
+        let s = &mut summaries.entries[entry];
+        let gen_now = s.gen;
         let c = &mut s.spans[span_idx];
         c.first = first;
         c.last = last;
@@ -1521,10 +1334,9 @@ impl MemorySystem {
             directory,
             page_region,
             summaries,
-            excl,
-            region_last,
             code_summaries,
             bump_masks,
+            replay,
             ..
         } = self;
         let ncpus = cpus.len();
@@ -1536,7 +1348,7 @@ impl MemorySystem {
         // neither the directory nor the outer levels, so only the TC's
         // LRU/hit bookkeeping remains — applied by slot.
         let cs = code_summaries.get(si);
-        if cs.covers(first, last) {
+        if *replay && cs.covers(first, last) {
             cpus[idx].tc.touch_resident_run(&cs.slots, first, false);
             return result;
         }
@@ -1548,11 +1360,7 @@ impl MemorySystem {
         let mut slot_buf = std::mem::take(&mut code_summaries.get_mut(si).slots);
         slot_buf.clear();
         bump_masks.clear();
-        let all_mask = if ncpus >= 32 {
-            u32::MAX
-        } else {
-            (1u32 << ncpus) - 1
-        };
+        let all_mask = all_cpus_mask(ncpus);
         for line in first..=last {
             let tc = caches.tc.access(line, AccessKind::Read);
             slot_buf.push(tc.slot);
@@ -1592,28 +1400,11 @@ impl MemorySystem {
             let _ = caches.l2.fill_absent(line, AccessKind::Read);
             let llc = caches.llc.fill_absent(line, AccessKind::Read);
             if let Some(victim) = llc.evicted {
-                caches.l1.invalidate(victim);
-                caches.l2.invalidate(victim);
-                let e = directory.get_mut(victim);
-                let vold = e.sharers;
-                e.sharers = vold & !me_bit;
-                if e.owner_is(me) {
-                    e.clear_owner();
-                }
                 let vrid = page_region[(victim >> lpp) as usize];
-                if victim <= region_last[vrid as usize] {
-                    excl_delta(excl, vrid as usize * ncpus, vold, vold & !me_bit);
-                }
-                note_bump(bump_masks, vrid, me_bit);
+                evict_from_llc(caches, directory, bump_masks, victim, vrid, me);
             }
-            let e = &mut directory.entries[di];
-            let old = e.sharers;
-            e.sharers = old | me_bit;
-            let rid = page_region[(line >> lpp) as usize];
-            if line <= region_last[rid as usize] {
-                excl_delta(excl, rid as usize * ncpus, old, old | me_bit);
-            }
-            note_bump(bump_masks, rid, all_mask);
+            directory.entries[di].sharers |= me_bit;
+            note_bump(bump_masks, page_region[(line >> lpp) as usize], all_mask);
         }
         apply_bumps(summaries, bump_masks);
 
@@ -1658,13 +1449,10 @@ impl MemorySystem {
             directory,
             page_region,
             summaries,
-            excl,
-            region_last,
             dma_sharers,
             bump_masks,
             ..
         } = self;
-        let ncpus = cpus.len();
         // Two-pass directory delta. Pass 1 reads each line's directory
         // entry once: the sharer mask says exactly which LLCs hold the
         // line (bit ⟺ LLC residency; inclusion bounds the inner levels),
@@ -1689,11 +1477,7 @@ impl MemorySystem {
             if mask != 0 {
                 union_mask |= mask;
                 directory.entries[di] = DirEntry::default();
-                let rid = page_region[(line >> lpp) as usize];
-                if line <= region_last[rid as usize] {
-                    excl_delta(excl, rid as usize * ncpus, mask, 0);
-                }
-                note_bump(bump_masks, rid, mask);
+                note_bump(bump_masks, page_region[(line >> lpp) as usize], mask);
             }
         }
         apply_bumps(summaries, bump_masks);
@@ -1721,18 +1505,17 @@ impl MemorySystem {
     /// Device DMA read from memory (packet transmit): forces writeback of
     /// any modified copy but leaves lines cached.
     ///
-    /// Takes the directory owner but bumps no generation: nothing the
-    /// fast-path claims assert can be falsified here. Residency claims
-    /// (`hot`, spans) are about L1 contents, which a writeback leaves in
-    /// place; exclusivity (`excl`, `SpanClaim::owned`) is defined over
-    /// the *sharer set* only, which is untouched. That makes the owner
-    /// field unobservable outside the directory itself — its only readers
-    /// are the remote-read downgrade and this writeback, and both are
-    /// no-ops whenever the owner is the accessing CPU or nobody — which
-    /// in turn is what lets the fast paths skip re-asserting
-    /// `owner = cpu` on repeated writes. The per-transmit generation
-    /// churn this used to cause is what kept small-message TX off the
-    /// span fast path entirely.
+    /// Takes the directory owner but bumps no generation: nothing a span
+    /// claim asserts can be falsified here. A claim's residency is about
+    /// L1 contents, which a writeback leaves in place, and its write
+    /// exclusivity (`SpanClaim::owned`) is defined over the *sharer set*
+    /// only, which is untouched. That makes the owner field unobservable
+    /// outside the directory itself — its only readers are the
+    /// remote-read downgrade and this writeback, and both are no-ops
+    /// whenever the owner is the accessing CPU or nobody — which in turn
+    /// is what lets a replayed write skip re-asserting `owner = cpu`. The
+    /// per-transmit generation churn this used to cause is what kept
+    /// small-message TX off the span fast path entirely.
     pub fn dma_read(&mut self, region: RegionId, offset: u64, bytes: u64) {
         if bytes == 0 {
             return;
@@ -1821,40 +1604,19 @@ impl MemorySystem {
         (c.itlb.stats(), c.dtlb.stats())
     }
 
-    /// Fraction of `region`'s lines resident in `cpu`'s LLC — a direct
-    /// measure of the cache locality affinity buys.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpu` is out of range.
-    #[must_use]
-    pub fn resident_fraction(&self, cpu: CpuId, region: RegionId) -> f64 {
-        let r = self.regions.get(region);
-        let first = self.line_of(r.base());
-        let last = self.line_of(r.base() + r.size() - 1);
-        let total = last - first + 1;
-        let resident = (first..=last)
-            .filter(|&l| self.cpus[cpu.index()].llc.contains(l))
-            .count();
-        resident as f64 / total as f64
-    }
-
     /// Cross-checks the incremental coherence-directory state against a
     /// naive full recompute, panicking on any divergence. Testing hook
     /// for the model-based property tests; not part of the public API.
     ///
     /// Verifies the invariants the hot paths rely on:
     ///
-    /// 1. `excl[region][cpu]` equals the number of the region's own lines
-    ///    whose directory sharer set is exactly `{cpu}` (the incremental
-    ///    aggregate matches the full-recompute model directory);
-    /// 2. a line's sharer bit for a CPU is set **iff** the line is
+    /// 1. a line's sharer bit for a CPU is set **iff** the line is
     ///    resident in that CPU's LLC, and inclusion bounds L1/L2 by the
     ///    LLC (what lets walks turn a clear bit into scan-free fills and
     ///    a set bit into a guaranteed LLC hit);
-    /// 3. the directory's shared leaf, which every absent leaf reads as,
+    /// 2. the directory's shared leaf, which every absent leaf reads as,
     ///    is still all default entries;
-    /// 4. the summary cache's per-region holder masks match its tags.
+    /// 3. the summary cache's per-region holder masks match its tags.
     ///
     /// # Panics
     ///
@@ -1868,16 +1630,11 @@ impl MemorySystem {
             "the shared default directory leaf was written"
         );
         self.summaries.verify();
-        let ncpus = self.cpus.len();
-        for (id, r) in self.regions.iter() {
+        for (_, r) in self.regions.iter() {
             let first = self.line_of(r.base());
             let last = self.line_of(r.base() + r.size() - 1);
-            let mut naive = vec![0u32; ncpus];
             for line in first..=last {
                 let e = self.directory.get(line);
-                if e.sharers.count_ones() == 1 {
-                    naive[e.sharers.trailing_zeros() as usize] += 1;
-                }
                 for (cpu, c) in self.cpus.iter().enumerate() {
                     let bit = e.sharers & (1u32 << cpu) != 0;
                     let in_llc = c.llc.contains(line);
@@ -1895,21 +1652,11 @@ impl MemorySystem {
                     }
                 }
             }
-            let b = id.index() * ncpus;
-            for (cpu, &want) in naive.iter().enumerate() {
-                assert_eq!(
-                    self.excl[b + cpu],
-                    want,
-                    "excl[{}][{cpu}] diverged from full recompute",
-                    r.name()
-                );
-            }
         }
     }
 
     /// Snapshot of the construction-time layout: directory shape, full
-    /// page ownership, per-region last-line indexes, and the per-region
-    /// table lengths. Two systems built by different provisioning paths
+    /// page ownership, and the per-region table lengths. Two systems built by different provisioning paths
     /// (incremental `add_region` loop vs `add_regions_bulk`) must compare
     /// equal here — the equivalence the bulk path's property test pins.
     #[must_use]
@@ -1918,8 +1665,6 @@ impl MemorySystem {
             directory_pages: self.directory.top.len(),
             directory_leaves: self.directory.leaves(),
             page_region: self.page_region.clone(),
-            region_last: self.region_last.clone(),
-            excl: self.excl.clone(),
             summary_regions: self.summaries.holders.len(),
             code_summary_slots: self.code_summaries.len(),
         }
@@ -1933,11 +1678,10 @@ impl MemorySystem {
     /// calloc-backed and its entries never return to zero, so it counts
     /// the 4 KiB pages holding a non-zero entry — exactly the pages a run
     /// has written. The other tables sized by what a machine provisions
-    /// (`excl`, `page_region`, the summary cache's holder masks) count
-    /// their full length: `page_region` is written whole at
-    /// construction, and the other two are calloc-backed, so for them
-    /// the figure is an upper bound that a run reaching every region
-    /// attains.
+    /// (`page_region`, the summary cache's holder masks) count their full
+    /// length: `page_region` is written whole at construction, and the
+    /// holder masks are calloc-backed, so for them the figure is an upper
+    /// bound that a run reaching every region attains.
     #[must_use]
     pub fn footprint(&self) -> Footprint {
         let d = &self.directory;
@@ -1949,7 +1693,6 @@ impl MemorySystem {
             summary_cache_bytes: self.summaries.bytes(),
             holder_bytes: size_of_val(self.summaries.holders.as_slice()),
             code_summary_bytes: self.code_summaries.bytes(CodeSummary::heap_bytes),
-            excl_bytes: size_of_val(self.excl.as_slice()),
             page_region_bytes: size_of_val(self.page_region.as_slice()),
         }
     }
@@ -1979,10 +1722,6 @@ pub struct ConstructionLayout {
     pub directory_leaves: usize,
     /// Full page-ownership table (`page -> region index`).
     pub page_region: Vec<u32>,
-    /// Per-region last-line index.
-    pub region_last: Vec<u64>,
-    /// Per-region × per-CPU live exclusivity counts.
-    pub excl: Vec<u32>,
     /// Regions the data summary cache's holder masks cover.
     pub summary_regions: usize,
     /// `code_summaries` slot count (`regions × ncpus`).
@@ -2008,8 +1747,6 @@ pub struct Footprint {
     pub holder_bytes: usize,
     /// Materialized code-summary chunks and their slot buffers.
     pub code_summary_bytes: usize,
-    /// `excl` (full length).
-    pub excl_bytes: usize,
     /// `page_region` (full length).
     pub page_region_bytes: usize,
 }
@@ -2140,16 +1877,6 @@ mod tests {
     }
 
     #[test]
-    fn resident_fraction_reflects_locality() {
-        let mut m = sys();
-        let ctx = m.add_region("ctx", 256);
-        assert_eq!(m.resident_fraction(CPU0, ctx), 0.0);
-        m.data_touch(CPU0, ctx, 0, 256, false);
-        assert_eq!(m.resident_fraction(CPU0, ctx), 1.0);
-        assert_eq!(m.resident_fraction(CPU1, ctx), 0.0);
-    }
-
-    #[test]
     fn stats_accumulate_and_reset() {
         let mut m = sys();
         let r = m.add_region("x", 256);
@@ -2196,8 +1923,9 @@ mod tests {
 
     // --- residency fast-path behaviour ---
 
-    /// Drives a region until its summary is established (two touches: the
-    /// first warms, the second is all-hits and triggers the scan).
+    /// Drives a region until its span claim is current (two touches: the
+    /// first warms, the second is all hits and claims the span, so the
+    /// next identical touch replays it).
     fn warm(m: &mut MemorySystem, cpu: CpuId, r: RegionId, bytes: u64, write: bool) {
         m.data_touch(cpu, r, 0, bytes, write);
         let second = m.data_touch(cpu, r, 0, bytes, write);
@@ -2244,7 +1972,7 @@ mod tests {
     fn remote_read_breaks_write_fast_path() {
         let mut m = sys();
         let r = m.add_region("ctx", 64);
-        warm(&mut m, CPU0, r, 64, true); // hot + owned
+        warm(&mut m, CPU0, r, 64, true); // span claimed and owned
         m.data_touch(CPU1, r, 0, 64, false); // downgrade + share
                                              // CPU0's write must go the slow path and invalidate CPU1's copy.
         let w = m.data_touch(CPU0, r, 0, 64, true);

@@ -219,15 +219,19 @@ proptest! {
         }
     }
 
-    /// Summary-cache exactness oracle: the data-side fast-path summaries
-    /// live in a fixed-capacity per-CPU cache, and its capacity must be
-    /// unobservable. The same random reads, writes, code fetches and DMA
-    /// go through a system with the default cache and through one that
-    /// holds a single entry per CPU (so nearly every access evicts); every
-    /// per-op result and every cache and TLB counter must agree. Data
-    /// touches dominate the mix, and offsets and lengths come from small
-    /// sets, so exact spans repeat and small regions fit the L1: that is
-    /// what engages the hot and span fast paths on the default side and
+    /// Fast-path exactness oracle: the same random reads, writes, code
+    /// fetches and DMA go through three systems, and every per-op result
+    /// and every cache and TLB counter must agree:
+    ///
+    /// * the default system;
+    /// * one whose summary cache holds a single entry per CPU, so nearly
+    ///   every access evicts (the cache's capacity is unobservable);
+    /// * the reference, which never replays a claim and walks every touch
+    ///   and fetch line by line (the fast paths are exact).
+    ///
+    /// Data touches dominate the mix, and offsets and lengths come from
+    /// small sets, so exact spans repeat and small regions fit the L1:
+    /// that is what engages the fast paths on the default side and
     /// replaces live entries on the single-entry side.
     #[test]
     fn summary_cache_capacity_is_unobservable(
@@ -241,43 +245,50 @@ proptest! {
             l1_assoc: 4,
             ..MemoryConfig::tiny(2)
         };
-        let mut cached = MemorySystem::new(config.clone());
-        let mut single = MemorySystem::with_single_summary_entry(config);
+        let mut systems = [
+            MemorySystem::new(config.clone()),
+            MemorySystem::with_single_summary_entry(config.clone()),
+            MemorySystem::reference(config),
+        ];
         let sizes = [64u64, 192, 256, 4096];
         let regions: Vec<RegionId> = sizes
             .iter()
             .enumerate()
             .map(|(i, &size)| {
-                let a = cached.add_region(format!("r{i}"), size);
-                let b = single.add_region(format!("r{i}"), size);
-                assert_eq!(a, b);
-                a
+                let ids: Vec<RegionId> = systems
+                    .iter_mut()
+                    .map(|m| m.add_region(format!("r{i}"), size))
+                    .collect();
+                assert!(ids.iter().all(|&id| id == ids[0]));
+                ids[0]
             })
             .collect();
+        let [fast, others @ ..] = &mut systems;
         for &(kind, cpu, rix, off, len) in &ops {
             // 0..=5 data touches (odd kinds write), then one each of code
             // fetch, DMA write, DMA read and TLB flush.
             let kind = if kind < 6 { kind % 2 } else { kind - 4 };
             let op = (kind, cpu, rix, off * 64, [64u64, 100, 256, 700][len]);
+            let want = apply(fast, &regions, op);
+            for m in others.iter_mut() {
+                prop_assert_eq!(want, apply(m, &regions, op), "op {:?} diverged", op);
+            }
+        }
+        for m in others.iter() {
+            for cpu in (0..2).map(CpuId::new) {
+                prop_assert_eq!(fast.l1_stats(cpu), m.l1_stats(cpu));
+                prop_assert_eq!(fast.l2_stats(cpu), m.l2_stats(cpu));
+                prop_assert_eq!(fast.llc_stats(cpu), m.llc_stats(cpu));
+                prop_assert_eq!(fast.tc_stats(cpu), m.tc_stats(cpu));
+                prop_assert_eq!(fast.tlb_stats(cpu), m.tlb_stats(cpu));
+            }
+            m.verify_incremental_state();
             prop_assert_eq!(
-                apply(&mut cached, &regions, op),
-                apply(&mut single, &regions, op),
-                "op {:?} diverged", op
+                fast.footprint().directory_leaves,
+                m.footprint().directory_leaves
             );
         }
-        for cpu in (0..2).map(CpuId::new) {
-            prop_assert_eq!(cached.l1_stats(cpu), single.l1_stats(cpu));
-            prop_assert_eq!(cached.l2_stats(cpu), single.l2_stats(cpu));
-            prop_assert_eq!(cached.llc_stats(cpu), single.llc_stats(cpu));
-            prop_assert_eq!(cached.tc_stats(cpu), single.tc_stats(cpu));
-            prop_assert_eq!(cached.tlb_stats(cpu), single.tlb_stats(cpu));
-        }
-        cached.verify_incremental_state();
-        single.verify_incremental_state();
-        prop_assert_eq!(
-            cached.footprint().directory_leaves,
-            single.footprint().directory_leaves
-        );
+        fast.verify_incremental_state();
     }
 
     /// `add_regions_bulk` is byte-identical to a loop of `add_region`

@@ -36,8 +36,6 @@ pub struct IoApic {
     /// array load). Each entry caches the mask's lowest CPU; `None`
     /// means unprogrammed (defaults to CPU0).
     table: Vec<Option<(CpuMask, CpuId)>>,
-    /// Delivery counters, indexed like `table`.
-    delivered: Vec<u64>,
     retargets: u64,
 }
 
@@ -54,7 +52,6 @@ impl IoApic {
         IoApic {
             cpus,
             table: Vec::new(),
-            delivered: Vec::new(),
             retargets: 0,
         }
     }
@@ -99,18 +96,6 @@ impl IoApic {
         }
     }
 
-    /// Routes and records a delivery (for `/proc/interrupts`-style
-    /// accounting).
-    pub fn deliver(&mut self, vector: IrqVector) -> CpuId {
-        let cpu = self.route(vector);
-        let i = vector.index();
-        if self.delivered.len() <= i {
-            self.delivered.resize(i + 1, 0);
-        }
-        self.delivered[i] += 1;
-        cpu
-    }
-
     /// Re-programs `vector` to deliver to exactly `cpu` — the dynamic
     /// counterpart of [`IoApic::set_affinity`], used by directed-steering
     /// policies (Flow Director / aRFS) chasing a flow's consuming core.
@@ -133,21 +118,8 @@ impl IoApic {
         self.retargets
     }
 
-    /// Number of deliveries recorded for `vector`.
-    #[must_use]
-    pub fn delivery_count(&self, vector: IrqVector) -> u64 {
-        self.delivered.get(vector.index()).copied().unwrap_or(0)
-    }
-
-    /// Total deliveries across all vectors.
-    #[must_use]
-    pub fn total_deliveries(&self) -> u64 {
-        self.delivered.iter().sum()
-    }
-
-    /// Resets delivery and re-target counters (keeps routing).
+    /// Resets the re-target counter (keeps routing).
     pub fn reset_stats(&mut self) {
-        self.delivered.fill(0);
         self.retargets = 0;
     }
 }
@@ -203,19 +175,5 @@ mod tests {
         apic.reset_stats();
         assert_eq!(apic.retargets(), 0);
         assert_eq!(apic.route(v), CpuId::new(3), "routing survives reset");
-    }
-
-    #[test]
-    fn delivery_accounting() {
-        let mut apic = IoApic::new(2);
-        let v = IrqVector::new(0x19);
-        apic.deliver(v);
-        apic.deliver(v);
-        apic.deliver(IrqVector::new(0x1a));
-        assert_eq!(apic.delivery_count(v), 2);
-        assert_eq!(apic.total_deliveries(), 3);
-        apic.reset_stats();
-        assert_eq!(apic.total_deliveries(), 0);
-        assert_eq!(apic.route(v), CpuId::new(0));
     }
 }

@@ -24,9 +24,6 @@
 //!   decrement-and-jump acquire path and a `cmpb; repz nop; jle` spin
 //!   loop, with instruction/branch/mispredict accounting that collapses
 //!   when contention disappears under full affinity;
-//! * [`SoftirqQueue`] — per-CPU bottom-half work queues ("the bottom half
-//!   follows the top half's CPU");
-//! * [`TimerWheel`] — deadline bookkeeping for protocol timers;
 //! * [`PmdCore`] — the anti-model: a kernel-bypass busy-poll core that
 //!   uses *none* of the above (no IRQ routing, no scheduler, no IPIs),
 //!   against which the interrupt stack's affinity costs are measured.
@@ -39,17 +36,13 @@ mod ioapic;
 mod ipi;
 mod pmd;
 mod scheduler;
-mod softirq;
 mod spinlock;
 mod task;
-mod timer;
 
 pub use cpumask::CpuMask;
 pub use ioapic::IoApic;
 pub use ipi::{IpiFabric, IpiKind};
 pub use pmd::{PmdConfig, PmdCore};
 pub use scheduler::{Scheduler, SchedulerConfig, SchedulerStats, WakePlacement};
-pub use softirq::SoftirqQueue;
 pub use spinlock::{LockAcquisition, SpinLock, SpinLockStats};
 pub use task::{Task, TaskState};
-pub use timer::TimerWheel;

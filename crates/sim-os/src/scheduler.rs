@@ -350,20 +350,6 @@ impl Scheduler {
         self.running[cpu.index()]
     }
 
-    /// Preempts the running task on `cpu` (timeslice expiry): it returns
-    /// to the back of the same CPU's runqueue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpu` is out of range.
-    pub fn yield_current(&mut self, cpu: CpuId) {
-        self.generation += 1;
-        if let Some(task) = self.running[cpu.index()].take() {
-            self.tasks[task.index()].state = TaskState::Runnable;
-            self.runqueues[cpu.index()].push_back(task);
-        }
-    }
-
     /// Preempts the running task on `cpu` with Linux 2.4 *global
     /// runqueue* semantics: the expired task becomes runnable on the
     /// least-loaded CPU its affinity allows (ties keep it where it is).
@@ -512,12 +498,6 @@ impl Scheduler {
         self.stats
     }
 
-    /// Number of tasks spawned.
-    #[must_use]
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Iterates over all tasks.
     pub fn tasks(&self) -> impl Iterator<Item = &Task> {
         self.tasks.iter()
@@ -613,7 +593,7 @@ mod tests {
     }
 
     #[test]
-    fn pick_block_yield_cycle() {
+    fn pick_block_cycle() {
         let mut s = sched2();
         let a = s.spawn("a", CpuMask::all(2)).unwrap();
         let b = s.spawn("b", CpuMask::all(2)).unwrap();
@@ -621,11 +601,9 @@ mod tests {
         s.wake(b, CPU0, false).unwrap();
         assert_eq!(s.pick_next(CPU0), Some(a));
         assert_eq!(s.current(CPU0), Some(a));
-        s.yield_current(CPU0);
-        assert_eq!(s.pick_next(CPU0), Some(b));
         s.block_current(CPU0);
-        assert_eq!(s.pick_next(CPU0), Some(a));
-        assert_eq!(s.task(b).unwrap().state, TaskState::Blocked);
+        assert_eq!(s.pick_next(CPU0), Some(b));
+        assert_eq!(s.task(a).unwrap().state, TaskState::Blocked);
     }
 
     #[test]

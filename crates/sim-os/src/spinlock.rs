@@ -83,18 +83,6 @@ pub struct SpinLockStats {
     pub spin_iterations: u64,
 }
 
-impl SpinLockStats {
-    /// Fraction of acquisitions that were contended.
-    #[must_use]
-    pub fn contention_ratio(&self) -> f64 {
-        if self.acquisitions == 0 {
-            0.0
-        } else {
-            self.contended as f64 / self.acquisitions as f64
-        }
-    }
-}
-
 /// A modelled spinlock.
 ///
 /// Whether an acquisition is contended is the *caller's* decision — in
@@ -259,10 +247,8 @@ mod tests {
         assert_eq!(s.acquisitions, 3);
         assert_eq!(s.contended, 2);
         assert!(s.spin_iterations >= 8);
-        assert!((s.contention_ratio() - 2.0 / 3.0).abs() < 1e-12);
         lock.reset_stats();
         assert_eq!(lock.stats().acquisitions, 0);
-        assert_eq!(SpinLockStats::default().contention_ratio(), 0.0);
     }
 
     #[test]

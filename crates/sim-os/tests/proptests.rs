@@ -1,8 +1,8 @@
 //! Property-based tests for the OS model's invariants.
 
 use proptest::prelude::*;
-use sim_core::{CpuId, SimRng, SimTime, TaskId};
-use sim_os::{CpuMask, Scheduler, SchedulerConfig, SpinLock, TimerWheel};
+use sim_core::{CpuId, SimRng, TaskId};
+use sim_os::{CpuMask, Scheduler, SchedulerConfig, SpinLock};
 use std::collections::HashSet;
 
 proptest! {
@@ -88,36 +88,6 @@ proptest! {
         if let Some(stolen) = s.steal_into(thief) {
             prop_assert!(s.task(stolen).unwrap().affinity.contains(thief));
         }
-    }
-
-    /// Timers fire in deadline order and cancelled timers never fire.
-    #[test]
-    fn timer_wheel_ordering_and_cancellation(
-        deadlines in prop::collection::vec(0u64..1000, 1..100),
-        cancel_every in 1usize..5,
-    ) {
-        let mut w = TimerWheel::new();
-        let mut cancelled = HashSet::new();
-        let ids: Vec<_> = deadlines
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| (i, w.arm(SimTime::from_cycles(d), i)))
-            .collect();
-        for &(i, id) in &ids {
-            if i % cancel_every == 0 {
-                w.cancel(id);
-                cancelled.insert(i);
-            }
-        }
-        let fired = w.expire(SimTime::from_cycles(1_000_000));
-        let mut last = 0u64;
-        for &payload in &fired {
-            prop_assert!(!cancelled.contains(&payload), "cancelled timer fired");
-            let d = deadlines[payload];
-            prop_assert!(d >= last, "fired out of order");
-            last = d;
-        }
-        prop_assert_eq!(fired.len(), deadlines.len() - cancelled.len());
     }
 
     /// Spinlock accounting identities for arbitrary contention patterns.

@@ -158,25 +158,6 @@ impl Profiler {
             .sum()
     }
 
-    /// Counters summed over every function in `group` on one CPU.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpu` is out of range.
-    #[must_use]
-    pub fn group_total_on(
-        &self,
-        registry: &FunctionRegistry,
-        group: &str,
-        cpu: CpuId,
-    ) -> PerfCounters {
-        registry
-            .functions_in(group)
-            .into_iter()
-            .map(|f| self.counters(cpu, f))
-            .sum()
-    }
-
     /// Functions with non-zero counters on `cpu`, as `(func, counters)`,
     /// in ascending function order. Walks set bits of the touched-set
     /// rather than the whole row.
@@ -309,7 +290,6 @@ mod tests {
         assert_eq!(p.total().cycles, 200);
         assert_eq!(p.total().llc_misses, 3);
         assert_eq!(p.group_total(&reg, "Engine").cycles, 150);
-        assert_eq!(p.group_total_on(&reg, "Engine", c1).cycles, 50);
     }
 
     #[test]

@@ -49,12 +49,6 @@ impl Bin {
             Bin::Timers => "Timers",
         }
     }
-
-    /// Parses a label back to a bin.
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<Bin> {
-        Bin::ALL.into_iter().find(|b| b.label() == label)
-    }
 }
 
 impl fmt::Display for Bin {
@@ -72,14 +66,6 @@ mod tests {
         assert_eq!(Bin::ALL.len(), 7);
         assert_eq!(Bin::ALL[0], Bin::Interface);
         assert_eq!(Bin::ALL[6], Bin::Timers);
-    }
-
-    #[test]
-    fn labels_roundtrip() {
-        for b in Bin::ALL {
-            assert_eq!(Bin::from_label(b.label()), Some(b));
-        }
-        assert_eq!(Bin::from_label("nope"), None);
     }
 
     #[test]

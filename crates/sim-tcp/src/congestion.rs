@@ -4,7 +4,8 @@
 //! congestion window sits at its maximum there; this module exists so
 //! the substrate is a *complete* TCP — slow start governs the ramp after
 //! connection setup, and loss (available through the machine's
-//! loss-injection knob) triggers the classic halving/recovery behaviour.
+//! loss-injection knob) fires the retransmission timeout, which halves
+//! the threshold and restarts slow start.
 
 use serde::{Deserialize, Serialize};
 
@@ -15,8 +16,6 @@ pub enum CongestionPhase {
     SlowStart,
     /// Additive increase: cwnd grows by one segment per window of ACKs.
     CongestionAvoidance,
-    /// Fast recovery after a fast retransmit (duplicate ACKs).
-    FastRecovery,
 }
 
 /// Reno congestion state for one connection, in segment units.
@@ -44,11 +43,8 @@ pub struct CongestionState {
     phase: CongestionPhase,
     /// ACK credit toward the next additive increase.
     ack_credit: u32,
-    /// Duplicate-ACK counter toward fast retransmit.
-    dup_acks: u32,
-    /// Lifetime statistics.
+    /// Retransmission timeouts since creation.
     timeouts: u64,
-    fast_retransmits: u64,
 }
 
 impl CongestionState {
@@ -68,9 +64,7 @@ impl CongestionState {
             max_cwnd,
             phase: CongestionPhase::SlowStart,
             ack_credit: 0,
-            dup_acks: 0,
             timeouts: 0,
-            fast_retransmits: 0,
         }
     }
 
@@ -92,15 +86,14 @@ impl CongestionState {
         self.phase
     }
 
-    /// `(timeouts, fast_retransmits)` since creation.
+    /// Retransmission timeouts since creation.
     #[must_use]
-    pub fn loss_events(&self) -> (u64, u64) {
-        (self.timeouts, self.fast_retransmits)
+    pub fn timeouts(&self) -> u64 {
+        self.timeouts
     }
 
     /// A cumulative ACK for `segments` new segments arrived.
     pub fn on_ack(&mut self, segments: u32) {
-        self.dup_acks = 0;
         match self.phase {
             CongestionPhase::SlowStart => {
                 self.cwnd = (self.cwnd + segments).min(self.max_cwnd);
@@ -116,32 +109,6 @@ impl CongestionState {
                 }
                 self.ack_credit = self.ack_credit.min(self.cwnd);
             }
-            CongestionPhase::FastRecovery => {
-                // New data acked: recovery complete, deflate to ssthresh.
-                self.cwnd = self.ssthresh;
-                self.phase = CongestionPhase::CongestionAvoidance;
-            }
-        }
-    }
-
-    /// A duplicate ACK arrived; the third triggers fast retransmit.
-    /// Returns `true` when a fast retransmit should be performed.
-    pub fn on_dup_ack(&mut self) -> bool {
-        if self.phase == CongestionPhase::FastRecovery {
-            // Window inflation during recovery.
-            self.cwnd = (self.cwnd + 1).min(self.max_cwnd);
-            return false;
-        }
-        self.dup_acks += 1;
-        if self.dup_acks >= 3 {
-            self.dup_acks = 0;
-            self.fast_retransmits += 1;
-            self.ssthresh = (self.cwnd / 2).max(2);
-            self.cwnd = self.ssthresh + 3;
-            self.phase = CongestionPhase::FastRecovery;
-            true
-        } else {
-            false
         }
     }
 
@@ -151,7 +118,6 @@ impl CongestionState {
         self.ssthresh = (self.cwnd / 2).max(2);
         self.cwnd = self.initial_cwnd;
         self.ack_credit = 0;
-        self.dup_acks = 0;
         self.phase = CongestionPhase::SlowStart;
     }
 
@@ -208,36 +174,7 @@ mod tests {
         cc.on_timeout();
         assert_eq!(cc.cwnd(), 3);
         assert_eq!(cc.ssthresh(), (before / 2).max(2));
-        assert_eq!(cc.loss_events().0, 1);
-    }
-
-    #[test]
-    fn fast_retransmit_on_third_dup_ack() {
-        let mut cc = CongestionState::new(2, 64);
-        cc.on_ack(20); // cwnd 22
-        assert!(!cc.on_dup_ack());
-        assert!(!cc.on_dup_ack());
-        assert!(cc.on_dup_ack(), "third dup-ack triggers");
-        assert_eq!(cc.phase(), CongestionPhase::FastRecovery);
-        assert_eq!(cc.ssthresh(), 11);
-        assert_eq!(cc.cwnd(), 14); // ssthresh + 3
-        assert_eq!(cc.loss_events().1, 1);
-        // New ack deflates.
-        cc.on_ack(1);
-        assert_eq!(cc.cwnd(), 11);
-        assert_eq!(cc.phase(), CongestionPhase::CongestionAvoidance);
-    }
-
-    #[test]
-    fn recovery_inflates_on_further_dup_acks() {
-        let mut cc = CongestionState::new(2, 64);
-        cc.on_ack(20);
-        for _ in 0..3 {
-            cc.on_dup_ack();
-        }
-        let w = cc.cwnd();
-        assert!(!cc.on_dup_ack());
-        assert_eq!(cc.cwnd(), w + 1);
+        assert_eq!(cc.timeouts(), 1);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct ConnectionRegions {
     pub rx_dma_buf: RegionId,
 }
 
-/// A generation-stamped handle into the [`FlowArena`].
+/// A generation-stamped handle into the stack's flow arena (`FlowArena`).
 ///
 /// The index is dense (slot `i` of every field array); the generation
 /// must match the arena's current generation for that slot, so a handle
@@ -120,11 +120,6 @@ pub(crate) struct FlowArena {
     pub tx_bytes_submitted: Vec<u64>,
     /// Reno congestion control for the send side.
     pub congestion: Vec<CongestionState>,
-    /// Whether the connection has completed the handshake. Connections
-    /// start established (the paper's ttcp setup connects once before
-    /// measurement) but still slow-start from the initial window during
-    /// warm-up.
-    pub established: Vec<bool>,
     /// Lifecycle state of each slot (see [`ConnState`]).
     pub states: Vec<ConnState>,
     /// Recycled slot indices available for [`FlowArena::alloc`] (LIFO).
@@ -151,7 +146,6 @@ impl FlowArena {
             rx_bytes_delivered: Vec::with_capacity(n),
             tx_bytes_submitted: Vec::with_capacity(n),
             congestion: Vec::with_capacity(n),
-            established: Vec::with_capacity(n),
             states: Vec::with_capacity(n),
             free_list: Vec::new(),
             live: 0,
@@ -267,7 +261,6 @@ impl FlowArena {
         self.tx_bytes_submitted.push(0);
         self.congestion
             .push(CongestionState::new(config.initial_cwnd, config.max_cwnd));
-        self.established.push(true);
         self.states.push(ConnState::Established);
         self.live += 1;
         FlowId { index, gen: 0 }
@@ -302,7 +295,6 @@ impl FlowArena {
         self.rx_bytes_delivered[s] = 0;
         self.tx_bytes_submitted[s] = 0;
         self.congestion[s] = CongestionState::new(config.initial_cwnd, config.max_cwnd);
-        self.established[s] = false;
         self.states[s] = ConnState::Closed;
         self.live += 1;
         Some(FlowId {
@@ -320,7 +312,6 @@ impl FlowArena {
     pub(crate) fn free(&mut self, flow: FlowId) {
         let s = self.slot(flow);
         self.generations[s] = self.generations[s].wrapping_add(1);
-        self.established[s] = false;
         self.states[s] = ConnState::Closed;
         self.free_list.push(s as u32);
         self.live -= 1;
@@ -334,7 +325,6 @@ impl FlowArena {
         self.free_list.clear();
         for s in 0..self.ids.len() {
             self.generations[s] = self.generations[s].wrapping_add(1);
-            self.established[s] = false;
             self.states[s] = ConnState::Closed;
             self.free_list.push(s as u32);
         }
@@ -461,7 +451,6 @@ mod tests {
         assert!(arena.rx_queue[s].is_empty());
         assert_eq!(arena.rx_queue_bytes[s], 0);
         assert_eq!(arena.tx_inflight[s], 0);
-        assert!(arena.established[s]);
         assert_eq!(arena.len(), 1);
     }
 
@@ -522,7 +511,6 @@ mod tests {
         assert_eq!(arena.rx_queue_bytes[0], 0, "protocol state resets");
         assert_eq!(arena.tx_unacked[0], 0);
         assert_eq!(arena.states[0], ConnState::Closed);
-        assert!(!arena.established[0]);
         assert_eq!(arena.live(), 1);
     }
 

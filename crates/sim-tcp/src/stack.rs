@@ -386,16 +386,6 @@ impl TcpStack {
         self.flows.congestion[self.slot_of(conn)]
     }
 
-    /// Whether `conn` is established.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `conn` is out of range.
-    #[must_use]
-    pub fn is_established(&self, conn: ConnectionId) -> bool {
-        self.flows.established[self.slot_of(conn)]
-    }
-
     fn item(&self, cost: &FuncCost, func: FuncId, bytes: u64) -> WorkItem {
         let code = self.code[func.index()];
         WorkItem::new(cost.instructions(bytes))
@@ -702,7 +692,6 @@ impl TcpStack {
             .item(&self.config.mod_timer, self.ids.mod_timer, 0)
             .touch(DataTouch::write(regions.tcp_ctx, 1024, 64));
         cycles += self.run(ctx, self.ids.mod_timer, item);
-        self.flows.established[ci] = true;
         self.flows.congestion[ci] =
             crate::congestion::CongestionState::new(self.config.initial_cwnd, self.config.max_cwnd);
         cycles
@@ -727,7 +716,6 @@ impl TcpStack {
             .item(&self.config.tcp_transmit_skb, self.ids.tcp_transmit_skb, 0)
             .touch(DataTouch::read(regions.tcp_ctx, 0, 256));
         cycles += self.run(ctx, self.ids.tcp_transmit_skb, item);
-        self.flows.established[ci] = false;
         cycles
     }
 
@@ -992,12 +980,6 @@ impl TcpStack {
         self.flows.free_all();
     }
 
-    /// The listening socket, if [`listen`](Self::listen) was called.
-    #[must_use]
-    pub fn listen_socket(&self) -> Option<ListenSocket> {
-        self.listen
-    }
-
     /// Flow slots currently allocated (alive anywhere in
     /// SYN_RCVD/ESTABLISHED/FIN_WAIT).
     #[must_use]
@@ -1126,7 +1108,6 @@ impl TcpStack {
             .touch(DataTouch::write(regions.sock, 0, 256));
         cycles += self.run(ctx, self.lifecycle.tcp_accept, item);
         self.flows.states[ci] = ConnState::Established;
-        self.flows.established[ci] = true;
         cycles
     }
 
@@ -1157,7 +1138,6 @@ impl TcpStack {
             .touch(DataTouch::read(regions.tcp_ctx, 0, 256));
         cycles += self.run(ctx, self.ids.tcp_transmit_skb, item);
         self.flows.states[ci] = ConnState::FinWait;
-        self.flows.established[ci] = false;
         self.flows.tx_inflight[ci] += 1;
         self.flows.tx_unacked[ci] += 1;
         cycles
@@ -1469,14 +1449,12 @@ mod tests {
     fn connect_resets_congestion_and_charges_engine() {
         let mut h = harness();
         let mut ctx = ExecCtx::new(&mut h.core, &mut h.mem, &mut h.prof, &mut h.rng);
-        assert!(h.stack.is_established(CONN));
         assert_eq!(h.stack.tx_window(CONN), h.stack.config().initial_cwnd);
         // Ramp the window, then reconnect: it must reset.
         h.stack.rx_ack(&mut ctx, CONN, 40, false);
         assert!(h.stack.tx_window(CONN) > h.stack.config().initial_cwnd);
         let cycles = h.stack.connect(&mut ctx, CONN, false);
         assert!(cycles > 0);
-        assert!(h.stack.is_established(CONN));
         // Slow start restarts from the initial window.
         assert_eq!(h.stack.tx_window(CONN), h.stack.config().initial_cwnd);
         drop(ctx);
@@ -1496,12 +1474,11 @@ mod tests {
     }
 
     #[test]
-    fn close_marks_unestablished() {
+    fn close_charges_tcp_close() {
         let mut h = harness();
         let mut ctx = ExecCtx::new(&mut h.core, &mut h.mem, &mut h.prof, &mut h.rng);
         let cycles = h.stack.close(&mut ctx, CONN, false);
         assert!(cycles > 0);
-        assert!(!h.stack.is_established(CONN));
         drop(ctx);
         let f = h.stack.registry().lookup("tcp_close").unwrap();
         assert!(h.prof.func_total(f).cycles > 0);
@@ -1517,7 +1494,7 @@ mod tests {
         let cycles = h.stack.retransmit_timeout(&mut ctx, CONN, 1448, false);
         assert!(cycles > 0);
         assert!(h.stack.tx_window(CONN) < before);
-        assert_eq!(h.stack.congestion(CONN).loss_events().0, 1);
+        assert_eq!(h.stack.congestion(CONN).timeouts(), 1);
         drop(ctx);
         let f = h.stack.registry().lookup("tcp_retransmit_skb").unwrap();
         assert!(h.prof.func_total(f).machine_clears == 0);
