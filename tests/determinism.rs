@@ -82,6 +82,45 @@ fn four_cpu_scale_matches_committed_golden_snapshot() {
     compare_or_bless("four_cpu.snap", &lines);
 }
 
+/// Guards transmit cells that carry many flows per queue (16 per queue
+/// at 4 CPUs × 64 flows): the only place where a bottom half wakes a
+/// sender blocked for send room although its own flow had nothing
+/// staged. Pins the wall cycles of the four scale modes, an 8-CPU RSS
+/// cell and a Flow Director cell, captured before the bottom half
+/// stopped visiting idle flows.
+#[test]
+fn tx_multi_flow_queues_keep_their_wall_cycles() {
+    let mut configs: Vec<ExperimentConfig> = [
+        AffinityMode::None,
+        AffinityMode::Irq,
+        AffinityMode::Full,
+        AffinityMode::Rss,
+    ]
+    .into_iter()
+    .map(|mode| ExperimentConfig::scale(Direction::Tx, 4, 64, mode))
+    .collect();
+    configs.push(ExperimentConfig::scale(
+        Direction::Tx,
+        8,
+        64,
+        AffinityMode::Rss,
+    ));
+    configs.push(ExperimentConfig::steer_sweep(
+        Direction::Tx,
+        4,
+        16,
+        SteerSpec::flow_director(),
+    ));
+    let walls: Vec<u64> = configs
+        .iter()
+        .map(|config| run_experiment(config).unwrap().metrics.wall_cycles)
+        .collect();
+    assert_eq!(
+        walls,
+        [13_403_777, 8_941_221, 8_904_397, 9_260_125, 4_608_320, 2_450_404]
+    );
+}
+
 /// Guards the dynamic-steering path: the multi-queue Flow Director
 /// configuration (4 CPUs, one 4-queue NIC, 12 hash-placed flows with the
 /// filter table chasing consumers) alongside the static `four_cpu` cells.
