@@ -184,23 +184,18 @@ impl Machine {
         if self.steering.dynamic() {
             // Directed steering (Flow Director / aRFS): re-target the
             // queue's vector to wherever the consumer of the queue's
-            // first pending flow last ran (the queue's only flow on the
-            // paper SUT). Reprogramming is a real MSI rewrite: it costs
-            // delivery latency and is visible in the APIC's route for
-            // subsequent deliveries.
-            let flow = if self.server.is_some() {
-                // Server mode: the pending list already names exactly
-                // the flows with staged work; take the lowest, matching
-                // the legacy ascending scan, without walking the
-                // queue's full (100k-scale) flow population.
-                self.queue_pending[queue].iter().copied().min()
-            } else {
-                self.queue_flows[queue]
-                    .iter()
-                    .copied()
-                    .find(|&f| self.flow_has_pending(f))
-                    .or_else(|| self.queue_flows[queue].first().copied())
-            };
+            // lowest flow with staged work last ran (the queue's only
+            // flow on the paper SUT), else of its first flow. Flows
+            // listed only for a blocked sender do not count.
+            // Reprogramming is a real MSI rewrite: it costs delivery
+            // latency and is visible in the APIC's route for subsequent
+            // deliveries.
+            let flow = self.queue_pending[queue]
+                .iter()
+                .copied()
+                .filter(|&f| self.flow_has_pending(f))
+                .min()
+                .or_else(|| self.queue_flows[queue].first().copied());
             if let Some(decision) = flow.and_then(|f| self.steering.steer(f, &mut self.steer_stats))
             {
                 if decision.target != target {

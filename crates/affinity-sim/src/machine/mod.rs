@@ -170,18 +170,15 @@ pub struct Machine {
     /// map on the paper SUT, RSS hashing spreads flows like a real
     /// indirection table.
     flow_queue: Vec<usize>,
-    /// Flows of each queue, ascending — bottom halves drain a queue's
-    /// flows in this order.
+    /// Flows of each queue, ascending.
     queue_flows: Vec<Vec<usize>>,
     /// NIC port owning each global queue.
     queue_nic: Vec<usize>,
     /// Queue index local to its NIC port.
     queue_local: Vec<usize>,
 
-    /// Flows with work staged for each queue's next bottom half, kept
-    /// where a bottom half visits only staged flows (server workloads,
-    /// the poll plane) instead of scanning the queue. A flow is listed
-    /// exactly while `flow_has_pending` holds.
+    /// The flows each queue's next bottom half visits, unordered: a
+    /// flow is listed exactly while [`Machine::flow_listed`] holds.
     queue_pending: Vec<Vec<usize>>,
 
     // Per-flow state staged for the next bottom half.
@@ -194,7 +191,10 @@ pub struct Machine {
     wire_cursor: Vec<u64>,
     tx_wire_offset: Vec<u64>,
     peer_inflight: Vec<u32>,
+    /// CPU of each flow's latest bottom half, and of each queue's; read
+    /// through [`Machine::softirq_cpu`].
     last_softirq_cpu: Vec<Option<CpuId>>,
+    queue_softirq_cpu: Vec<Option<CpuId>>,
     last_process_cpu: Vec<Option<CpuId>>,
 
     // Per-queue state.
@@ -425,6 +425,7 @@ impl Machine {
             tx_wire_offset: vec![0; flows],
             peer_inflight: vec![0; flows],
             last_softirq_cpu: vec![None; flows],
+            queue_softirq_cpu: vec![None; total_queues],
             last_process_cpu: vec![None; flows],
             irq_cycles: vec![0; cpus],
             total_messages: 0,
@@ -644,13 +645,17 @@ impl Machine {
         let cpu = CpuId::new(c as u32);
         let conn = self.tasks[ti].conn;
         if !self.can_send(conn) {
+            // Every bottom half of the queue now re-checks the sender.
+            if !self.flow_has_pending(conn) {
+                self.queue_pending[self.flow_queue[conn]].push(conn);
+            }
             self.tasks[ti].blocked = Some(BlockReason::TxSpace);
             self.sched.block_current(cpu);
             return;
         }
         let mss = u64::from(self.config.stack.mss);
         let chunk = (u64::from(self.send_room(conn)) * mss).min(self.tasks[ti].remaining);
-        let cross = self.last_softirq_cpu[conn].is_some_and(|s| s != cpu);
+        let cross = self.softirq_cpu(conn).is_some_and(|s| s != cpu);
         let (segs, delta) = self.transmit(c, conn, chunk, cross);
         self.last_process_cpu[conn] = Some(cpu);
         match self.poll.as_mut() {
@@ -698,7 +703,7 @@ impl Machine {
         let conn = self.tasks[ti].conn;
         let conn_id = ConnectionId::new(conn as u32);
         let want = self.tasks[ti].remaining;
-        let cross = self.last_softirq_cpu[conn].is_some_and(|s| s != cpu);
+        let cross = self.softirq_cpu(conn).is_some_and(|s| s != cpu);
         let read = self.charge(c, |stack, ctx| stack.recvmsg(ctx, conn_id, want, cross));
         self.last_process_cpu[conn] = Some(cpu);
         read
@@ -824,10 +829,10 @@ impl Machine {
     }
 
     /// Stages `desc` into its flow's pending state for `queue`'s next
-    /// bottom half, listing the flow when it had nothing staged yet.
+    /// bottom half, listing the flow when it was not listed yet.
     fn stage(&mut self, queue: usize, desc: RxDesc) {
         let flow = desc.flow();
-        if self.lists_pending() && !self.flow_has_pending(flow) {
+        if !self.flow_listed(flow) {
             self.queue_pending[queue].push(flow);
         }
         match desc {
@@ -846,13 +851,16 @@ impl Machine {
         }
     }
 
-    /// Whether bottom halves visit only listed flows (`queue_pending`)
-    /// rather than scanning the queue's streaming prefix: server
-    /// workloads, where scanning is quadratic at 100k connections, and
-    /// the poll plane, whose bottom half serves exactly the drained
-    /// burst.
-    fn lists_pending(&self) -> bool {
-        self.server.is_some() || self.poll.is_some()
+    /// True while `flow` is on its queue's `queue_pending` list: it has
+    /// work staged, or its ttcp sender is blocked for send room. Every
+    /// bottom half of the queue re-checks such a sender, because the
+    /// wake test (`wake_blocked`) is looser than `can_send`'s low water
+    /// and can pass before any completion arrives; the flow stays
+    /// listed until the sender wakes.
+    fn flow_listed(&self, flow: usize) -> bool {
+        self.flow_has_pending(flow)
+            || (self.server.is_none()
+                && self.tasks[self.task_of_conn[flow]].blocked == Some(BlockReason::TxSpace))
     }
 
     /// True when `flow` has anything staged for its next bottom half.
@@ -866,39 +874,40 @@ impl Machine {
                 .is_some_and(|srv| srv.syn_pending[flow] || srv.finack_pending[flow])
     }
 
+    /// The CPU whose bottom half last ran for `flow`. On the ttcp
+    /// interrupt plane that is the queue's latest bottom half: it stands
+    /// for every flow of the queue, as a softirq's poll of its device
+    /// does, whether or not the flow had anything staged. Server and
+    /// poll bottom halves run for one flow at a time.
+    fn softirq_cpu(&self, flow: usize) -> Option<CpuId> {
+        if self.server.is_none() && self.poll.is_none() {
+            self.queue_softirq_cpu[self.flow_queue[flow]]
+        } else {
+            self.last_softirq_cpu[flow]
+        }
+    }
+
     /// One queue's bottom half on CPU `c`: the NAPI poll loop of the
     /// interrupt plane's softirq, or a PMD core's pass over its drained
-    /// burst. Flows run in ascending order — exactly the single-flow
-    /// body on the paper SUT, where each queue carries one connection.
+    /// burst. It visits the listed flows (see [`Machine::flow_listed`])
+    /// in ascending order — exactly the single-flow body on the paper
+    /// SUT, where each queue carries one connection.
     fn run_bottom_half(&mut self, c: usize, queue: usize) {
-        if self.lists_pending() {
-            let mut pending = std::mem::take(&mut self.queue_pending[queue]);
-            pending.sort_unstable();
-            for &flow in &pending {
-                self.run_flow_bottom_half(c, queue, flow);
-                // A PMD core stops the moment the run completes; a
-                // softirq finishes its pass.
-                if self.done && self.poll.is_some() {
-                    return;
-                }
-            }
-            return;
-        }
-        // ttcp interrupt plane: scan the queue, visiting idle flows too
-        // (each pass records its softirq CPU and re-checks wakeups).
-        // Only the streaming prefix can have staged work; the
-        // provisioned-but-quiet tail past `active_conns` never sources
-        // a frame, so scanning it would only burn host time (a quarter
-        // million no-op polls per interrupt at 1M flows). `queue_flows`
-        // is ascending, so the active flows are a strict prefix.
-        let streaming = self.streaming_conns();
-        for i in 0..self.queue_flows[queue].len() {
-            let flow = self.queue_flows[queue][i];
-            if flow >= streaming {
-                break;
-            }
+        let mut pending = std::mem::take(&mut self.queue_pending[queue]);
+        pending.sort_unstable();
+        for &flow in &pending {
             self.run_flow_bottom_half(c, queue, flow);
+            // A PMD core stops the moment the run completes; a softirq
+            // finishes its pass.
+            if self.done && self.poll.is_some() {
+                return;
+            }
         }
+        self.queue_softirq_cpu[queue] = Some(CpuId::new(c as u32));
+        // Reuse the buffer for the flows listed since the pass began.
+        pending.clear();
+        pending.append(&mut self.queue_pending[queue]);
+        self.queue_pending[queue] = pending;
     }
 
     /// Protocol processing of everything staged for `flow`, then the
@@ -958,7 +967,7 @@ impl Machine {
             // observes can interleave — the reordering pathology of
             // directed steering migrating a flow mid-window. Tracked for
             // every policy so sweeps can compare.
-            if self.last_softirq_cpu[flow].is_some_and(|prev| prev != cpu) {
+            if self.softirq_cpu(flow).is_some_and(|prev| prev != cpu) {
                 self.steer_stats.ooo_completions += frames.len() as u64;
             }
         }
@@ -1001,6 +1010,9 @@ impl Machine {
         }
         if self.poll.is_none() {
             self.wake_blocked(ti, c, now);
+            if self.tasks[ti].blocked == Some(BlockReason::TxSpace) {
+                self.queue_pending[queue].push(flow);
+            }
         }
     }
 

@@ -232,7 +232,7 @@ impl Machine {
             }
             let pc = self.server_proc_cpu(flow, c);
             let cpu = CpuId::new(pc as u32);
-            let cross = self.last_softirq_cpu[flow].is_some_and(|s| s != cpu);
+            let cross = self.softirq_cpu(flow).is_some_and(|s| s != cpu);
             let now = self.clocks[c];
             let got = self.server_charge(pc, now, |stack, ctx| {
                 stack.recvmsg(ctx, conn_id, want, cross)
@@ -261,7 +261,7 @@ impl Machine {
         }
         let pc = self.server_proc_cpu(flow, c);
         let cpu = CpuId::new(pc as u32);
-        let cross = self.last_softirq_cpu[flow].is_some_and(|s| s != cpu);
+        let cross = self.softirq_cpu(flow).is_some_and(|s| s != cpu);
         let now = self.clocks[c];
         if remaining > 0 {
             let mss = u64::from(self.config.stack.mss);

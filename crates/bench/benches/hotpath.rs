@@ -1,13 +1,18 @@
 //! Micro-benches for the substrate hot paths the sweep runner leans on:
 //! the memory system's slot-cached residency fast path, the coherence
-//! ping-pong slow path and the flat directory walk, plus the sharded
-//! event queue under a retransmission-timer storm. These isolate
-//! `sim-mem` and `sim-core` so a regression in `cargo bench hotpath`
-//! points at the substrate rather than the workload model.
+//! ping-pong slow path and the flat directory walk, the sharded event
+//! queue under a retransmission-timer storm, and one TCP segment each
+//! way through the stack. These isolate `sim-mem`, `sim-core` and
+//! `sim-tcp` so a regression in `cargo bench hotpath` points at the
+//! substrate rather than the workload model.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sim_core::{CpuId, ShardedEventQueue, SimRng, SimTime};
+use sim_core::{ConnectionId, CpuId, DeviceId, IrqVector, ShardedEventQueue, SimRng, SimTime};
+use sim_cpu::{Core, CpuConfig};
 use sim_mem::{MemoryConfig, MemorySystem};
+use sim_net::{Nic, NicConfig};
+use sim_prof::Profiler;
+use sim_tcp::{ExecCtx, StackConfig, TcpStack};
 use std::hint::black_box;
 
 const CPU0: CpuId = CpuId::new(0);
@@ -170,6 +175,93 @@ fn bench_event_queue_retry_storm(c: &mut Criterion) {
     group.finish();
 }
 
+/// One connection of the paper SUT on a 2-CPU machine: the stack, its
+/// NIC port and CPU0's core, profiler and RNG.
+struct StackRig {
+    mem: MemorySystem,
+    core: Core,
+    prof: Profiler,
+    rng: SimRng,
+    stack: TcpStack,
+    nic: Nic,
+}
+
+const CONN: ConnectionId = ConnectionId::new(0);
+
+impl StackRig {
+    fn new() -> Self {
+        let mut mem = MemorySystem::new(MemoryConfig::paper_sut(2));
+        let vectors = [IrqVector::new(0x19)];
+        let nic = Nic::new(DeviceId::new(0), &vectors, NicConfig::default(), &mut mem);
+        let stack = TcpStack::new(
+            StackConfig::paper(),
+            &mut mem,
+            &[nic.rx_buffers(0)],
+            &vectors,
+            65536,
+        )
+        .expect("paper stack config is valid");
+        StackRig {
+            mem,
+            core: Core::new(CPU0, CpuConfig::paper_sut()),
+            prof: Profiler::new(2),
+            rng: SimRng::new(9),
+            stack,
+            nic,
+        }
+    }
+
+    /// Runs `steps` times `f` on CPU0, as the machine's `charge` does.
+    fn run(&mut self, steps: usize, mut f: impl FnMut(&mut TcpStack, &mut ExecCtx<'_>, &Nic)) {
+        let mut ctx = ExecCtx::new(&mut self.core, &mut self.mem, &mut self.prof, &mut self.rng);
+        for _ in 0..steps {
+            f(&mut self.stack, &mut ctx, &self.nic);
+        }
+    }
+}
+
+/// The receive half of one MSS segment: `rx_bottom_half` of a single
+/// full frame (driver, timestamp, lock, TCP input, socket queueing and
+/// every second frame's ACK). Nothing reads the socket, so after the
+/// first frame the queue is never empty and no frame pays the reader
+/// wakeup — a streaming receiver's steady state. One iteration is 1000
+/// segments, so the time per iteration in ms reads as µs per segment.
+fn bench_tcp_rx_segment(c: &mut Criterion) {
+    let mss = StackConfig::paper().mss;
+    let mut rig = StackRig::new();
+    let mut group = c.benchmark_group("sim_tcp");
+    group.bench_function("rx_segment_1k", |b| {
+        b.iter(|| {
+            rig.run(1000, |stack, ctx, nic| {
+                black_box(stack.rx_bottom_half(ctx, CONN, &[mss], nic.rx_ring(0), false));
+            });
+        });
+    });
+    group.finish();
+}
+
+/// The transmit half of one MSS segment: `sendmsg` of one MSS of
+/// application data, then `driver_tx` of the segment it built, as the
+/// machine's transmit path runs them. No ACK or completion is fed back
+/// (those are `rx_ack` and `tx_complete`), so only the stack's in-flight
+/// counters grow. One iteration is 1000 segments (ms/iter = µs/segment).
+fn bench_tcp_tx_segment(c: &mut Criterion) {
+    let mss = StackConfig::paper().mss;
+    let mut rig = StackRig::new();
+    let mut group = c.benchmark_group("sim_tcp");
+    group.bench_function("tx_segment_1k", |b| {
+        b.iter(|| {
+            rig.run(1000, |stack, ctx, nic| {
+                let segs = stack.sendmsg(ctx, CONN, u64::from(mss), false);
+                for (i, &seg) in segs.iter().enumerate() {
+                    black_box(stack.driver_tx(ctx, CONN, nic.tx_ring(0), i as u64, seg));
+                }
+            });
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     hotpath,
     bench_touch_hot_region,
@@ -179,6 +271,8 @@ criterion_group!(
     bench_span_line_run_replay,
     bench_write_exclusive_region,
     bench_dma_directory_delta,
-    bench_event_queue_retry_storm
+    bench_event_queue_retry_storm,
+    bench_tcp_rx_segment,
+    bench_tcp_tx_segment
 );
 criterion_main!(hotpath);
