@@ -14,7 +14,6 @@
 //! per-bin improvements gives the overall improvement, which is what
 //! makes the decomposition Amdahl-consistent.
 
-use serde::{Deserialize, Serialize};
 use sim_cpu::HwEvent;
 use sim_tcp::Bin;
 
@@ -22,7 +21,7 @@ use crate::metrics::RunMetrics;
 
 /// One row of Table 3: a bin's baseline character and its contribution
 /// to the overall improvement for cycles, LLC misses and machine clears.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BinImprovement {
     /// The functional bin.
     pub bin: Bin,

@@ -12,11 +12,10 @@
 //! which events matter. The paper's finding: machine clears and LLC
 //! misses dominate everywhere.
 
-use serde::{Deserialize, Serialize};
 use sim_cpu::{EventCosts, HwEvent, PerfCounters};
 
 /// One row of a Figure 5 panel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventImpact {
     /// The event.
     pub event: HwEvent,

@@ -1,6 +1,5 @@
 //! Experiment configuration and the measurement harness.
 
-use serde::{Deserialize, Serialize};
 use sim_core::Result;
 use sim_cpu::CpuConfig;
 use sim_mem::MemoryConfig;
@@ -16,7 +15,7 @@ use crate::workload::{Direction, ServerWorkload, Workload};
 
 /// Timing/capacity knobs of the machine model that are not part of any
 /// single substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tunables {
     /// Socket send-buffer capacity in MSS segments.
     pub send_buf_segments: u32,
@@ -41,9 +40,6 @@ pub struct Tunables {
     /// the IRQ handler symbol itself rather than skidding into the
     /// interrupted function.
     pub skid_to_handler: f64,
-    /// Period of the periodic load balancer; 0 disables it (the Linux
-    /// 2.4 default — idle stealing and wake placement do the balancing).
-    pub balance_interval_cycles: u64,
     /// Fixed cost of an address-space switch.
     pub context_switch_cycles: u64,
     /// Mean jitter between peer frame arrivals (cycles).
@@ -85,7 +81,6 @@ impl Default for Tunables {
             irq_latency_cycles: 2_000,
             timeslice_cycles: 6_000_000,
             skid_to_handler: 0.5,
-            balance_interval_cycles: 0,
             context_switch_cycles: 1_200,
             arrival_jitter_cycles: 200.0,
             clears_per_device_interrupt: 3,
@@ -99,7 +94,7 @@ impl Default for Tunables {
 }
 
 /// Which dataplane services the NICs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DataplaneMode {
     /// The paper's interrupt-driven host stack: coalesced IRQs, top/
     /// bottom halves, scheduler wakeups, cross-CPU IPIs. The default —
@@ -115,18 +110,17 @@ pub enum DataplaneMode {
 }
 
 /// Poll-dataplane knobs (ignored under [`DataplaneMode::Interrupt`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataplaneConfig {
     /// Interrupt-driven or busy-poll.
     pub mode: DataplaneMode,
-    /// Max descriptors drained from one queue per poll iteration.
+    /// Max descriptors drained from one queue per poll iteration
+    /// (DPDK's `rx_burst` size); 0 counts as 1.
     pub burst: u32,
-    /// Cycles one empty poll iteration burns (ring probe + pause loop).
+    /// Cycles one empty poll iteration burns: the ring-tail probe (an
+    /// LLC-resident load once the line settles) plus the `pause`-loop
+    /// overhead around it; 0 counts as 1.
     pub empty_poll_cycles: u64,
-    /// SPSC descriptor-ring capacity per queue; 0 auto-sizes to the
-    /// per-queue in-flight bound (flows × windows) so the sizing
-    /// invariant — the dataplane never drops — holds by construction.
-    pub ring_entries: u32,
 }
 
 impl Default for DataplaneConfig {
@@ -135,13 +129,12 @@ impl Default for DataplaneConfig {
             mode: DataplaneMode::Interrupt,
             burst: 32,
             empty_poll_cycles: 120,
-            ring_entries: 0,
         }
     }
 }
 
 /// Full description of one experiment run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Number of CPUs (the paper's SUT has 2; §5 mentions 4P runs).
     pub cpus: usize,

@@ -78,11 +78,11 @@ impl Machine {
             }
             self.run_since_sched[c] = 0;
         }
-        let task = self.sched.current(cpu).expect("running task");
-        let ti = task.index();
+        // Task ids follow spawn order, which is flow order.
+        let flow = self.sched.current(cpu).expect("running task").index();
         match self.config.workload.direction {
-            Direction::Tx => self.step_tx(c, ti),
-            Direction::Rx => self.step_rx(c, ti),
+            Direction::Tx => self.step_tx(c, flow),
+            Direction::Rx => self.step_rx(c, flow),
         }
         // Timeslice expiry: 2.4-style global requeue (the expired task
         // resumes wherever capacity is — migration under asymmetric
@@ -94,22 +94,21 @@ impl Machine {
         }
     }
 
-    fn step_rx(&mut self, c: usize, ti: usize) {
+    fn step_rx(&mut self, c: usize, flow: usize) {
         let cpu = CpuId::new(c as u32);
-        let conn = self.tasks[ti].conn;
-        if self.stack.rx_available(ConnectionId::new(conn as u32)) == 0 {
-            self.tasks[ti].blocked = Some(BlockReason::RxData);
+        if self.stack.rx_available(ConnectionId::new(flow as u32)) == 0 {
+            self.tasks[flow].blocked = Some(BlockReason::RxData);
             self.sched.block_current(cpu);
             return;
         }
-        let (got, delta) = self.recv(c, ti);
+        let (got, delta) = self.recv(c, flow);
         self.sched.charge_current(cpu, delta);
         self.run_since_sched[c] += delta;
-        self.steering.consumer_ran(conn, cpu, &mut self.steer_stats);
+        self.steering.consumer_ran(flow, cpu, &mut self.steer_stats);
         let now = self.clocks[c];
         // Reading freed socket-buffer space: the advertised window opens.
-        self.refill_peer_window(conn, now);
-        self.credit_rx(ti, got, now);
+        self.refill_peer_window(flow, now);
+        self.credit_rx(flow, got, now);
     }
 
     /// The queue's moderation timer fired: re-arm if the device saw
@@ -139,17 +138,6 @@ impl Machine {
                     );
                 }
             }
-        }
-    }
-
-    /// Periodic scheduler load balancing.
-    pub(super) fn load_balance(&mut self, t: u64) {
-        self.sched.load_balance();
-        if !self.done {
-            self.push_event(
-                t + self.config.tunables.balance_interval_cycles,
-                Event::LoadBalance,
-            );
         }
     }
 
@@ -277,11 +265,11 @@ impl Machine {
         None
     }
 
-    /// Wakes task `ti` from bottom-half CPU `c` if what it blocked on is
-    /// there now.
-    pub(super) fn wake_blocked(&mut self, ti: usize, c: usize, now: u64) {
-        let conn_id = ConnectionId::new(self.tasks[ti].conn as u32);
-        let should_wake = match self.tasks[ti].blocked {
+    /// Wakes `flow`'s task from bottom-half CPU `c` if what it blocked
+    /// on is there now.
+    pub(super) fn wake_blocked(&mut self, flow: usize, c: usize, now: u64) {
+        let conn_id = ConnectionId::new(flow as u32);
+        let should_wake = match self.tasks[flow].blocked {
             Some(BlockReason::TxSpace) => {
                 // High watermark: a third of the buffer free again, and
                 // the congestion window has room.
@@ -294,7 +282,7 @@ impl Machine {
             None => false,
         };
         if should_wake {
-            self.wake_task(ti, c, now);
+            self.wake_task(flow, c, now);
         }
     }
 
@@ -314,8 +302,8 @@ impl Machine {
         self.irq_cycles[tc] += self.cores[tc].busy_cycles() - start;
     }
 
-    fn wake_task(&mut self, ti: usize, from_c: usize, now: u64) {
-        let task = self.tasks[ti].task;
+    fn wake_task(&mut self, flow: usize, from_c: usize, now: u64) {
+        let task = self.tasks[flow].task;
         let from = CpuId::new(from_c as u32);
         // The bottom half hands the consumer off to its own CPU only if
         // that CPU is not carrying disproportionately more interrupt
@@ -326,7 +314,7 @@ impl Machine {
             .fold(f64::INFINITY, f64::min);
         let affine = self.irq_load(from_c) <= min_irq + self.config.tunables.irq_load_gate;
         let placement = self.sched.wake(task, from, affine).expect("task exists");
-        self.tasks[ti].blocked = None;
+        self.tasks[flow].blocked = None;
         if placement.needs_resched_ipi {
             self.deliver_ipi(from, placement.cpu, IpiKind::Reschedule, now);
         }

@@ -87,8 +87,6 @@ enum Event {
     RtoFire { flow: usize, bytes: u32 },
     /// Linux 2.6-style periodic interrupt rotation.
     IrqRotate,
-    /// Periodic scheduler load balancing.
-    LoadBalance,
     /// A client opens a new connection (server workload): a SYN reaches
     /// whatever queue the allocated flow slot rides.
     ConnArrival,
@@ -104,10 +102,10 @@ enum BlockReason {
     RxData,
 }
 
+/// A ttcp process: the scheduler task of one flow.
 #[derive(Debug, Clone)]
 struct TaskRun {
     task: TaskId,
-    conn: usize,
     /// RX: bytes still missing from the current application message.
     remaining: u64,
     blocked: Option<BlockReason>,
@@ -160,8 +158,9 @@ pub struct Machine {
     /// CPU (the spec's `pin_processes`, cached for server-mode charging).
     pin_processes: bool,
 
+    /// The ttcp task of each flow, indexed by flow; empty for server
+    /// workloads, which charge process context directly on a CPU.
     tasks: Vec<TaskRun>,
-    task_of_conn: Vec<usize>,
     last_task_on: Vec<Option<TaskId>>,
     run_since_sched: Vec<u64>,
 
@@ -303,25 +302,23 @@ impl Machine {
             apic.set_affinity(v, CpuMask::single(home))?;
         }
         let mut tasks = Vec::new();
-        let mut task_of_conn = Vec::new();
-        for (i, &q) in flow_queue.iter().enumerate() {
-            // A pinned process lives on its queue's even-spread home CPU
-            // (the paper's `sched_setaffinity` half — identical to the
-            // old per-connection pin on the paper SUT, where flow i
-            // rides queue i).
-            let mask = if spec.pin_processes {
-                CpuMask::single(even_home(q, total_queues, cpus))
-            } else {
-                CpuMask::all(cpus)
-            };
-            let task = sched.spawn(format!("ttcp{i}"), mask)?;
-            task_of_conn.push(tasks.len());
-            tasks.push(TaskRun {
-                task,
-                conn: i,
-                remaining: config.workload.message_bytes,
-                blocked: None,
-            });
+        if config.server.is_none() {
+            for (i, &q) in flow_queue.iter().enumerate() {
+                // A pinned process lives on its queue's even-spread home
+                // CPU (the paper's `sched_setaffinity` half — identical to
+                // the old per-connection pin on the paper SUT, where flow
+                // i rides queue i).
+                let mask = if spec.pin_processes {
+                    CpuMask::single(even_home(q, total_queues, cpus))
+                } else {
+                    CpuMask::all(cpus)
+                };
+                tasks.push(TaskRun {
+                    task: sched.spawn(format!("ttcp{i}"), mask)?,
+                    remaining: config.workload.message_bytes,
+                    blocked: None,
+                });
+            }
         }
 
         let peers = (0..flows)
@@ -407,7 +404,6 @@ impl Machine {
             server,
             pin_processes: spec.pin_processes,
             tasks,
-            task_of_conn,
             last_task_on: vec![None; cpus],
             run_since_sched: vec![0; cpus],
             flow_queue,
@@ -586,26 +582,13 @@ impl Machine {
     /// workload's opening move — receivers parked behind full peer
     /// windows (RX), senders woken (interrupt-plane TX; PMD cores find
     /// their own send room), or a wave of connection arrivals (server
-    /// workloads, whose process context is charged directly on a CPU, so
-    /// every task stays parked).
+    /// workloads, which have no tasks).
     fn seed_work(&mut self) {
-        if self.poll.is_none() {
-            // Recurring load balancing — only if enabled. Linux 2.4
-            // itself had no periodic balancer (idle stealing and wake
-            // placement did all the work); the event exists for the
-            // ablation benches.
-            if self.config.tunables.balance_interval_cycles > 0 {
-                self.push_event(
-                    self.config.tunables.balance_interval_cycles,
-                    Event::LoadBalance,
-                );
-            }
-            if self.config.tunables.irq_rotation_cycles > 0 {
-                self.push_event(self.config.tunables.irq_rotation_cycles, Event::IrqRotate);
-            }
+        if self.poll.is_none() && self.config.tunables.irq_rotation_cycles > 0 {
+            self.push_event(self.config.tunables.irq_rotation_cycles, Event::IrqRotate);
         }
         let rx = self.config.workload.direction == Direction::Rx;
-        if self.server.is_some() || rx {
+        if rx {
             for task in &mut self.tasks {
                 task.blocked = Some(BlockReason::RxData);
             }
@@ -641,37 +624,36 @@ impl Machine {
     /// wakes it — the real ttcp dynamic that lets completions (and
     /// therefore interrupt affinity) steer where the process wakes up; a
     /// PMD core only calls in once [`Machine::can_send`] holds.
-    fn step_tx(&mut self, c: usize, ti: usize) {
+    fn step_tx(&mut self, c: usize, flow: usize) {
         let cpu = CpuId::new(c as u32);
-        let conn = self.tasks[ti].conn;
-        if !self.can_send(conn) {
+        if !self.can_send(flow) {
             // Every bottom half of the queue now re-checks the sender.
-            if !self.flow_has_pending(conn) {
-                self.queue_pending[self.flow_queue[conn]].push(conn);
+            if !self.flow_has_pending(flow) {
+                self.queue_pending[self.flow_queue[flow]].push(flow);
             }
-            self.tasks[ti].blocked = Some(BlockReason::TxSpace);
+            self.tasks[flow].blocked = Some(BlockReason::TxSpace);
             self.sched.block_current(cpu);
             return;
         }
         let mss = u64::from(self.config.stack.mss);
-        let chunk = (u64::from(self.send_room(conn)) * mss).min(self.tasks[ti].remaining);
-        let cross = self.softirq_cpu(conn).is_some_and(|s| s != cpu);
-        let (segs, delta) = self.transmit(c, conn, chunk, cross);
-        self.last_process_cpu[conn] = Some(cpu);
+        let chunk = (u64::from(self.send_room(flow)) * mss).min(self.tasks[flow].remaining);
+        let cross = self.softirq_cpu(flow).is_some_and(|s| s != cpu);
+        let (segs, delta) = self.transmit(c, flow, chunk, cross);
+        self.last_process_cpu[flow] = Some(cpu);
         match self.poll.as_mut() {
             Some(plane) => {
                 plane.counters[c].tx_frames += segs as u64;
-                self.last_softirq_cpu[conn] = Some(cpu);
+                self.last_softirq_cpu[flow] = Some(cpu);
             }
             None => {
                 self.sched.charge_current(cpu, delta);
                 self.run_since_sched[c] += delta;
-                self.steering.consumer_ran(conn, cpu, &mut self.steer_stats);
+                self.steering.consumer_ran(flow, cpu, &mut self.steer_stats);
             }
         }
-        self.tasks[ti].remaining -= chunk;
-        if self.tasks[ti].remaining == 0 {
-            self.tasks[ti].remaining = self.config.workload.message_bytes;
+        self.tasks[flow].remaining -= chunk;
+        if self.tasks[flow].remaining == 0 {
+            self.tasks[flow].remaining = self.config.workload.message_bytes;
             let now = self.clocks[c];
             self.on_message_complete(now);
         }
@@ -696,32 +678,31 @@ impl Machine {
         (segs.len(), delta)
     }
 
-    /// One `recvmsg` of task `ti`'s message remainder on CPU `c`.
+    /// One `recvmsg` of `flow`'s message remainder on CPU `c`.
     /// Returns the bytes read and the cycles charged.
-    fn recv(&mut self, c: usize, ti: usize) -> (u64, u64) {
+    fn recv(&mut self, c: usize, flow: usize) -> (u64, u64) {
         let cpu = CpuId::new(c as u32);
-        let conn = self.tasks[ti].conn;
-        let conn_id = ConnectionId::new(conn as u32);
-        let want = self.tasks[ti].remaining;
-        let cross = self.softirq_cpu(conn).is_some_and(|s| s != cpu);
+        let conn_id = ConnectionId::new(flow as u32);
+        let want = self.tasks[flow].remaining;
+        let cross = self.softirq_cpu(flow).is_some_and(|s| s != cpu);
         let read = self.charge(c, |stack, ctx| stack.recvmsg(ctx, conn_id, want, cross));
-        self.last_process_cpu[conn] = Some(cpu);
+        self.last_process_cpu[flow] = Some(cpu);
         read
     }
 
-    /// Credits `got` freshly read bytes to task `ti`, completing as many
-    /// messages as they finish (stopping once the run is done).
-    fn credit_rx(&mut self, ti: usize, mut got: u64, now: u64) {
+    /// Credits `got` freshly read bytes to `flow`'s task, completing as
+    /// many messages as they finish (stopping once the run is done).
+    fn credit_rx(&mut self, flow: usize, mut got: u64, now: u64) {
         let msg = self.config.workload.message_bytes;
-        while got >= self.tasks[ti].remaining {
-            got -= self.tasks[ti].remaining;
-            self.tasks[ti].remaining = msg;
+        while got >= self.tasks[flow].remaining {
+            got -= self.tasks[flow].remaining;
+            self.tasks[flow].remaining = msg;
             self.on_message_complete(now);
             if self.done {
                 return;
             }
         }
-        self.tasks[ti].remaining -= got;
+        self.tasks[flow].remaining -= got;
     }
 
     /// Runs one stack operation on CPU `c` and advances its clock by the
@@ -768,7 +749,6 @@ impl Machine {
             }
             Event::CoalesceFlush { queue, armed_at } => self.coalesce_flush(queue, armed_at, t),
             Event::RtoFire { flow, bytes } => self.rto_fire(flow, bytes, t),
-            Event::LoadBalance => self.load_balance(t),
             Event::IrqRotate => self.irq_rotate(t),
             Event::ConnArrival => {
                 if let Some(flow) = self.server_admit(t) {
@@ -859,8 +839,7 @@ impl Machine {
     /// listed until the sender wakes.
     fn flow_listed(&self, flow: usize) -> bool {
         self.flow_has_pending(flow)
-            || (self.server.is_none()
-                && self.tasks[self.task_of_conn[flow]].blocked == Some(BlockReason::TxSpace))
+            || (self.server.is_none() && self.tasks[flow].blocked == Some(BlockReason::TxSpace))
     }
 
     /// True when `flow` has anything staged for its next bottom half.
@@ -998,19 +977,18 @@ impl Machine {
             self.server_flow_progress(c, flow, syn && syn_queued, finack);
             return;
         }
-        let ti = self.task_of_conn[flow];
         if self.config.workload.direction == Direction::Rx && !frames.is_empty() {
             if self.poll.is_some() {
                 // Run to completion: the application consumes inline.
-                self.consume_inline(c, ti);
+                self.consume_inline(c, flow);
             }
             // Keep the peer's window full.
             let at = self.clocks[c];
             self.refill_peer_window(flow, at);
         }
         if self.poll.is_none() {
-            self.wake_blocked(ti, c, now);
-            if self.tasks[ti].blocked == Some(BlockReason::TxSpace) {
+            self.wake_blocked(flow, c, now);
+            if self.tasks[flow].blocked == Some(BlockReason::TxSpace) {
                 self.queue_pending[queue].push(flow);
             }
         }

@@ -64,8 +64,8 @@ impl Machine {
         let (burst, epc, queues) = {
             let plane = self.poll.as_ref().expect("poll mode");
             (
-                plane.pmd.burst,
-                plane.pmd.empty_poll_cycles,
+                plane.burst,
+                plane.empty_poll_cycles,
                 plane.cores[c].queues().to_vec(),
             )
         };
@@ -102,7 +102,7 @@ impl Machine {
                     let flow = self.queue_flows[q][i];
                     if self.can_send(flow) {
                         found_work = true;
-                        self.step_tx(c, self.task_of_conn[flow]);
+                        self.step_tx(c, flow);
                         if self.done {
                             return;
                         }
@@ -139,7 +139,7 @@ impl Machine {
     fn charge_spin(&mut self, c: usize, gap: u64) {
         self.cores[c].charge_spin_cycles(gap);
         let plane = self.poll.as_mut().expect("poll mode");
-        let epc = plane.pmd.empty_poll_cycles;
+        let epc = plane.empty_poll_cycles;
         let counters = &mut plane.counters[c];
         counters.empty_polls += PmdCore::empty_polls_for_gap(gap, epc);
         counters.spin_cycles += gap;
@@ -147,15 +147,15 @@ impl Machine {
 
     /// Inline `recvmsg` loop of a PMD core: drain the socket on this
     /// core until it is empty (or the run completes).
-    pub(super) fn consume_inline(&mut self, c: usize, ti: usize) {
-        let conn_id = ConnectionId::new(self.tasks[ti].conn as u32);
+    pub(super) fn consume_inline(&mut self, c: usize, flow: usize) {
+        let conn_id = ConnectionId::new(flow as u32);
         while !self.done && self.stack.rx_available(conn_id) > 0 {
-            let (got, _) = self.recv(c, ti);
+            let (got, _) = self.recv(c, flow);
             if got == 0 {
                 return;
             }
             let now = self.clocks[c];
-            self.credit_rx(ti, got, now);
+            self.credit_rx(flow, got, now);
         }
     }
 }

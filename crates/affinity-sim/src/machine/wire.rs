@@ -40,7 +40,7 @@ impl Machine {
             | Event::RtoFire { flow, .. }
             | Event::FinAckArrival { flow } => self.flow_queue[flow],
             Event::CoalesceFlush { queue, .. } => queue,
-            Event::ConnArrival | Event::IrqRotate | Event::LoadBalance => return self.config.cpus,
+            Event::ConnArrival | Event::IrqRotate => return self.config.cpus,
         };
         self.apic.route(self.vectors[queue]).index()
     }

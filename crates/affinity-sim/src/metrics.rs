@@ -1,12 +1,11 @@
 //! Run-level metrics: throughput, utilization, cost, event breakdowns.
 
-use serde::{Deserialize, Serialize};
 use sim_core::Frequency;
 use sim_cpu::PerfCounters;
 use sim_tcp::Bin;
 
 /// Event counters for one functional bin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinBreakdown {
     /// The bin.
     pub bin: Bin,
@@ -17,9 +16,9 @@ pub struct BinBreakdown {
 /// Connection-lifecycle counters of a server-workload run (all zero for
 /// the immortal-flow `ttcp` workloads). Carried on
 /// [`RunResult`](crate::RunResult) — deliberately *not* part of
-/// [`RunMetrics`], whose serialized shape is pinned by the golden
+/// [`RunMetrics`], whose `Debug` rendering is pinned by the golden
 /// snapshots.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LifecycleCounters {
     /// Connections accepted during the measurement window.
     pub accepts: u64,
@@ -47,7 +46,7 @@ pub struct LifecycleCounters {
 }
 
 /// Summary of one measured steady-state run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunMetrics {
     /// Measured wall time in cycles (all CPUs share one clock domain).
     pub wall_cycles: u64,
@@ -70,7 +69,8 @@ pub struct RunMetrics {
     pub resched_ipis: u64,
     /// Wakeups placed on a different CPU than the task last ran on.
     pub wake_migrations: u64,
-    /// Migrations performed by the periodic load balancer.
+    /// Tasks moved to another CPU by timeslice expiry or idle stealing
+    /// (see [`sim_os::SchedulerStats::balance_migrations`]).
     pub balance_migrations: u64,
     /// Spinlock acquisitions (all connections).
     pub lock_acquisitions: u64,

@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::steer::{DynamicSteer, FlowPlacement, SteerSpec, VectorLayout};
 
 /// How processes and interrupts are bound to processors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AffinityMode {
     /// No binding: interrupts default to CPU0 (the Linux 2.4/NT default),
     /// the scheduler places processes freely.

@@ -18,7 +18,7 @@
 
 use crate::experiment::DataplaneConfig;
 use sim_net::{Mempool, SpscRing};
-use sim_os::{PmdConfig, PmdCore};
+use sim_os::PmdCore;
 use sim_prof::PollCounters;
 
 /// What the NIC hands the host for one flow: a received frame or a
@@ -63,8 +63,10 @@ impl RxDesc {
 /// All poll-dataplane state: rings, pools, core ownership, counters.
 #[derive(Debug)]
 pub(crate) struct PollPlane {
-    /// Busy-poll knobs (burst size, empty-poll cost).
-    pub pmd: PmdConfig,
+    /// [`DataplaneConfig::burst`], at least 1.
+    pub burst: u32,
+    /// [`DataplaneConfig::empty_poll_cycles`], at least 1.
+    pub empty_poll_cycles: u64,
     /// One PMD core per CPU (cores with no queues still spin).
     pub cores: Vec<PmdCore>,
     /// Owning PMD core of each global queue.
@@ -81,7 +83,7 @@ pub(crate) struct PollPlane {
 impl PollPlane {
     /// Builds the dataplane: queue `q` is owned by `queue_homes[q]`, and
     /// each queue's ring is sized to its worst-case in-flight descriptor
-    /// population (unless `config.ring_entries` overrides it).
+    /// population.
     pub(crate) fn new(
         cpus: usize,
         queue_homes: &[usize],
@@ -90,9 +92,7 @@ impl PollPlane {
         peer_window: u32,
         send_buf_segments: u32,
     ) -> Self {
-        let mut cores: Vec<PmdCore> = (0..cpus)
-            .map(|c| PmdCore::new(sim_core::CpuId::new(c as u32)))
-            .collect();
+        let mut cores = vec![PmdCore::default(); cpus];
         for (q, &home) in queue_homes.iter().enumerate() {
             cores[home].assign(q);
         }
@@ -103,20 +103,13 @@ impl PollPlane {
         let mut rx = Vec::with_capacity(queue_homes.len());
         let mut pool = Vec::with_capacity(queue_homes.len());
         for flows in queue_flows {
-            let entries = if config.ring_entries > 0 {
-                config.ring_entries as usize
-            } else {
-                flows.len() * per_flow + 8
-            };
-            let ring = SpscRing::with_capacity(entries);
+            let ring = SpscRing::with_capacity(flows.len() * per_flow + 8);
             pool.push(Mempool::new(ring.capacity()));
             rx.push(ring);
         }
         PollPlane {
-            pmd: PmdConfig {
-                burst: config.burst.max(1),
-                empty_poll_cycles: config.empty_poll_cycles.max(1),
-            },
+            burst: config.burst.max(1),
+            empty_poll_cycles: config.empty_poll_cycles.max(1),
             cores,
             cpu_of_queue: queue_homes.to_vec(),
             rx,

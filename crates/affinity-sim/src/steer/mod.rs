@@ -16,7 +16,7 @@
 //!    table with a modeled re-steer cost).
 //!
 //! A [`SteerSpec`] names one point in that space declaratively (it is
-//! plain serializable data, part of `ExperimentConfig`); building it
+//! plain data, part of `ExperimentConfig`); building it
 //! yields a [`SteeringPolicy`] trait object the machine consults on its
 //! hot paths — no `AffinityMode` dispatch survives in the run loop.
 //! [`AffinityMode`](crate::AffinityMode) lives on only as a preset
@@ -26,7 +26,6 @@
 //! [`sim_net::coalesce`] as [`CoalescePolicy`](sim_net::CoalescePolicy)
 //! because it belongs to the device, not the steering plane.
 
-use serde::{Deserialize, Serialize};
 use sim_core::CpuId;
 use sim_prof::SteerCounters;
 
@@ -52,7 +51,7 @@ pub fn even_home(queue: usize, queues: usize, cpus: usize) -> CpuId {
 }
 
 /// How flows are placed onto NIC queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowPlacement {
     /// `flow % queues` — the identity map on the paper SUT where each
     /// port carries one connection.
@@ -73,7 +72,7 @@ impl FlowPlacement {
 }
 
 /// How queue vectors are statically programmed into the IO-APIC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VectorLayout {
     /// Every vector delivers to CPU0 — the Linux 2.4 / NT default the
     /// paper's "no affinity" and "process affinity" modes inherit.
@@ -84,7 +83,7 @@ pub enum VectorLayout {
 }
 
 /// Whether (and how) the device re-targets vectors at delivery time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DynamicSteer {
     /// Static routing only.
     Off,
@@ -105,7 +104,7 @@ pub enum DynamicSteer {
 /// Declarative description of a steering configuration: one point in
 /// the placement × layout × dynamic-steering space, plus whether
 /// consumer processes are pinned to their queue's home CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SteerSpec {
     /// Flow→queue placement.
     pub placement: FlowPlacement,

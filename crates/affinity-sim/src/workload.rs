@@ -1,10 +1,8 @@
 //! The `ttcp` bulk-transfer workload and the server-side
 //! connection-churn workload.
 
-use serde::{Deserialize, Serialize};
-
 /// Transfer direction, from the system under test's point of view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Direction {
     /// The SUT transmits (`ttcp -t`).
     Tx,
@@ -37,7 +35,7 @@ pub const PAPER_SIZES: [u64; 7] = [128, 256, 1024, 4096, 8192, 16384, 65536];
 
 /// A `ttcp` run description: every connection moves fixed-size messages
 /// between reused buffers, connection set up once — pure fast path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Workload {
     /// Direction (SUT transmits or receives).
     pub direction: Direction,
@@ -112,7 +110,7 @@ impl Workload {
 /// replacing each completed connection with a fresh arrival — plus a
 /// deliberate initial overbooking so the SYN-drop/retry path is
 /// exercised deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerWorkload {
     /// Mean gap between connection arrivals in cycles (each gap is an
     /// exponential draw from the machine RNG — Poisson-style).

@@ -67,23 +67,6 @@ fn ablate_coalescing(c: &mut Criterion) {
     group.finish();
 }
 
-/// Load-balance cadence vs pinning.
-fn ablate_loadbalance(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablate_loadbalance");
-    group.sample_size(10);
-    for interval in [500_000u64, 2_000_000, 20_000_000] {
-        group.bench_function(format!("balance_{interval}"), |b| {
-            b.iter(|| {
-                let mut config = base(AffinityMode::None);
-                config.tunables.balance_interval_cycles = interval;
-                let r = run_experiment(&config).unwrap();
-                black_box(r.metrics.throughput_mbps());
-            });
-        });
-    }
-    group.finish();
-}
-
 /// Line-size sensitivity of the coherence model.
 fn ablate_line_size(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablate_line_size");
@@ -135,7 +118,6 @@ criterion_group!(
     ablate_clear_cost,
     ablate_cache_size,
     ablate_coalescing,
-    ablate_loadbalance,
     ablate_line_size
 );
 criterion_main!(benches);

@@ -18,7 +18,7 @@ use std::fmt::Display;
 pub const HISTORY_PATH: &str = "BENCH_substrate.json";
 
 /// PR number stamped on history rows appended to [`HISTORY_PATH`].
-pub const CURRENT_PR: u32 = 16;
+pub const CURRENT_PR: u32 = 22;
 
 /// Construction bound for cells of a million flows or more, in host
 /// nanoseconds per provisioned flow: a quarter of the ~22,700 ns/flow the

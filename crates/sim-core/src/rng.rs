@@ -6,8 +6,6 @@
 //! simulation results never change underneath us when an external RNG
 //! crate rolls a new version.
 
-use serde::{Deserialize, Serialize};
-
 /// Deterministic PRNG (xoshiro256** seeded via SplitMix64).
 ///
 /// Two `SimRng`s created from the same seed produce identical streams; the
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let mut b = SimRng::new(42);
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     state: [u64; 4],
 }

@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, measured in clock cycles since simulation
 /// start.
 ///
@@ -27,9 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.cycles(), 250);
 /// assert_eq!(t - SimTime::from_cycles(50), 200);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -106,7 +102,7 @@ impl fmt::Display for SimTime {
 /// let f = Frequency::from_ghz(2.0);
 /// assert_eq!(f.hertz(), 2_000_000_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Frequency(u64);
 
 impl Frequency {

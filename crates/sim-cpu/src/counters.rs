@@ -2,8 +2,6 @@
 
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::events::HwEvent;
 
 /// A bank of per-event counters — the simulated analogue of the Pentium
@@ -19,7 +17,7 @@ use crate::events::HwEvent;
 /// c.bump(HwEvent::Cycles, 420);
 /// assert!((c.cpi() - 4.2).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfCounters {
     /// Unhalted cycles.
     pub cycles: u64,

@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The architectural events the paper monitors (its §6.2 selection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum HwEvent {
     /// Unhalted clock cycles.
     Cycles,
@@ -75,7 +73,7 @@ impl fmt::Display for HwEvent {
 /// are "near zero" in this workload, leaving interrupts (device and IPI)
 /// as the dominant cause — we track the breakdown so that claim can be
 /// checked in the reproduction too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ClearReason {
     /// A device (NIC) interrupt was delivered to this CPU.
     DeviceInterrupt,
@@ -134,7 +132,7 @@ impl fmt::Display for ClearReason {
 ///
 /// Defaults are the paper's Figure 5 "expected event penalties" for the
 /// Pentium 4 (taken from the VTune 7.1 tuning assistant).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventCosts {
     /// Machine clear (pipeline flush): highly workload dependent; the
     /// paper uses 500 as a reasonable average for the P4's deep pipeline.

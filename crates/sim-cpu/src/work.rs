@@ -5,11 +5,10 @@
 //! touches, and its branch statistics. The TCP stack model (`sim-tcp`)
 //! builds these from calibrated per-function profiles.
 
-use serde::{Deserialize, Serialize};
 use sim_mem::RegionId;
 
 /// One contiguous data access within a work item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataTouch {
     /// Region touched.
     pub region: RegionId,
@@ -51,7 +50,7 @@ impl DataTouch {
 /// and no stack function touches more than [`TouchList::CAPACITY`] ranges,
 /// so the touches live inline in the `WorkItem` instead of behind a heap
 /// allocation. Derefs to `[DataTouch]` for iteration and indexing.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TouchList {
     items: [DataTouch; TouchList::CAPACITY],
     len: u8,
@@ -126,7 +125,7 @@ impl<'a> IntoIterator for &'a TouchList {
 /// A unit of work for [`crate::Core::execute`].
 ///
 /// Construct with [`WorkItem::new`] and chain the builder-style setters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkItem {
     /// Instructions retired by this execution.
     pub instructions: u64,

@@ -4,10 +4,8 @@
 //! size) and tracks only presence and dirtiness — data values never matter
 //! to the characterization, only hit/miss behaviour.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether a cache access reads or writes the line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Load.
     Read,
@@ -16,7 +14,7 @@ pub enum AccessKind {
 }
 
 /// Hit/miss/traffic counters for one cache instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that found the line resident.
     pub hits: u64,
@@ -59,7 +57,7 @@ impl CacheStats {
 /// assert!(!c.access(0, AccessKind::Read).hit);
 /// assert!(c.access(0, AccessKind::Read).hit);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     name: String,
     sets: usize,

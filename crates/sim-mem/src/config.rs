@@ -1,7 +1,5 @@
 //! Memory hierarchy geometry.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of the per-CPU cache hierarchy and TLBs.
 ///
 /// Defaults ([`MemoryConfig::paper_sut`]) follow the paper's system under
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// last-level (L3) cache. The P4's L2 line is 128 B sectored; we model a
 /// uniform 64 B line throughout, which preserves miss *ratios* between
 /// affinity modes (both modes see the same geometry).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryConfig {
     /// Number of CPUs (one cache hierarchy each).
     pub cpus: usize,

@@ -10,10 +10,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Handle to a region allocated from a [`RegionTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegionId(u32);
 
 impl RegionId {
@@ -47,11 +45,8 @@ impl fmt::Display for RegionId {
 /// `Display` and `Debug` observe the *rendered* string, so an interned
 /// name is indistinguishable from the eager `String` it replaces in
 /// every report and snapshot. Equality is render-based for the same
-/// reason: `Static("a.text") == Owned("a.text".into())`. Under the real
-/// serde (the workspace ships a no-op stand-in), `Serialize` should emit
-/// the rendered string and `Deserialize` should produce
-/// [`RegionName::Owned`].
-#[derive(Clone, Serialize, Deserialize)]
+/// reason: `Static("a.text") == Owned("a.text".into())`.
+#[derive(Clone)]
 pub enum RegionName {
     /// A fixed label, e.g. `"tcp_v4_rcv.text"` — free to construct.
     Static(&'static str),
@@ -147,7 +142,7 @@ impl From<String> for RegionName {
 }
 
 /// A contiguous, page-aligned span of simulated physical memory.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemRegion {
     name: RegionName,
     base: u64,
@@ -190,7 +185,7 @@ impl MemRegion {
 }
 
 /// Allocator and directory of all simulated memory regions.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RegionTable {
     regions: Vec<MemRegion>,
     next_base: u64,

@@ -75,7 +75,6 @@
 //!   fetched, so only their few chunks exist, and the direct index keeps
 //!   the per-fetch lookup (the hottest in the simulator) to one load.
 
-use serde::{Deserialize, Serialize};
 use sim_core::CpuId;
 
 use crate::cache::{AccessKind, Cache, CacheStats};
@@ -85,7 +84,7 @@ use crate::region::{RegionId, RegionName, RegionPlan, RegionSpan, RegionTable};
 use crate::tlb::{Tlb, TlbStats};
 
 /// Per-CPU cache stack.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct CpuCaches {
     l1: Cache,
     l2: Cache,
@@ -95,7 +94,7 @@ struct CpuCaches {
     dtlb: Tlb,
 }
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct DirEntry {
     /// Bitmask of CPUs that may hold the line.
     sharers: u32,
@@ -140,7 +139,7 @@ pub const DIR_LEAF_LINES: usize = 16;
 /// creates the line's own leaf. A million-flow machine provisions
 /// billions of lines but writes a few million, and only those leaves
 /// (plus the top-table pages that number them) hold memory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Directory {
     top: Vec<u32>,
     entries: Vec<DirEntry>,
@@ -241,7 +240,7 @@ fn written_bytes(v: &[u32]) -> usize {
 /// could falsify one — an L1 fill or eviction, a coherence invalidation, a
 /// directory sharer change, DMA — bumps `gen`, so a stale claim simply
 /// falls back to the exact per-line walk.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct Summary {
     /// The (CPU, region) change generation guarding every claim below.
     gen: u64,
@@ -261,7 +260,7 @@ const SPAN_CLAIMS: usize = 8;
 /// generation, lines `first..=last` are fully L1-resident at `slots`, so
 /// an exact repeat of the touch is pure L1 hits and read coherence is a
 /// no-op (a resident line's owner is this CPU or nobody).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SpanClaim {
     /// Value of the summary's generation when the claim was recorded.
     gen: u64,
@@ -325,7 +324,7 @@ impl Summary {
 /// trace cache slot. Trace-cache contents only change through this CPU's own
 /// code fetches (nothing invalidates or flushes the TC), so the only bump
 /// site is a TC fill evicting a victim.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct CodeSummary {
     change_gen: u64,
     verified_gen: u64,
@@ -393,7 +392,7 @@ const NO_REGION: u32 = u32::MAX;
 /// `holders[r]` is the mask of CPUs holding an entry for region `r`, so
 /// a bump of a region's view on many CPUs looks up only the CPUs that
 /// hold one.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SummaryCache {
     /// Sets per CPU (a power of two).
     sets: usize,
@@ -552,7 +551,7 @@ const LAZY_CHUNK: usize = 1 << 12;
 /// Indistinguishable from `Vec<T>` + `resize_with(len, T::default)` to
 /// any caller: `get` of an unmaterialized slot returns a default value,
 /// and `get_mut` hands out a default the caller may mutate in place.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct LazySlots<T> {
     chunks: Vec<Option<Box<[T]>>>,
     len: usize,
@@ -615,7 +614,7 @@ impl<T: Default + Clone> LazySlots<T> {
 
 /// Result of one data touch: how many lines were accessed and how far each
 /// access had to go.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TouchResult {
     /// Cache lines spanned by the touch.
     pub lines: u64,
@@ -641,7 +640,7 @@ impl TouchResult {
 }
 
 /// Result of one instruction fetch through the trace cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FetchResult {
     /// Cache lines of code footprint fetched.
     pub lines: u64,
@@ -690,7 +689,7 @@ fn probe_pages(tlb: &mut Tlb, first: u64, last: u64, lines_per_page_shift: u32) 
 /// The multi-CPU coherent memory system.
 ///
 /// See the module documentation for the coherence rules.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemorySystem {
     config: MemoryConfig,
     regions: RegionTable,
@@ -709,15 +708,12 @@ pub struct MemorySystem {
     code_summaries: LazySlots<CodeSummary>,
     /// Reused per-line sharer-mask buffer for [`MemorySystem::dma_write`]'s
     /// two-pass directory delta (gather sharers, then apply per CPU).
-    #[serde(skip)]
     dma_sharers: Vec<u32>,
     /// Reused deferred-coherence buffers for [`MemorySystem::data_touch`]:
     /// remote invalidations `(line, cpu mask)` from writes and remote
     /// downgrades `(line, owner)` from reads, applied after the walk so
     /// the walk loop holds a single CPU's caches borrowed throughout.
-    #[serde(skip)]
     remote_invals: Vec<(u64, u32)>,
-    #[serde(skip)]
     remote_cleans: Vec<(u64, u8)>,
     /// Reused per-touch accumulator of pending generation bumps,
     /// `(region, cpu mask)`. The walks record which (region, CPU) views
@@ -726,7 +722,6 @@ pub struct MemorySystem {
     /// mid-walk, and claims only compare stamped generations for
     /// equality, so one bump per touch invalidates exactly the same
     /// claims as one per line.
-    #[serde(skip)]
     bump_masks: Vec<(u32, u32)>,
     /// Whether touches and fetches may replay a current claim instead of
     /// walking; off only in the [`reference`](Self::reference) oracle.

@@ -5,10 +5,8 @@
 //! trigger page walks whose cycle penalties are charged by the CPU model
 //! (Figure 5 uses 30 cycles for ITLB and 36 for DTLB walks).
 
-use serde::{Deserialize, Serialize};
-
 /// Hit/miss counters for one TLB.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TlbStats {
     /// Translations served from the TLB.
     pub hits: u64,
@@ -45,7 +43,7 @@ impl TlbStats {
 /// assert!(!tlb.access(10)); // cold miss
 /// assert!(tlb.access(10)); // hit
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tlb {
     pages: Vec<u64>,
     lru: Vec<u64>,

@@ -13,8 +13,6 @@
 //! no wall clocks, no randomness — so simulation results stay
 //! bit-reproducible at any worker count.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-queue interrupt-moderation policy.
 ///
 /// The device calls [`CoalescePolicy::on_event`] for every coalescable
@@ -41,9 +39,9 @@ pub trait CoalescePolicy: std::fmt::Debug {
     }
 }
 
-/// Serializable description of a coalescing policy (the configuration
+/// Plain-data description of a coalescing policy (the configuration
 /// counterpart of the [`CoalescePolicy`] state machines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoalesceConfig {
     /// Raise one interrupt per `events` coalescable events — the
     /// packet-count moderation of the paper-era e1000 driver.
@@ -100,7 +98,7 @@ impl CoalesceConfig {
 }
 
 /// Fixed packet-count moderation (the paper's e1000 scheme).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FixedCount {
     events: u32,
     pending: u32,
@@ -132,7 +130,7 @@ impl CoalescePolicy for FixedCount {
 }
 
 /// Gap-watching adaptive moderation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdaptiveTimeout {
     min_events: u32,
     max_events: u32,
@@ -182,8 +180,8 @@ impl CoalescePolicy for AdaptiveTimeout {
 }
 
 /// A concrete, cloneable coalescer (enum dispatch over the policy
-/// implementations, so [`crate::Nic`] stays `Clone` and serializable).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// implementations, so [`crate::Nic`] stays `Clone`).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Coalescer {
     /// Fixed packet-count moderation.
     Fixed(FixedCount),

@@ -1,12 +1,11 @@
 //! The NIC device model.
 
 use crate::coalesce::{CoalesceConfig, CoalescePolicy, Coalescer};
-use serde::{Deserialize, Serialize};
 use sim_core::{DeviceId, IrqVector};
 use sim_mem::{MemorySystem, RegionId};
 
 /// NIC geometry and interrupt-moderation settings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NicConfig {
     /// Descriptor ring entries (RX and TX each, per queue).
     pub ring_entries: u32,
@@ -37,7 +36,7 @@ impl Default for NicConfig {
 }
 
 /// Device counters (aggregated over all queues).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NicStats {
     /// Frames DMA'd to host memory.
     pub rx_frames: u64,
@@ -51,7 +50,7 @@ pub struct NicStats {
 
 /// One hardware queue: descriptor rings, buffers, moderation state and
 /// the MSI-X vector it asserts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Queue {
     vector: IrqVector,
     rx_ring: RegionId,
@@ -76,7 +75,7 @@ struct Queue {
 /// queue its own rings, RX buffers, coalescer, and MSI-X vector, which
 /// is what lets steering policies place flows on distinct CPUs within a
 /// single port.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Nic {
     id: DeviceId,
     config: NicConfig,

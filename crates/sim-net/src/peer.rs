@@ -7,13 +7,12 @@
 //! endless bulk stream for receive tests, with small deterministic
 //! arrival jitter.
 
-use serde::{Deserialize, Serialize};
 use sim_core::{ConnectionId, SimRng};
 
 use crate::wire::{Segment, DEFAULT_MSS};
 
 /// Peer behaviour knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeerConfig {
     /// Data segments per ACK (2 = RFC 1122 delayed ACK).
     pub ack_every: u32,
@@ -34,7 +33,7 @@ impl Default for PeerConfig {
 }
 
 /// One remote endpoint (one per connection/NIC).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Peer {
     conn: ConnectionId,
     config: PeerConfig,

@@ -7,8 +7,6 @@
 //! interrupts each message costs, which is why affinity matters more for
 //! 64 KB transfers (44 segments) than for 128 B ones (1 segment).
 
-use serde::{Deserialize, Serialize};
-
 /// Standard Ethernet MTU.
 pub const ETHERNET_MTU: u32 = 1500;
 
@@ -17,7 +15,7 @@ pub const ETHERNET_MTU: u32 = 1500;
 pub const DEFAULT_MSS: u32 = 1448;
 
 /// A TCP segment as seen by the driver/NIC boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Segment {
     /// Payload bytes carried (≤ MSS; 0 for a pure ACK).
     pub payload: u32,

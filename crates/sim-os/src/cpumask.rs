@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sim_core::CpuId;
 
 /// A set of CPUs, as used for process affinity (`sys_sched_setaffinity`)
@@ -21,7 +20,7 @@ use sim_core::CpuId;
 /// assert!(!mask.contains(CpuId::new(0)));
 /// assert_eq!(mask.count(), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CpuMask(u64);
 
 impl CpuMask {

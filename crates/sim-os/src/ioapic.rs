@@ -7,7 +7,6 @@
 //! static routing table: each vector delivers to the lowest-numbered CPU
 //! in its mask.
 
-use serde::{Deserialize, Serialize};
 use sim_core::{CpuId, IrqVector, Result, SimError};
 
 use crate::cpumask::CpuMask;
@@ -27,7 +26,7 @@ use crate::cpumask::CpuMask;
 /// assert_eq!(apic.route(vec), CpuId::new(1));
 /// # Ok::<(), sim_core::SimError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IoApic {
     cpus: usize,
     /// Programmed routes, indexed by `IrqVector::index()` (vectors are

@@ -7,11 +7,10 @@
 //! major factor. The fabric here records who interrupted whom and why;
 //! the CPU model charges the actual clear penalty.
 
-use serde::{Deserialize, Serialize};
 use sim_core::CpuId;
 
 /// Why an IPI was sent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum IpiKind {
     /// Kick a remote CPU to reschedule (cross-CPU wakeup).
     Reschedule,
@@ -29,7 +28,7 @@ impl IpiKind {
 }
 
 /// Records IPI traffic between CPUs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IpiFabric {
     cpus: usize,
     /// `sent[from][to][kind]`.

@@ -14,7 +14,8 @@
 //! * [`CpuMask`] — affinity bitmasks (process masks and IRQ
 //!   `smp_affinity` masks);
 //! * [`Scheduler`] — per-CPU runqueues with a cache-affinity wakeup
-//!   policy, optional periodic load balancing, and migration accounting;
+//!   policy, 2.4-style timeslice-expiry requeue and idle stealing, and
+//!   migration accounting;
 //! * [`IoApic`] — static interrupt routing honouring per-vector masks
 //!   (defaulting, like Linux 2.4 and NT, to delivering everything to
 //!   CPU0);
@@ -42,7 +43,7 @@ mod task;
 pub use cpumask::CpuMask;
 pub use ioapic::IoApic;
 pub use ipi::{IpiFabric, IpiKind};
-pub use pmd::{PmdConfig, PmdCore};
+pub use pmd::PmdCore;
 pub use scheduler::{Scheduler, SchedulerConfig, SchedulerStats, WakePlacement};
 pub use spinlock::{LockAcquisition, SpinLock, SpinLockStats};
 pub use task::{Task, TaskState};

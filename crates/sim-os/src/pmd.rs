@@ -9,56 +9,18 @@
 //! cost can be charged (and priced in GHz/Gbps) instead of vanishing the
 //! way a halted interrupt-mode core's idle time does.
 
-use sim_core::CpuId;
-
-/// Knobs for the busy-poll loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PmdConfig {
-    /// Maximum descriptors drained from one queue per poll iteration
-    /// (DPDK's `rx_burst` size).
-    pub burst: u32,
-    /// Cycles one empty poll iteration costs: the ring-tail probe (an
-    /// LLC-resident load once the line settles) plus the `pause`-loop
-    /// overhead around it.
-    pub empty_poll_cycles: u64,
-}
-
-impl Default for PmdConfig {
-    fn default() -> Self {
-        PmdConfig {
-            burst: 32,
-            empty_poll_cycles: 120,
-        }
-    }
-}
-
-/// One busy-polling core: the CPU it occupies and the NIC queues it owns.
+/// One busy-polling core: the NIC queues it owns. A run keeps one per
+/// CPU, indexed by CPU.
 ///
 /// Queue ownership is static for the lifetime of a run (the steering
 /// policy's `vector_home` decides it up front), which is what makes the
 /// rx rings single-consumer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PmdCore {
-    cpu: CpuId,
     queues: Vec<usize>,
 }
 
 impl PmdCore {
-    /// Creates a PMD core on `cpu` owning no queues yet.
-    #[must_use]
-    pub fn new(cpu: CpuId) -> Self {
-        PmdCore {
-            cpu,
-            queues: Vec::new(),
-        }
-    }
-
-    /// The CPU this core occupies.
-    #[must_use]
-    pub fn cpu(&self) -> CpuId {
-        self.cpu
-    }
-
     /// Assigns global queue index `queue` to this core's poll set.
     pub fn assign(&mut self, queue: usize) {
         self.queues.push(queue);
@@ -88,10 +50,9 @@ mod tests {
 
     #[test]
     fn queue_assignment_is_ordered() {
-        let mut core = PmdCore::new(CpuId::new(3));
+        let mut core = PmdCore::default();
         core.assign(7);
         core.assign(2);
-        assert_eq!(core.cpu(), CpuId::new(3));
         assert_eq!(core.queues(), &[7, 2]);
     }
 

@@ -1,5 +1,5 @@
-//! An O(1)-style SMP scheduler with cache-affinity wakeups and periodic
-//! load balancing.
+//! An SMP scheduler with cache-affinity wakeups and Linux 2.4-style
+//! balancing: timeslice expiry requeues globally and idle CPUs steal.
 //!
 //! The policy distils what the paper relies on from Linux 2.4/2.6:
 //!
@@ -12,33 +12,32 @@
 //!   when allowed — this is how interrupt affinity *indirectly* produces
 //!   process affinity (the bottom half runs on the interrupt's CPU and
 //!   wakes the consumer there).
-//! * **Load balancing**: runnable tasks migrate from the busiest to the
-//!   least-loaded CPU when the imbalance exceeds a threshold, unless
-//!   their affinity mask forbids it ("the scheduler will always attempt
-//!   to load balance, moving processes from processors with heavier loads
-//!   to those with lighter loads").
+//! * **Load balancing**: 2.4 had no periodic balancer. A task whose
+//!   timeslice expires is requeued on the least-loaded CPU it may run on
+//!   ([`Scheduler::yield_current_global`]), and an idle CPU steals a
+//!   runnable task from the busiest runqueue ([`Scheduler::steal_into`]);
+//!   neither moves a task its affinity mask forbids ("the scheduler will
+//!   always attempt to load balance, moving processes from processors
+//!   with heavier loads to those with lighter loads").
 //! * **Reschedule IPIs**: waking a task onto a *different* CPU than the
 //!   waker requires an inter-processor interrupt — the machine-clear
 //!   source the paper identifies in the TCP engine.
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use sim_core::{CpuId, Result, SimError, TaskId};
 
 use crate::cpumask::CpuMask;
 use crate::task::{Task, TaskState};
 
 /// Tunables for the scheduler policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Number of CPUs.
     pub cpus: usize,
     /// How much busier (in runnable tasks) the last-run CPU may be than
     /// the least-loaded CPU before a wakeup abandons cache affinity.
     pub wake_imbalance_tolerance: usize,
-    /// Minimum queue-length difference for the load balancer to migrate.
-    pub balance_threshold: usize,
 }
 
 impl SchedulerConfig {
@@ -48,13 +47,12 @@ impl SchedulerConfig {
         SchedulerConfig {
             cpus,
             wake_imbalance_tolerance: 1,
-            balance_threshold: 2,
         }
     }
 }
 
 /// Where a wakeup placed a task, and what it cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WakePlacement {
     /// CPU whose runqueue received the task.
     pub cpu: CpuId,
@@ -66,13 +64,15 @@ pub struct WakePlacement {
 }
 
 /// Counters exposed for analysis.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Total wakeups processed.
     pub wakeups: u64,
     /// Wakeups placed away from the task's previous CPU.
     pub wake_migrations: u64,
-    /// Tasks moved by the periodic load balancer.
+    /// Tasks moved to another CPU by timeslice expiry
+    /// ([`Scheduler::yield_current_global`]) or by idle stealing
+    /// ([`Scheduler::steal_into`]).
     pub balance_migrations: u64,
     /// Reschedule IPIs required by cross-CPU wakeups.
     pub resched_ipis: u64,
@@ -93,7 +93,7 @@ pub struct SchedulerStats {
 /// assert_eq!(sched.pick_next(CpuId::new(0)), Some(t));
 /// # Ok::<(), sim_core::SimError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scheduler {
     config: SchedulerConfig,
     tasks: Vec<Task>,
@@ -139,12 +139,6 @@ impl Scheduler {
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.config
     }
 
     /// Creates a new (blocked) task with the given affinity.
@@ -454,44 +448,6 @@ impl Scheduler {
         Some(task)
     }
 
-    /// One round of load balancing: repeatedly move a runnable task from
-    /// the busiest to the least-loaded CPU while the difference is at
-    /// least [`SchedulerConfig::balance_threshold`] and affinity allows.
-    /// Returns the migrations performed as `(task, from, to)`.
-    pub fn load_balance(&mut self) -> Vec<(TaskId, CpuId, CpuId)> {
-        self.generation += 1;
-        let mut moves = Vec::new();
-        loop {
-            let busiest = (0..self.config.cpus as u32)
-                .map(CpuId::new)
-                .max_by_key(|&c| (self.load(c), c.index()))
-                .expect("cpus > 0");
-            let idlest = (0..self.config.cpus as u32)
-                .map(CpuId::new)
-                .min_by_key(|&c| (self.load(c), c.index()))
-                .expect("cpus > 0");
-            // A move only reduces imbalance if the gap is at least 2
-            // (moving across a gap of 1 just swaps the imbalance and
-            // would oscillate forever), so clamp the threshold.
-            if self.load(busiest) < self.load(idlest) + self.config.balance_threshold.max(2) {
-                break;
-            }
-            // Pull from the back (least-recently queued => coldest cache).
-            let queue = &mut self.runqueues[busiest.index()];
-            let candidate = queue
-                .iter()
-                .rposition(|&t| self.tasks[t.index()].affinity.contains(idlest));
-            let Some(pos) = candidate else {
-                break; // every queued task is pinned away from idlest
-            };
-            let task = queue.remove(pos).expect("position valid");
-            self.runqueues[idlest.index()].push_back(task);
-            self.stats.balance_migrations += 1;
-            moves.push((task, busiest, idlest));
-        }
-        moves
-    }
-
     /// Counter snapshot.
     #[must_use]
     pub fn stats(&self) -> SchedulerStats {
@@ -625,34 +581,54 @@ mod tests {
     }
 
     #[test]
-    fn load_balance_moves_from_busiest() {
-        let mut s = sched2();
-        for i in 0..4 {
-            let t = s.spawn(format!("t{i}"), CpuMask::all(2)).unwrap();
-            // Force all onto CPU0 by waking from CPU0 before any history.
-            s.wake(t, CPU0, false).unwrap();
+    fn yield_global_requeues_on_least_loaded_allowed_cpu() {
+        let cpu2 = CpuId::new(2);
+        let mut s = Scheduler::new(SchedulerConfig::new(3));
+        let t = s.spawn("t", CpuMask::all(3)).unwrap();
+        s.wake(t, CPU0, false).unwrap();
+        assert_eq!(s.pick_next(CPU0), Some(t));
+        // Queued pinned work: two tasks on CPU0 and CPU1, one on CPU2.
+        for (cpu, n) in [(CPU0, 2), (CPU1, 2), (cpu2, 1)] {
+            for i in 0..n {
+                let other = s.spawn(format!("o{i}"), CpuMask::single(cpu)).unwrap();
+                s.wake(other, cpu, false).unwrap();
+            }
         }
-        // Wake-time balancing tolerates 1 difference, so CPU1 may have some.
-        let before0 = s.load(CPU0);
-        let before1 = s.load(CPU1);
-        let moves = s.load_balance();
-        let after0 = s.load(CPU0);
-        let after1 = s.load(CPU1);
-        assert!(after0.abs_diff(after1) < s.config().balance_threshold);
-        assert_eq!(before0 + before1, after0 + after1);
-        assert_eq!(s.stats().balance_migrations as usize, moves.len());
+        s.yield_current_global(CPU0);
+        assert_eq!(s.current(CPU0), None);
+        assert_eq!(s.task(t).unwrap().state, TaskState::Runnable);
+        assert_eq!([s.load(CPU0), s.load(CPU1), s.load(cpu2)], [2, 2, 2]);
+        assert_eq!(s.stats().balance_migrations, 1);
     }
 
     #[test]
-    fn load_balance_respects_pinning() {
+    fn yield_global_tie_keeps_task_in_place() {
         let mut s = sched2();
-        for i in 0..4 {
-            let t = s.spawn(format!("p{i}"), CpuMask::single(CPU0)).unwrap();
-            s.wake(t, CPU0, false).unwrap();
+        let t = s.spawn("t", CpuMask::all(2)).unwrap();
+        s.wake(t, CPU1, false).unwrap();
+        assert_eq!(s.pick_next(CPU1), Some(t));
+        // Both CPUs are empty: the tie keeps the task on CPU1, not on
+        // the lower-numbered CPU0.
+        s.yield_current_global(CPU1);
+        assert_eq!((s.load(CPU0), s.load(CPU1)), (0, 1));
+        assert_eq!(s.pick_next(CPU1), Some(t));
+        assert_eq!(s.stats().balance_migrations, 0);
+    }
+
+    #[test]
+    fn yield_global_never_moves_pinned_task() {
+        let mut s = sched2();
+        let t = s.spawn("pinned", CpuMask::single(CPU0)).unwrap();
+        s.wake(t, CPU0, false).unwrap();
+        assert_eq!(s.pick_next(CPU0), Some(t));
+        for i in 0..3 {
+            let other = s.spawn(format!("o{i}"), CpuMask::single(CPU0)).unwrap();
+            s.wake(other, CPU0, false).unwrap();
         }
-        let moves = s.load_balance();
-        assert!(moves.is_empty(), "pinned tasks must not migrate");
-        assert_eq!(s.load(CPU0), 4);
+        s.set_pressure(CPU0, 5);
+        s.yield_current_global(CPU0);
+        assert_eq!((s.load(CPU0), s.load(CPU1)), (4, 0));
+        assert_eq!(s.stats().balance_migrations, 0);
     }
 
     #[test]
@@ -734,6 +710,7 @@ mod tests {
             assert!(stolen.is_some());
             assert_eq!(s.load(CPU0), before - 1);
             assert_eq!(s.pick_next(CPU1), stolen);
+            assert_eq!(s.stats().balance_migrations, 1);
         }
     }
 
@@ -745,6 +722,7 @@ mod tests {
         let t = s.spawn("pinned", CpuMask::single(CPU0)).unwrap();
         s.wake(t, CPU0, false).unwrap();
         assert_eq!(s.steal_into(CPU1), None);
+        assert_eq!(s.stats().balance_migrations, 0);
     }
 
     #[test]

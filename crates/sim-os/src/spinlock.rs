@@ -20,11 +20,10 @@
 //! branches, so the rare mispredict weighs heavily) even though the
 //! absolute numbers collapse — exactly the Table 1 "Locks" anomaly.
 
-use serde::{Deserialize, Serialize};
 use sim_core::SimRng;
 
 /// Cost model for one acquisition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpinLockCosts {
     /// Cycles for the `lock decb` bus-locked atomic.
     pub atomic_cycles: u64,
@@ -56,7 +55,7 @@ impl Default for SpinLockCosts {
 
 /// Event accounting for one lock acquisition, to be folded into the
 /// "Locks" bin.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockAcquisition {
     /// Instructions retired.
     pub instructions: u64,
@@ -73,7 +72,7 @@ pub struct LockAcquisition {
 }
 
 /// Cumulative statistics for one lock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpinLockStats {
     /// Total acquisitions.
     pub acquisitions: u64,
@@ -89,7 +88,7 @@ pub struct SpinLockStats {
 /// the machine model it depends on whether another CPU is concurrently
 /// inside the same connection's critical sections. The lock turns that
 /// decision into instruction/branch/cycle accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpinLock {
     name: String,
     costs: SpinLockCosts,

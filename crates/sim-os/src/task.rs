@@ -1,12 +1,11 @@
 //! Schedulable tasks.
 
-use serde::{Deserialize, Serialize};
 use sim_core::{CpuId, TaskId};
 
 use crate::cpumask::CpuMask;
 
 /// Lifecycle state of a task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskState {
     /// Waiting on a runqueue.
     Runnable,
@@ -17,7 +16,7 @@ pub enum TaskState {
 }
 
 /// A schedulable entity — one `ttcp` process in the paper's workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     id: TaskId,
     name: String,

@@ -9,14 +9,12 @@
 //! than the immediately preceding frames of the same flow (a proxy for
 //! packet reordering when a flow migrates mid-window).
 
-use serde::{Deserialize, Serialize};
-
 /// Counters maintained by the interrupt-steering path.
 ///
 /// Kept separate from `RunMetrics` so golden snapshots of the paper
 /// matrix (where all of these are zero by construction) are unaffected
 /// by steering experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SteerCounters {
     /// Vector re-targets performed by a dynamic steering policy (each
     /// models one `IoApic` reprogram chasing the consuming core).
@@ -45,7 +43,7 @@ impl SteerCounters {
 /// Kept separate from `RunMetrics` (like [`SteerCounters`]) so golden
 /// snapshots of the interrupt-mode matrix — where the poll path never
 /// runs — are unaffected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PollCounters {
     /// Poll iterations that found at least one descriptor.
     pub polls: u64,

@@ -1,6 +1,5 @@
 //! The `(cpu × function)` event matrix.
 
-use serde::{Deserialize, Serialize};
 use sim_core::CpuId;
 use sim_cpu::PerfCounters;
 
@@ -18,7 +17,7 @@ use crate::registry::{funcid_from_index, FuncId, FunctionRegistry};
 /// the profile of one CPU" pattern ([`nonzero_on`](Profiler::nonzero_on),
 /// drawn on every interrupt for machine-clear attribution) skips the
 /// untouched bulk of the row without scanning it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Profiler {
     cpus: usize,
     /// Function slots allocated per CPU row (grown on demand).

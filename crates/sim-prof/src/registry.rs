@@ -3,10 +3,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Handle to a registered function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FuncId(u32);
 
 impl FuncId {
@@ -28,7 +26,7 @@ pub(crate) fn funcid_from_index(i: usize) -> FuncId {
 }
 
 /// Metadata for one registered function.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionMeta {
     /// Symbol name as it would appear in an Oprofile report
     /// (`tcp_sendmsg`, `IRQ0x19_interrupt`, …).
@@ -41,7 +39,7 @@ pub struct FunctionMeta {
 ///
 /// Registration is idempotent per name: registering an existing name
 /// returns the existing id (the group must match).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FunctionRegistry {
     entries: Vec<FunctionMeta>,
     by_name: HashMap<String, FuncId>,

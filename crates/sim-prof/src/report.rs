@@ -1,6 +1,5 @@
 //! Oprofile-style report rendering.
 
-use serde::{Deserialize, Serialize};
 use sim_core::CpuId;
 use sim_cpu::HwEvent;
 
@@ -13,7 +12,7 @@ use crate::registry::FunctionRegistry;
 /// monitored event; over a long steady-state run the sample distribution
 /// converges to the count distribution. The view exposes both so tables
 /// can be rendered in the same units as the paper's (samples).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampleView {
     /// Events per sample.
     pub interval: u64,
@@ -48,7 +47,7 @@ impl Default for SampleView {
 }
 
 /// One row of a symbol report: a function and its share of an event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SymbolRow {
     /// Symbol name.
     pub symbol: String,

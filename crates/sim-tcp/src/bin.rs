@@ -2,11 +2,9 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A functional bin of TCP processing — the unit of every per-bin table
 /// in the paper (Tables 1 and 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Bin {
     /// Sockets API, system-call entry and schedule-related routines.
     Interface,

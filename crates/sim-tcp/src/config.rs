@@ -11,12 +11,10 @@
 //! RX-copy pathology). They are deliberately public: the ablation benches
 //! sweep them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bin::Bin;
 
 /// Cost knobs for one modelled function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FuncCost {
     /// Bin the function belongs to.
     pub bin: Bin,
@@ -45,7 +43,7 @@ impl FuncCost {
 }
 
 /// The full stack configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StackConfig {
     /// TCP maximum segment size.
     pub mss: u32,

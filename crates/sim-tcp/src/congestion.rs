@@ -7,10 +7,8 @@
 //! loss-injection knob) fires the retransmission timeout, which halves
 //! the threshold and restarts slow start.
 
-use serde::{Deserialize, Serialize};
-
 /// Which phase the sender's congestion control is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CongestionPhase {
     /// Exponential ramp: cwnd grows by one segment per ACK.
     SlowStart,
@@ -34,7 +32,7 @@ pub enum CongestionPhase {
 /// cc.on_timeout();
 /// assert_eq!(cc.cwnd(), 2); // back to the initial window
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CongestionState {
     cwnd: u32,
     ssthresh: u32,

@@ -11,7 +11,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use sim_core::ConnectionId;
 use sim_mem::{MemorySystem, RegionId, RegionName, RegionPlan};
 
@@ -20,7 +19,7 @@ use crate::congestion::CongestionState;
 
 /// The memory regions belonging to one connection — the cacheable state
 /// whose locality affinity protects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnectionRegions {
     /// TCP control block (tcp_opt, inet sock, hash chain).
     pub tcp_ctx: RegionId,
@@ -46,7 +45,7 @@ pub struct ConnectionRegions {
 /// must match the arena's current generation for that slot, so a handle
 /// kept across a slot reuse panics instead of silently reading another
 /// flow's state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowId {
     index: u32,
     gen: u32,
@@ -66,7 +65,7 @@ impl FlowId {
 /// it lives in the stack's single [`crate::stack::ListenSocket`]. A slot
 /// on the free list is in `Closed`; `alloc` hands it out still `Closed`
 /// until the SYN is processed in the softirq.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnState {
     /// No connection: the slot is free or the handshake hasn't started.
     Closed,
@@ -86,7 +85,7 @@ pub enum ConnState {
 /// for: socket receive queue, delayed-ACK counter, send-window
 /// accounting, and the rolling slab/DMA cursors that decide which cache
 /// lines each operation touches.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct FlowArena {
     /// Current generation of each slot (bumped on reuse).
     generations: Vec<u32>,

@@ -1,6 +1,5 @@
 //! The TCP stack executor.
 
-use serde::{Deserialize, Serialize};
 use sim_core::{ConnectionId, IrqVector, Result, SimError, SimRng};
 use sim_cpu::{Core, DataTouch, PerfCounters, WorkItem};
 use sim_mem::{MemorySystem, RegionId};
@@ -66,7 +65,7 @@ impl Drop for ExecCtx<'_> {
 }
 
 /// Outcome of processing a batch of received frames in the bottom half.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RxBatchOutcome {
     /// Pure ACK segments generated (already charged, ready for the NIC).
     pub acks_sent: u32,
@@ -115,7 +114,7 @@ struct LifecycleFnIds {
 
 /// The single listening socket of a server-mode stack (the state machine's
 /// LISTEN state). Per-flow states live in the arena ([`ConnState`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ListenSocket {
     /// Maximum connections allowed to wait in the accept backlog.
     pub capacity: u32,
@@ -124,7 +123,7 @@ pub struct ListenSocket {
 }
 
 /// Outcome of SYN processing in the softirq.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SynOutcome {
     /// The connection entered the accept backlog (SYN-ACK sent). `false`
     /// means the backlog was full and the SYN was dropped.
