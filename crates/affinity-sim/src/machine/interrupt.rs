@@ -2,7 +2,7 @@
 //! moderation and delivery, machine-clear attribution, IPIs and the
 //! scheduler wakeups that continue a consumer after its bottom half.
 
-use sim_core::{ConnectionId, CpuId};
+use sim_core::{ConnectionId, CpuId, TaskId};
 use sim_cpu::{ClearReason, PerfCounters};
 use sim_os::IpiKind;
 use sim_prof::FuncId;
@@ -97,7 +97,7 @@ impl Machine {
     fn step_rx(&mut self, c: usize, flow: usize) {
         let cpu = CpuId::new(c as u32);
         if self.stack.rx_available(ConnectionId::new(flow as u32)) == 0 {
-            self.tasks[flow].blocked = Some(BlockReason::RxData);
+            self.blocked[flow] = Some(BlockReason::RxData);
             self.sched.block_current(cpu);
             return;
         }
@@ -181,7 +181,7 @@ impl Machine {
             let flow = self.queue_pending[queue]
                 .iter()
                 .copied()
-                .filter(|&f| self.flow_has_pending(f))
+                .filter(|&f| !self.staged[f].is_empty())
                 .min()
                 .or_else(|| self.queue_flows[queue].first().copied());
             if let Some(decision) = flow.and_then(|f| self.steering.steer(f, &mut self.steer_stats))
@@ -269,7 +269,7 @@ impl Machine {
     /// on is there now.
     pub(super) fn wake_blocked(&mut self, flow: usize, c: usize, now: u64) {
         let conn_id = ConnectionId::new(flow as u32);
-        let should_wake = match self.tasks[flow].blocked {
+        let should_wake = match self.blocked[flow] {
             Some(BlockReason::TxSpace) => {
                 // High watermark: a third of the buffer free again, and
                 // the congestion window has room.
@@ -303,7 +303,7 @@ impl Machine {
     }
 
     fn wake_task(&mut self, flow: usize, from_c: usize, now: u64) {
-        let task = self.tasks[flow].task;
+        let task = TaskId::new(flow as u32);
         let from = CpuId::new(from_c as u32);
         // The bottom half hands the consumer off to its own CPU only if
         // that CPU is not carrying disproportionately more interrupt
@@ -314,7 +314,7 @@ impl Machine {
             .fold(f64::INFINITY, f64::min);
         let affine = self.irq_load(from_c) <= min_irq + self.config.tunables.irq_load_gate;
         let placement = self.sched.wake(task, from, affine).expect("task exists");
-        self.tasks[flow].blocked = None;
+        self.blocked[flow] = None;
         if placement.needs_resched_ipi {
             self.deliver_ipi(from, placement.cpu, IpiKind::Reschedule, now);
         }

@@ -17,8 +17,8 @@
 //! just DMA'd a frame or a transmit completion:
 //!
 //! * **Interrupt plane** — the descriptor is staged into the flow's
-//!   pending state, and the queue's coalescer either raises an interrupt
-//!   or arms its moderation timer. The bottom half runs on whichever CPU
+//!   staged-work record, and the queue's coalescer either raises an
+//!   interrupt or arms its moderation timer. The bottom half runs on whichever CPU
 //!   the APIC routes the vector to; the consumer continues through a
 //!   scheduler wakeup, paying an IPI when its CPU differs. Device
 //!   interrupts and IPIs flush the target pipeline — a machine clear
@@ -27,7 +27,7 @@
 //!   cycle-weighted draw over the code recently executing on that CPU.
 //! * **Poll plane** — the descriptor takes a mempool buffer and goes onto
 //!   the queue's rx ring. The queue's PMD core pops a burst, stages it
-//!   into the same pending state, runs the same bottom half, and
+//!   into the same record, runs the same bottom half, and
 //!   continues the consumer inline (run to completion); idle gaps are
 //!   charged as spin.
 //!
@@ -36,11 +36,12 @@
 //! PMD probe sees everything enqueued at its instant).
 
 use sim_core::{
-    ConnectionId, CpuId, DeviceId, IrqVector, Result, ShardedEventQueue, SimRng, SimTime, TaskId,
+    ConnectionId, CpuId, DeviceId, IrqVector, Result, ShardedEventQueue, SimError, SimRng, SimTime,
+    TaskId,
 };
 use sim_cpu::Core;
 use sim_mem::MemorySystem;
-use sim_net::{Nic, Peer, PeerConfig};
+use sim_net::{CoalesceConfig, Nic, Peer, PeerConfig};
 use sim_os::{CpuMask, IoApic, IpiFabric, IpiKind, Scheduler, SchedulerConfig};
 use sim_prof::{FuncId, PollCounters, Profiler, SteerCounters};
 use sim_tcp::{Bin, ExecCtx, TcpStack};
@@ -102,13 +103,38 @@ enum BlockReason {
     RxData,
 }
 
-/// A ttcp process: the scheduler task of one flow.
-#[derive(Debug, Clone)]
-struct TaskRun {
-    task: TaskId,
-    /// RX: bytes still missing from the current application message.
-    remaining: u64,
-    blocked: Option<BlockReason>,
+/// Everything the NIC has handed the host for one flow since its last
+/// bottom half, taken whole by the next one.
+#[derive(Debug, Clone, Default)]
+struct Staged {
+    /// Payload bytes of each received data frame, in arrival order.
+    frames: Vec<u32>,
+    /// Segments the peer's ACK frames acknowledge.
+    acked: u32,
+    /// Transmit completions.
+    txdone: u32,
+    /// A connection-opening SYN (server workload).
+    syn: bool,
+    /// The client's ACK of our FIN (server workload). Not derivable from
+    /// `ConnState`: the flow is in FIN_WAIT both before and after it is
+    /// staged.
+    finack: bool,
+}
+
+impl Staged {
+    fn push(&mut self, desc: RxDesc) {
+        match desc {
+            RxDesc::Data { bytes, .. } => self.frames.push(bytes),
+            RxDesc::Ack { acked, .. } => self.acked += acked,
+            RxDesc::TxDone { .. } => self.txdone += 1,
+            RxDesc::Syn { .. } => self.syn = true,
+            RxDesc::FinAck { .. } => self.finack = true,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.frames.is_empty() && self.acked == 0 && self.txdone == 0 && !self.syn && !self.finack
+    }
 }
 
 /// The simulated system under test.
@@ -158,9 +184,10 @@ pub struct Machine {
     /// CPU (the spec's `pin_processes`, cached for server-mode charging).
     pin_processes: bool,
 
-    /// The ttcp task of each flow, indexed by flow; empty for server
-    /// workloads, which charge process context directly on a CPU.
-    tasks: Vec<TaskRun>,
+    /// What the ttcp task of each flow is blocked on, indexed by flow
+    /// (task ids follow spawn order, which is flow order); empty for
+    /// server workloads, which charge process context directly on a CPU.
+    blocked: Vec<Option<BlockReason>>,
     last_task_on: Vec<Option<TaskId>>,
     run_since_sched: Vec<u64>,
 
@@ -180,11 +207,8 @@ pub struct Machine {
     /// flow is listed exactly while [`Machine::flow_listed`] holds.
     queue_pending: Vec<Vec<usize>>,
 
-    // Per-flow state staged for the next bottom half.
-    flow_rx_pending: Vec<Vec<u32>>,
-    flow_ack_pending: Vec<u32>,
-    flow_ack_frames: Vec<u32>,
-    flow_txdone_pending: Vec<u32>,
+    /// Per-flow work staged for the next bottom half.
+    staged: Vec<Staged>,
     /// Wire transmission cursor per flow (each flow models its own NIC
     /// queue's bandwidth share).
     wire_cursor: Vec<u64>,
@@ -294,6 +318,20 @@ impl Machine {
         let mut apic = IoApic::new(cpus);
         let mut sched = Scheduler::new(SchedulerConfig::new(cpus));
 
+        // A raised interrupt runs its queue's bottom half at once, so a
+        // queue never holds more staged rx descriptors than one batch:
+        // a batch the ring cannot hold is the one way to overflow it.
+        let batch = match config.nic.coalesce {
+            CoalesceConfig::FixedCount { events } => events,
+            CoalesceConfig::AdaptiveTimeout { max_events, .. } => max_events,
+        };
+        if batch > config.nic.ring_entries {
+            return Err(SimError::config(format!(
+                "coalescing batch {batch} exceeds the {}-entry rx ring",
+                config.nic.ring_entries
+            )));
+        }
+
         // Program the static vector layout the policy prescribes
         // (everything-on-CPU0 layouts write the routing default back,
         // which is a no-op for delivery).
@@ -301,7 +339,7 @@ impl Machine {
             let home = steering.vector_home(q, total_queues, cpus);
             apic.set_affinity(v, CpuMask::single(home))?;
         }
-        let mut tasks = Vec::new();
+        let mut blocked = Vec::new();
         if config.server.is_none() {
             for (i, &q) in flow_queue.iter().enumerate() {
                 // A pinned process lives on its queue's even-spread home
@@ -313,11 +351,9 @@ impl Machine {
                 } else {
                     CpuMask::all(cpus)
                 };
-                tasks.push(TaskRun {
-                    task: sched.spawn(format!("ttcp{i}"), mask)?,
-                    remaining: config.workload.message_bytes,
-                    blocked: None,
-                });
+                let task = sched.spawn(format!("ttcp{i}"), mask)?;
+                debug_assert_eq!(task.index(), i, "task ids follow flow order");
+                blocked.push(None);
             }
         }
 
@@ -403,7 +439,7 @@ impl Machine {
             poll,
             server,
             pin_processes: spec.pin_processes,
-            tasks,
+            blocked,
             last_task_on: vec![None; cpus],
             run_since_sched: vec![0; cpus],
             flow_queue,
@@ -411,10 +447,7 @@ impl Machine {
             queue_nic,
             queue_local,
             queue_pending: vec![Vec::new(); total_queues],
-            flow_rx_pending: vec![Vec::new(); flows],
-            flow_ack_pending: vec![0; flows],
-            flow_ack_frames: vec![0; flows],
-            flow_txdone_pending: vec![0; flows],
+            staged: vec![Staged::default(); flows],
             nic_activity: vec![0; total_queues],
             flush_armed: vec![false; total_queues],
             wire_cursor: vec![0; flows],
@@ -589,9 +622,7 @@ impl Machine {
         }
         let rx = self.config.workload.direction == Direction::Rx;
         if rx {
-            for task in &mut self.tasks {
-                task.blocked = Some(BlockReason::RxData);
-            }
+            self.blocked.fill(Some(BlockReason::RxData));
         }
         if self.server.is_some() {
             self.seed_arrivals();
@@ -604,8 +635,8 @@ impl Machine {
             }
         } else if self.poll.is_none() {
             // Wake every sender; placement spreads per policy.
-            for i in 0..self.tasks.len() {
-                let task = self.tasks[i].task;
+            for i in 0..self.blocked.len() {
+                let task = TaskId::new(i as u32);
                 let from = self
                     .sched
                     .task(task)
@@ -628,15 +659,16 @@ impl Machine {
         let cpu = CpuId::new(c as u32);
         if !self.can_send(flow) {
             // Every bottom half of the queue now re-checks the sender.
-            if !self.flow_has_pending(flow) {
+            if self.staged[flow].is_empty() {
                 self.queue_pending[self.flow_queue[flow]].push(flow);
             }
-            self.tasks[flow].blocked = Some(BlockReason::TxSpace);
+            self.blocked[flow] = Some(BlockReason::TxSpace);
             self.sched.block_current(cpu);
             return;
         }
         let mss = u64::from(self.config.stack.mss);
-        let chunk = (u64::from(self.send_room(flow)) * mss).min(self.tasks[flow].remaining);
+        let left = self.message_left(self.stack.bytes_submitted(ConnectionId::new(flow as u32)));
+        let chunk = (u64::from(self.send_room(flow)) * mss).min(left);
         let cross = self.softirq_cpu(flow).is_some_and(|s| s != cpu);
         let (segs, delta) = self.transmit(c, flow, chunk, cross);
         self.last_process_cpu[flow] = Some(cpu);
@@ -651,12 +683,18 @@ impl Machine {
                 self.steering.consumer_ran(flow, cpu, &mut self.steer_stats);
             }
         }
-        self.tasks[flow].remaining -= chunk;
-        if self.tasks[flow].remaining == 0 {
-            self.tasks[flow].remaining = self.config.workload.message_bytes;
+        if chunk == left {
             let now = self.clocks[c];
             self.on_message_complete(now);
         }
+    }
+
+    /// Bytes of the current application message still to move, given
+    /// the bytes the stack has moved for the flow so far (a finished
+    /// message leaves a whole one to go).
+    fn message_left(&self, moved: u64) -> u64 {
+        let msg = self.config.workload.message_bytes;
+        msg - moved % msg
     }
 
     /// `sendmsg` of `chunk` bytes for `flow` on CPU `c`, driver transmit
@@ -683,26 +721,24 @@ impl Machine {
     fn recv(&mut self, c: usize, flow: usize) -> (u64, u64) {
         let cpu = CpuId::new(c as u32);
         let conn_id = ConnectionId::new(flow as u32);
-        let want = self.tasks[flow].remaining;
+        let want = self.message_left(self.stack.bytes_delivered(conn_id));
         let cross = self.softirq_cpu(flow).is_some_and(|s| s != cpu);
         let read = self.charge(c, |stack, ctx| stack.recvmsg(ctx, conn_id, want, cross));
         self.last_process_cpu[flow] = Some(cpu);
         read
     }
 
-    /// Credits `got` freshly read bytes to `flow`'s task, completing as
-    /// many messages as they finish (stopping once the run is done).
-    fn credit_rx(&mut self, flow: usize, mut got: u64, now: u64) {
+    /// Credits the `got` bytes `flow`'s task just read, completing every
+    /// message they finish (stopping once the run is done).
+    fn credit_rx(&mut self, flow: usize, got: u64, now: u64) {
         let msg = self.config.workload.message_bytes;
-        while got >= self.tasks[flow].remaining {
-            got -= self.tasks[flow].remaining;
-            self.tasks[flow].remaining = msg;
+        let after = self.stack.bytes_delivered(ConnectionId::new(flow as u32));
+        for _ in 0..after / msg - (after - got) / msg {
             self.on_message_complete(now);
             if self.done {
                 return;
             }
         }
-        self.tasks[flow].remaining -= got;
     }
 
     /// Runs one stack operation on CPU `c` and advances its clock by the
@@ -769,36 +805,21 @@ impl Machine {
     fn deliver(&mut self, queue: usize, desc: RxDesc, t: u64) {
         let nic = &mut self.nics[self.queue_nic[queue]];
         let local = self.queue_local[queue];
-        let polled = self.poll.is_some();
-        let raise = match desc {
+        match desc {
             RxDesc::TxDone { flow, bytes } => {
                 let skb_data = self.stack.regions(ConnectionId::new(flow as u32)).skb_data;
                 let off = self.tx_wire_offset[flow];
                 self.tx_wire_offset[flow] += u64::from(bytes);
-                if polled {
-                    nic.dma_tx_frame_polled(local, &mut self.mem, skb_data, off, bytes);
-                    false
-                } else {
-                    nic.dma_tx_frame(local, &mut self.mem, skb_data, off, bytes, t)
-                }
+                nic.dma_tx_frame(local, &mut self.mem, skb_data, off, bytes);
             }
-            _ => {
-                let bytes = match desc {
-                    RxDesc::Data { bytes, .. } => bytes,
-                    _ => 66, // header-only frame
-                };
-                if polled {
-                    nic.dma_rx_frame_polled(local, &mut self.mem, bytes);
-                    false
-                } else {
-                    nic.dma_rx_frame(local, &mut self.mem, bytes, t)
-                }
-            }
-        };
+            RxDesc::Data { bytes, .. } => nic.dma_rx_frame(local, &mut self.mem, bytes),
+            _ => nic.dma_rx_frame(local, &mut self.mem, 66), // header-only frame
+        }
         if let Some(plane) = self.poll.as_mut() {
             plane.enqueue(queue, desc, t);
             return;
         }
+        let raise = nic.moderate(local, t);
         self.stage(queue, desc);
         self.nic_activity[queue] = t;
         if raise {
@@ -815,20 +836,7 @@ impl Machine {
         if !self.flow_listed(flow) {
             self.queue_pending[queue].push(flow);
         }
-        match desc {
-            RxDesc::Data { bytes, .. } => self.flow_rx_pending[flow].push(bytes),
-            RxDesc::Ack { acked, .. } => {
-                self.flow_ack_pending[flow] += acked;
-                self.flow_ack_frames[flow] += 1;
-            }
-            RxDesc::TxDone { .. } => self.flow_txdone_pending[flow] += 1,
-            RxDesc::Syn { .. } => {
-                self.server.as_mut().expect("server mode").syn_pending[flow] = true;
-            }
-            RxDesc::FinAck { .. } => {
-                self.server.as_mut().expect("server mode").finack_pending[flow] = true;
-            }
-        }
+        self.staged[flow].push(desc);
     }
 
     /// True while `flow` is on its queue's `queue_pending` list: it has
@@ -838,19 +846,8 @@ impl Machine {
     /// and can pass before any completion arrives; the flow stays
     /// listed until the sender wakes.
     fn flow_listed(&self, flow: usize) -> bool {
-        self.flow_has_pending(flow)
-            || (self.server.is_none() && self.tasks[flow].blocked == Some(BlockReason::TxSpace))
-    }
-
-    /// True when `flow` has anything staged for its next bottom half.
-    fn flow_has_pending(&self, flow: usize) -> bool {
-        self.flow_txdone_pending[flow] > 0
-            || self.flow_ack_pending[flow] > 0
-            || !self.flow_rx_pending[flow].is_empty()
-            || self
-                .server
-                .as_ref()
-                .is_some_and(|srv| srv.syn_pending[flow] || srv.finack_pending[flow])
+        !self.staged[flow].is_empty()
+            || (self.server.is_none() && self.blocked[flow] == Some(BlockReason::TxSpace))
     }
 
     /// The CPU whose bottom half last ran for `flow`. On the ttcp
@@ -902,17 +899,13 @@ impl Machine {
         // only ever runs on its queue's PMD core.
         let cross = self.last_process_cpu[flow].is_some_and(|p| p != cpu);
 
-        let txdone = std::mem::take(&mut self.flow_txdone_pending[flow]);
-        let acked = std::mem::take(&mut self.flow_ack_pending[flow]);
-        let ack_frames = std::mem::take(&mut self.flow_ack_frames[flow]);
-        let frames = std::mem::take(&mut self.flow_rx_pending[flow]);
-        let (syn, finack) = match self.server.as_mut() {
-            Some(srv) => (
-                std::mem::take(&mut srv.syn_pending[flow]),
-                std::mem::take(&mut srv.finack_pending[flow]),
-            ),
-            None => (false, false),
-        };
+        let Staged {
+            frames,
+            acked,
+            txdone,
+            syn,
+            finack,
+        } = std::mem::take(&mut self.staged[flow]);
 
         let tx_ring = self.nics[nic].tx_ring(local);
         let rx_ring = self.nics[nic].rx_ring(local);
@@ -932,12 +925,6 @@ impl Machine {
             }
             syn_queued
         });
-        if self.poll.is_none() {
-            // Every frame (ACKs, the SYN and FIN-ACK included) consumed
-            // one rx descriptor; PMD cores returned theirs at dequeue.
-            let reclaimed = ack_frames + u32::from(syn) + u32::from(finack) + frames.len() as u32;
-            self.nics[nic].reclaim_rx(local, reclaimed);
-        }
         if !frames.is_empty() {
             self.peer_inflight[flow] = self.peer_inflight[flow].saturating_sub(frames.len() as u32);
             // Out-of-order-completion signature (Wu et al.): data frames
@@ -988,7 +975,7 @@ impl Machine {
         }
         if self.poll.is_none() {
             self.wake_blocked(flow, c, now);
-            if self.tasks[flow].blocked == Some(BlockReason::TxSpace) {
+            if self.blocked[flow] == Some(BlockReason::TxSpace) {
                 self.queue_pending[queue].push(flow);
             }
         }
@@ -1143,7 +1130,32 @@ impl Machine {
 
 #[cfg(test)]
 mod tests {
-    use super::should_trace;
+    use super::{should_trace, Machine};
+    use crate::experiment::ExperimentConfig;
+    use crate::workload::Direction;
+    use crate::AffinityMode;
+    use sim_net::CoalesceConfig;
+
+    #[test]
+    fn coalescing_batch_must_fit_the_rx_ring() {
+        let base = ExperimentConfig::paper_sut(Direction::Rx, 1024, AffinityMode::None).quick();
+        let with = |coalesce| {
+            let mut config = base.clone();
+            config.nic.coalesce = coalesce;
+            Machine::new(&config)
+        };
+        let ring = base.nic.ring_entries;
+        assert!(with(CoalesceConfig::FixedCount { events: ring }).is_ok());
+        assert!(with(CoalesceConfig::FixedCount { events: ring + 1 }).is_err());
+        let adaptive = |max_events| CoalesceConfig::AdaptiveTimeout {
+            min_events: 1,
+            max_events,
+            idle_gap_cycles: 8_000,
+            timeout_cycles: 12_000,
+        };
+        assert!(with(adaptive(ring)).is_ok());
+        assert!(with(adaptive(ring + 1)).is_err());
+    }
 
     #[test]
     fn trace_gate_fires_on_powers_of_two_and_200k_multiples() {

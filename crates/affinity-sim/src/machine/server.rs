@@ -27,13 +27,10 @@ pub(super) struct ServerState {
     /// Measurement-window lifecycle counters.
     pub(super) window_accepts: u64,
     pub(super) window_completes: u64,
-    /// Per-slot scratch, indexed by flow slot (reset at each
-    /// incarnation's admission).
-    pub(super) syn_pending: Vec<bool>,
-    pub(super) finack_pending: Vec<bool>,
-    request_remaining: Vec<u64>,
-    response_remaining: Vec<u64>,
-    conn_bytes: Vec<u64>,
+    /// Per-slot facts of the current incarnation, indexed by flow slot
+    /// and stamped at admission: the response size, and the SYN's
+    /// arrival time. Byte progress is the stack's per-incarnation count.
+    response_bytes: Vec<u64>,
     started_at: Vec<u64>,
     /// Flow-completion-time samples (SYN arrival → teardown complete)
     /// from the measurement window.
@@ -51,11 +48,7 @@ impl ServerState {
             backlog_drops: 0,
             window_accepts: 0,
             window_completes: 0,
-            syn_pending: vec![false; slots],
-            finack_pending: vec![false; slots],
-            request_remaining: vec![0; slots],
-            response_remaining: vec![0; slots],
-            conn_bytes: vec![0; slots],
+            response_bytes: vec![0; slots],
             started_at: vec![0; slots],
             fct: Vec::new(),
         }
@@ -86,9 +79,8 @@ impl Machine {
     }
 
     /// Admits one arriving connection: allocates an arena slot, stamps
-    /// the incarnation's serial and request/response sizes, and returns
-    /// the slot — or counts a drop and arms the client's SYN
-    /// retransmission.
+    /// the incarnation's response size and start time, and returns the
+    /// slot — or counts a drop and arms the client's SYN retransmission.
     pub(super) fn server_admit(&mut self, t: u64) -> Option<usize> {
         let Some(conn) = self.stack.flow_alloc() else {
             let srv = self.server.as_mut().expect("server mode");
@@ -97,15 +89,14 @@ impl Machine {
             return None;
         };
         let flow = conn.index();
+        debug_assert!(
+            self.staged[flow].is_empty(),
+            "slot {flow}'s previous incarnation left work staged"
+        );
         let srv = self.server.as_mut().expect("server mode");
-        let serial = srv.serial;
+        srv.response_bytes[flow] = srv.workload.response_for(srv.serial);
         srv.serial += 1;
-        srv.request_remaining[flow] = srv.workload.request_bytes;
-        srv.response_remaining[flow] = srv.workload.response_for(serial);
-        srv.conn_bytes[flow] = srv.request_remaining[flow] + srv.response_remaining[flow];
         srv.started_at[flow] = t;
-        srv.syn_pending[flow] = false;
-        srv.finack_pending[flow] = false;
         Some(flow)
     }
 
@@ -221,12 +212,23 @@ impl Machine {
         self.wire_cursor[flow] = at;
     }
 
+    /// Request bytes of `flow`'s current incarnation not yet read.
+    fn request_left(&self, flow: usize) -> u64 {
+        let request = self
+            .server
+            .as_ref()
+            .expect("server mode")
+            .workload
+            .request_bytes;
+        request.saturating_sub(self.stack.bytes_delivered(ConnectionId::new(flow as u32)))
+    }
+
     /// `recvmsg` loop on the process CPU, consuming whatever request
     /// bytes the softirq queued.
     fn server_consume_request(&mut self, c: usize, flow: usize) {
         let conn_id = ConnectionId::new(flow as u32);
         loop {
-            let want = self.server.as_ref().expect("server mode").request_remaining[flow];
+            let want = self.request_left(flow);
             if want == 0 || self.stack.rx_available(conn_id) == 0 {
                 return;
             }
@@ -242,8 +244,6 @@ impl Machine {
             if got == 0 {
                 return;
             }
-            let srv = self.server.as_mut().expect("server mode");
-            srv.request_remaining[flow] = srv.request_remaining[flow].saturating_sub(got);
         }
     }
 
@@ -252,13 +252,11 @@ impl Machine {
     /// segment is ACKed, sends the FIN.
     fn server_pump_response(&mut self, c: usize, flow: usize) {
         let conn_id = ConnectionId::new(flow as u32);
-        let (requested, remaining) = {
-            let srv = self.server.as_ref().expect("server mode");
-            (srv.request_remaining[flow], srv.response_remaining[flow])
-        };
-        if requested > 0 {
+        if self.request_left(flow) > 0 {
             return; // request still in flight from the client
         }
+        let remaining = self.server.as_ref().expect("server mode").response_bytes[flow]
+            - self.stack.bytes_submitted(conn_id);
         let pc = self.server_proc_cpu(flow, c);
         let cpu = CpuId::new(pc as u32);
         let cross = self.softirq_cpu(flow).is_some_and(|s| s != cpu);
@@ -273,8 +271,6 @@ impl Machine {
             self.transmit(pc, flow, chunk, cross);
             self.last_process_cpu[flow] = Some(cpu);
             self.steering.consumer_ran(flow, cpu, &mut self.steer_stats);
-            let srv = self.server.as_mut().expect("server mode");
-            srv.response_remaining[flow] -= chunk;
             return;
         }
         // Response fully submitted: FIN once the retransmission queue
@@ -316,7 +312,7 @@ impl Machine {
                 srv.workload.warmup_conns,
                 srv.workload.total_conns(),
                 srv.scheduled < srv.workload.total_conns(),
-                srv.conn_bytes[flow],
+                srv.workload.request_bytes + srv.response_bytes[flow],
             )
         };
         self.total_messages += 1;

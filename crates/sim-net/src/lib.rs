@@ -21,8 +21,8 @@
 //! * [`SpscRing`] / [`Mempool`] — the kernel-bypass dataplane's lockless
 //!   single-producer/single-consumer descriptor rings and packet-buffer
 //!   pool, consumed by busy-polling PMD cores instead of the interrupt
-//!   path ([`Nic::dma_rx_frame_polled`] DMAs a frame without touching
-//!   the coalescer or asserting a vector);
+//!   path (the frame is DMA'd the same way, but no PMD core calls
+//!   [`Nic::moderate`], so no vector is asserted);
 //! * [`Peer`] — a stand-in for the client machines: it acks transmitted
 //!   data (delayed-ack style, one ACK per two segments) and sources bulk
 //!   data for receive tests, with deterministic jitter.
@@ -40,7 +40,8 @@
 //! // Four 1500-byte frames arrive on queue 0; coalescing raises one interrupt.
 //! let mut raised = 0;
 //! for _ in 0..4 {
-//!     if nic.dma_rx_frame(0, &mut mem, 1500, 0) {
+//!     nic.dma_rx_frame(0, &mut mem, 1500);
+//!     if nic.moderate(0, 0) {
 //!         raised += 1;
 //!     }
 //! }

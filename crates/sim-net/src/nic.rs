@@ -44,8 +44,6 @@ pub struct NicStats {
     pub tx_completions: u64,
     /// Interrupts raised (post-coalescing).
     pub interrupts: u64,
-    /// RX frames dropped because the ring was full.
-    pub rx_drops: u64,
 }
 
 /// One hardware queue: descriptor rings, buffers, moderation state and
@@ -57,7 +55,6 @@ struct Queue {
     tx_ring: RegionId,
     rx_buffers: RegionId,
     rx_head: u32,
-    rx_outstanding: u32,
     tx_head: u32,
     coalescer: Coalescer,
 }
@@ -126,7 +123,6 @@ impl Nic {
                     tx_ring,
                     rx_buffers,
                     rx_head: 0,
-                    rx_outstanding: 0,
                     tx_head: 0,
                     coalescer: config.coalesce.build(),
                 }
@@ -191,87 +187,13 @@ impl Nic {
         self.queues[queue].coalescer.timeout_cycles()
     }
 
-    /// A frame of `bytes` payload arrives on `queue` at cycle `now`: the
-    /// device DMA-writes the payload into an RX buffer and the descriptor
-    /// ring, then applies interrupt moderation. Returns `true` when an
-    /// interrupt should be asserted. Frames are dropped (counted, no
-    /// interrupt contribution) when the RX ring has no free descriptors —
-    /// i.e. when the host is not keeping up.
-    pub fn dma_rx_frame(
-        &mut self,
-        queue: usize,
-        mem: &mut MemorySystem,
-        bytes: u32,
-        now: u64,
-    ) -> bool {
-        let q = &mut self.queues[queue];
-        if q.rx_outstanding >= self.config.ring_entries {
-            self.stats.rx_drops += 1;
-            return false;
-        }
-        q.rx_outstanding += 1;
-        self.fill_rx(queue, mem, bytes);
-        self.moderate(queue, now)
-    }
-
-    /// A frame arrives on `queue` under a poll-mode dataplane: the DMA
-    /// writes are identical to [`Nic::dma_rx_frame`] (payload lands
-    /// uncached, the descriptor ring is touched), but the coalescer is
-    /// bypassed and no interrupt is ever asserted — a busy-polling PMD
-    /// core discovers the descriptor by probing the ring. Descriptor
-    /// occupancy is owned by the dataplane's [`crate::SpscRing`], not the
-    /// device, so nothing is dropped here.
-    pub fn dma_rx_frame_polled(&mut self, queue: usize, mem: &mut MemorySystem, bytes: u32) {
-        self.fill_rx(queue, mem, bytes);
-    }
-
-    /// The device transmits a frame under a poll-mode dataplane: DMA-reads
-    /// the payload and writes back the completion descriptor, with no
-    /// coalescing and no interrupt (the PMD core polls for completions).
-    pub fn dma_tx_frame_polled(
-        &mut self,
-        queue: usize,
-        mem: &mut MemorySystem,
-        payload_region: RegionId,
-        payload_offset: u64,
-        bytes: u32,
-    ) {
-        self.fill_tx(queue, mem, payload_region, payload_offset, bytes);
-    }
-
-    /// The driver consumed `frames` RX descriptors on `queue` (reclaim
-    /// after the bottom half processed them).
-    pub fn reclaim_rx(&mut self, queue: usize, frames: u32) {
-        let q = &mut self.queues[queue];
-        q.rx_outstanding = q.rx_outstanding.saturating_sub(frames);
-    }
-
-    /// RX descriptors currently filled and unreclaimed on `queue`.
-    #[must_use]
-    pub fn rx_outstanding(&self, queue: usize) -> u32 {
-        self.queues[queue].rx_outstanding
-    }
-
-    /// The device transmits a queued frame on `queue` at cycle `now`:
-    /// DMA-reads the payload from `payload_region` and writes back the
-    /// completion descriptor, then applies interrupt moderation. Returns
-    /// `true` when a TX-completion interrupt should be asserted.
-    pub fn dma_tx_frame(
-        &mut self,
-        queue: usize,
-        mem: &mut MemorySystem,
-        payload_region: RegionId,
-        payload_offset: u64,
-        bytes: u32,
-        now: u64,
-    ) -> bool {
-        self.fill_tx(queue, mem, payload_region, payload_offset, bytes);
-        self.moderate(queue, now)
-    }
-
-    /// The RX slot fill both dataplanes share: payload into the next
-    /// slot's buffer (2 KB each on the paper NIC), then its descriptor.
-    fn fill_rx(&mut self, queue: usize, mem: &mut MemorySystem, bytes: u32) {
+    /// A frame of `bytes` payload arrives on `queue`: the device
+    /// DMA-writes the payload into the next slot's RX buffer (2 KB each
+    /// on the paper NIC), then its descriptor. Arriving payload lands
+    /// uncached. Moderation is the caller's next step on the interrupt
+    /// plane ([`Nic::moderate`]); a busy-polling PMD core discovers the
+    /// descriptor by probing the ring instead.
+    pub fn dma_rx_frame(&mut self, queue: usize, mem: &mut MemorySystem, bytes: u32) {
         let entries = self.config.ring_entries;
         let descriptor_bytes = u64::from(self.config.descriptor_bytes);
         let buf_size = self.config.rx_buffer_bytes / u64::from(entries);
@@ -283,9 +205,11 @@ impl Nic {
         self.stats.rx_frames += 1;
     }
 
-    /// The TX slot fill both dataplanes share: payload read out of host
-    /// memory, completion descriptor written back.
-    fn fill_tx(
+    /// The device transmits a queued frame on `queue`: DMA-reads the
+    /// payload from `payload_region` and writes back the completion
+    /// descriptor. Moderation, as for [`Nic::dma_rx_frame`], is the
+    /// interrupt plane's next step.
+    pub fn dma_tx_frame(
         &mut self,
         queue: usize,
         mem: &mut MemorySystem,
@@ -303,9 +227,10 @@ impl Nic {
         self.stats.tx_completions += 1;
     }
 
-    /// Steps `queue`'s coalescer for one event at `now`; `true` (and one
-    /// counted interrupt) when it fires.
-    fn moderate(&mut self, queue: usize, now: u64) -> bool {
+    /// Steps `queue`'s coalescer for one DMA'd frame or completion at
+    /// `now`; `true` (and one counted interrupt) when an interrupt should
+    /// be asserted.
+    pub fn moderate(&mut self, queue: usize, now: u64) -> bool {
         let fire = self.queues[queue].coalescer.on_event(now);
         self.stats.interrupts += u64::from(fire);
         fire
@@ -352,12 +277,18 @@ mod tests {
         (mem, nic)
     }
 
+    /// An interrupt-plane RX arrival: DMA, then moderation.
+    fn rx(nic: &mut Nic, mem: &mut MemorySystem, queue: usize, bytes: u32) -> bool {
+        nic.dma_rx_frame(queue, mem, bytes);
+        nic.moderate(queue, 0)
+    }
+
     #[test]
     fn coalescing_counts_events() {
         let (mut mem, mut nic) = setup();
         let mut interrupts = 0;
         for _ in 0..16 {
-            if nic.dma_rx_frame(0, &mut mem, 1500, 0) {
+            if rx(&mut nic, &mut mem, 0, 1500) {
                 interrupts += 1;
             }
         }
@@ -369,7 +300,7 @@ mod tests {
     #[test]
     fn flush_fires_partial_batch() {
         let (mut mem, mut nic) = setup();
-        assert!(!nic.dma_rx_frame(0, &mut mem, 100, 0));
+        assert!(!rx(&mut nic, &mut mem, 0, 100));
         assert!(nic.flush_coalescing(0));
         assert!(!nic.flush_coalescing(0), "nothing pending after flush");
     }
@@ -385,24 +316,9 @@ mod tests {
                 .llc_misses,
             0
         );
-        nic.dma_rx_frame(0, &mut mem, 1500, 0);
+        nic.dma_rx_frame(0, &mut mem, 1500);
         let after = mem.data_touch(cpu, nic.rx_buffers(0), 0, 1500, false);
         assert!(after.llc_misses > 0, "DMA'd payload must be uncached");
-    }
-
-    #[test]
-    fn ring_overflow_drops() {
-        let (mut mem, mut nic) = setup();
-        for _ in 0..256 {
-            nic.dma_rx_frame(0, &mut mem, 100, 0);
-        }
-        assert_eq!(nic.rx_outstanding(0), 256);
-        assert!(!nic.dma_rx_frame(0, &mut mem, 100, 0));
-        assert_eq!(nic.stats().rx_drops, 1);
-        nic.reclaim_rx(0, 100);
-        assert_eq!(nic.rx_outstanding(0), 156);
-        nic.dma_rx_frame(0, &mut mem, 100, 0);
-        assert_eq!(nic.stats().rx_drops, 1);
     }
 
     #[test]
@@ -411,7 +327,8 @@ mod tests {
         let payload = mem.add_region("app.buf", 65536);
         let mut interrupts = 0;
         for i in 0..8 {
-            if nic.dma_tx_frame(0, &mut mem, payload, i * 1448, 1448, 0) {
+            nic.dma_tx_frame(0, &mut mem, payload, i * 1448, 1448);
+            if nic.moderate(0, 0) {
                 interrupts += 1;
             }
         }
@@ -425,7 +342,7 @@ mod tests {
         let payload = mem.add_region("app.buf", 4096);
         let cpu = CpuId::new(0);
         mem.data_touch(cpu, payload, 0, 4096, true); // app writes buffer
-        nic.dma_tx_frame(0, &mut mem, payload, 0, 1448, 0);
+        nic.dma_tx_frame(0, &mut mem, payload, 0, 1448);
         // Transmit DMA reads; payload stays cached for reuse (ttcp reuses
         // the same buffer every iteration — the paper's TX caching setup).
         assert_eq!(mem.data_touch(cpu, payload, 0, 1448, false).llc_misses, 0);
@@ -468,15 +385,12 @@ mod tests {
         // Coalescing state is per queue: three frames on q0 leave its
         // batch open; a fourth on q1 does not close q0's batch.
         for _ in 0..3 {
-            assert!(!nic.dma_rx_frame(0, &mut mem, 1500, 0));
+            assert!(!rx(&mut nic, &mut mem, 0, 1500));
         }
-        assert!(!nic.dma_rx_frame(1, &mut mem, 1500, 0));
-        assert!(nic.dma_rx_frame(0, &mut mem, 1500, 0));
-        assert_eq!(nic.rx_outstanding(0), 4);
-        assert_eq!(nic.rx_outstanding(1), 1);
-        nic.reclaim_rx(0, 4);
-        assert_eq!(nic.rx_outstanding(0), 0);
-        assert_eq!(nic.rx_outstanding(1), 1);
+        assert!(!rx(&mut nic, &mut mem, 1, 1500));
+        assert!(rx(&mut nic, &mut mem, 0, 1500));
+        assert!(!nic.flush_coalescing(0), "q0's batch closed on its own");
+        assert!(nic.flush_coalescing(1), "q1's lone frame is still open");
     }
 
     #[test]
@@ -502,37 +416,26 @@ mod tests {
         let (mut mem, mut nic) = setup();
         let payload = mem.add_region("app.buf", 65536);
         for _ in 0..64 {
-            nic.dma_rx_frame_polled(0, &mut mem, 1500);
+            nic.dma_rx_frame(0, &mut mem, 1500);
         }
         for i in 0..8 {
-            nic.dma_tx_frame_polled(0, &mut mem, payload, i * 1448, 1448);
+            nic.dma_tx_frame(0, &mut mem, payload, i * 1448, 1448);
         }
         assert_eq!(nic.stats().rx_frames, 64);
         assert_eq!(nic.stats().tx_completions, 8);
         assert_eq!(
             nic.stats().interrupts,
             0,
-            "poll mode bypasses the coalescer"
+            "a PMD core never calls the coalescer"
         );
-        assert_eq!(nic.stats().rx_drops, 0);
         // The coalescer holds no half-open batch either.
         assert!(!nic.flush_coalescing(0));
     }
 
     #[test]
-    fn polled_rx_dma_still_evicts_payload() {
-        let (mut mem, mut nic) = setup();
-        let cpu = CpuId::new(0);
-        mem.data_touch(cpu, nic.rx_buffers(0), 0, 2048, false);
-        nic.dma_rx_frame_polled(0, &mut mem, 1500);
-        let after = mem.data_touch(cpu, nic.rx_buffers(0), 0, 1500, false);
-        assert!(after.llc_misses > 0, "polled DMA payload must be uncached");
-    }
-
-    #[test]
     fn reset_stats() {
         let (mut mem, mut nic) = setup();
-        nic.dma_rx_frame(0, &mut mem, 100, 0);
+        rx(&mut nic, &mut mem, 0, 100);
         nic.reset_stats();
         assert_eq!(nic.stats(), NicStats::default());
     }

@@ -705,13 +705,12 @@ mod tests {
             s.block_current(CPU1);
         }
         let before = s.load(CPU0);
-        if before > 0 {
-            let stolen = s.steal_into(CPU1);
-            assert!(stolen.is_some());
-            assert_eq!(s.load(CPU0), before - 1);
-            assert_eq!(s.pick_next(CPU1), stolen);
-            assert_eq!(s.stats().balance_migrations, 1);
-        }
+        assert!(before > 0, "wake placement left CPU0 nothing to steal");
+        let stolen = s.steal_into(CPU1);
+        assert!(stolen.is_some());
+        assert_eq!(s.load(CPU0), before - 1);
+        assert_eq!(s.pick_next(CPU1), stolen);
+        assert_eq!(s.stats().balance_migrations, 1);
     }
 
     #[test]

@@ -375,6 +375,28 @@ impl TcpStack {
         self.flows.tx_unacked[self.slot_of(conn)]
     }
 
+    /// Bytes `recvmsg` has copied to the application on `conn` since the
+    /// slot's current incarnation began.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `conn` is out of range.
+    #[must_use]
+    pub fn bytes_delivered(&self, conn: ConnectionId) -> u64 {
+        self.flows.rx_bytes_delivered[self.slot_of(conn)]
+    }
+
+    /// Bytes `sendmsg` has accepted from the application on `conn` since
+    /// the slot's current incarnation began.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `conn` is out of range.
+    #[must_use]
+    pub fn bytes_submitted(&self, conn: ConnectionId) -> u64 {
+        self.flows.tx_bytes_submitted[self.slot_of(conn)]
+    }
+
     /// The congestion-control state of `conn` (read-only view).
     ///
     /// # Panics
@@ -1236,6 +1258,27 @@ mod tests {
         assert_eq!(segs.len(), 46);
         assert_eq!(segs.iter().map(|&s| u64::from(s)).sum::<u64>(), 65536);
         assert_eq!(h.stack.tx_inflight(CONN), 46);
+    }
+
+    #[test]
+    fn byte_counters_restart_with_each_incarnation() {
+        let mut h = harness();
+        h.stack.listen(1);
+        let conn = h.stack.flow_alloc().expect("one slot free");
+        let mut ctx = ExecCtx::new(&mut h.core, &mut h.mem, &mut h.prof, &mut h.rng);
+        h.stack.sendmsg(&mut ctx, conn, 3000, false);
+        h.stack
+            .rx_bottom_half(&mut ctx, conn, &[1448, 1448], h.rx_ring, false);
+        assert_eq!(h.stack.recvmsg(&mut ctx, conn, 2000, false), 2 * 1448);
+        drop(ctx);
+        assert_eq!(h.stack.bytes_submitted(conn), 3000);
+        assert_eq!(h.stack.bytes_delivered(conn), 2 * 1448);
+
+        h.stack.flow_free(conn);
+        let again = h.stack.flow_alloc().expect("the freed slot");
+        assert_eq!(again, conn, "the arena reuses the only slot");
+        assert_eq!(h.stack.bytes_submitted(again), 0);
+        assert_eq!(h.stack.bytes_delivered(again), 0);
     }
 
     #[test]

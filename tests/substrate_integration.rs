@@ -90,7 +90,7 @@ fn dma_then_copy_misses_propagate_through_stack() {
     let rx_ring = r.nic.rx_ring(0);
     // Frames DMA in, bottom half queues them, recvmsg copies them out.
     for _ in 0..4 {
-        r.nic.dma_rx_frame(0, &mut r.mem, 1448, 0);
+        r.nic.dma_rx_frame(0, &mut r.mem, 1448);
     }
     {
         let mut ctx = ExecCtx::new(&mut r.cores[0], &mut r.mem, &mut r.prof, &mut r.rng);
