@@ -245,18 +245,25 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns a configuration error if the memory or stack config is
-    /// invalid or an affinity mask cannot be applied.
+    /// Returns a configuration error if the CPU count differs from the
+    /// memory system's (whose validation bounds it to
+    /// `1..=MemoryConfig::MAX_CPUS`), if there is no connection, if the
+    /// memory or stack config is invalid or an affinity mask cannot be
+    /// applied.
     pub fn new(config: &ExperimentConfig) -> Result<Self> {
         let cpus = config.cpus;
-        assert!(
-            (1..=64).contains(&cpus),
-            "machine supports 1..=64 CPUs (cpumask and ready-set words), got {cpus}"
-        );
+        if cpus != config.mem.cpus {
+            return Err(SimError::config(format!(
+                "{cpus} cpus but the memory system models {}",
+                config.mem.cpus
+            )));
+        }
+        config.mem.validate()?;
         let nics_n = config.nics;
         let flows = config.connections;
-        assert!(flows > 0, "machine needs at least one connection");
-        config.mem.validate()?;
+        if flows == 0 {
+            return Err(SimError::config("machine needs at least one connection"));
+        }
         let mut mem = MemorySystem::new(config.mem.clone());
         let mut rng = SimRng::new(config.seed);
 
@@ -1134,6 +1141,7 @@ mod tests {
     use crate::experiment::ExperimentConfig;
     use crate::workload::Direction;
     use crate::AffinityMode;
+    use sim_mem::MemoryConfig;
     use sim_net::CoalesceConfig;
 
     #[test]
@@ -1155,6 +1163,29 @@ mod tests {
         };
         assert!(with(adaptive(ring)).is_ok());
         assert!(with(adaptive(ring + 1)).is_err());
+    }
+
+    #[test]
+    fn cpu_count_and_connections_are_checked_at_construction() {
+        let base = ExperimentConfig::paper_sut(Direction::Rx, 1024, AffinityMode::None).quick();
+        assert!(Machine::new(&base).is_ok());
+        // More CPUs than the memory system models (it stays at two).
+        let mut config = base.clone();
+        config.cpus = 4;
+        assert!(Machine::new(&config).is_err());
+        // Fewer CPUs than the memory system models.
+        config.cpus = 1;
+        assert!(Machine::new(&config).is_err());
+        // Beyond the coherence directory's limit, agreeing counts or not.
+        for cpus in [0, MemoryConfig::MAX_CPUS + 1] {
+            let mut config = base.clone();
+            config.cpus = cpus;
+            config.mem.cpus = cpus;
+            assert!(Machine::new(&config).is_err(), "{cpus} cpus");
+        }
+        let mut config = base;
+        config.connections = 0;
+        assert!(Machine::new(&config).is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@ impl Machine {
     /// trail device time, so a wire/timer computation may produce a
     /// timestamp the queue has already passed. Every event the machine
     /// schedules goes through here, so the watermark panic in
-    /// `EventQueue::push` is unreachable from the run loop.
+    /// `ShardedEventQueue::push` is unreachable from the run loop.
     pub(super) fn push_event(&mut self, at: u64, event: Event) {
         let at = at.max(self.events.now().cycles());
         let lane = self.event_lane(&event);

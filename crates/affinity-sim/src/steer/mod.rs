@@ -23,8 +23,8 @@
 //! constructor mapping each paper mode to a spec.
 //!
 //! Interrupt *moderation* is the fourth, per-queue decision; it lives in
-//! [`sim_net::coalesce`] as [`CoalescePolicy`](sim_net::CoalescePolicy)
-//! because it belongs to the device, not the steering plane.
+//! [`sim_net::coalesce`] as the [`Coalescer`](sim_net::Coalescer) state
+//! machine because it belongs to the device, not the steering plane.
 
 use sim_core::CpuId;
 use sim_prof::SteerCounters;

@@ -3,9 +3,12 @@
 //!
 //! ```text
 //! experiment [--dir tx|rx] [--size BYTES] [--mode none|proc|irq|full]
-//!            [--cpus N] [--seed N] [--messages N] [--warmup N]
+//!            [--cpus 2|4] [--seed N] [--messages N] [--warmup N]
 //!            [--loss RATE] [--rss] [--rotate CYCLES]
 //! ```
+//!
+//! `--cpus` picks the paper's 2-CPU SUT or its §5 4-CPU variant; any
+//! other count is rejected.
 
 #![forbid(unsafe_code)]
 
@@ -16,8 +19,9 @@ use sim_tcp::Bin;
 fn usage() -> ! {
     eprintln!(
         "usage: experiment [--dir tx|rx] [--size BYTES] [--mode none|proc|irq|full]\n\
-         \t[--cpus N] [--seed N] [--messages N] [--warmup N]\n\
-         \t[--loss RATE] [--rss] [--rotate CYCLES]"
+         \t[--cpus 2|4] [--seed N] [--messages N] [--warmup N]\n\
+         \t[--loss RATE] [--rss] [--rotate CYCLES]\n\
+         --cpus: 2 (the paper SUT) or 4 (its four-processor variant)"
     );
     std::process::exit(2);
 }
@@ -55,7 +59,13 @@ fn main() {
                     _ => usage(),
                 }
             }
-            "--cpus" => cpus = value().parse().unwrap_or_else(|_| usage()),
+            "--cpus" => {
+                cpus = match value().as_str() {
+                    "2" => 2,
+                    "4" => 4,
+                    _ => usage(),
+                }
+            }
             "--seed" => seed = value().parse().unwrap_or_else(|_| usage()),
             "--messages" => messages = value().parse().unwrap_or_else(|_| usage()),
             "--warmup" => warmup = value().parse().unwrap_or_else(|_| usage()),

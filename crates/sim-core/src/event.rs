@@ -1,8 +1,8 @@
 //! A stable, deterministic event queue.
 //!
 //! Discrete-event simulators live or die by the determinism of their event
-//! ordering. [`EventQueue`] orders events first by timestamp and breaks
-//! ties by insertion sequence number, so two events scheduled for the same
+//! ordering. [`ShardedEventQueue`] orders events first by timestamp and
+//! breaks ties by insertion sequence number, so two events scheduled for the same
 //! cycle always pop in the order they were pushed, regardless of storage
 //! internals.
 //!
@@ -10,13 +10,13 @@
 //!
 //! The queue tracks a *watermark*: the timestamp of the most recently
 //! popped event, i.e. how far simulated time has provably advanced. Every
-//! [`EventQueue::push`] must satisfy `time >= watermark` — scheduling
+//! [`ShardedEventQueue::push`] must satisfy `time >= watermark` — scheduling
 //! behind the watermark would mean an event fires in the caller's past,
 //! and the queue panics rather than silently reordering history.
 //! Scheduling *at* the watermark is always legal (the new event pops
 //! after anything already pending at that cycle, FIFO). Callers reacting
 //! to the event being processed right now should use
-//! [`EventQueue::schedule_now`], which pins the timestamp to the
+//! [`ShardedEventQueue::schedule_now`], which pins the timestamp to the
 //! watermark and therefore can never violate the contract; callers
 //! computing a future timestamp from per-CPU clocks that may trail the
 //! queue (the machine's CPUs run ahead of and behind device time) must
@@ -33,8 +33,8 @@
 //! percolation; far-future events (wire and RTT delays, timers) pay
 //! exactly the old heap cost.
 //!
-//! [`ShardedEventQueue`] adds a third store beside its lanes' calendars:
-//! a FIFO *timer run* ([`ShardedEventQueue::push_timer`]). A timer armed a
+//! The queue adds a third store beside its lanes' calendars: a FIFO
+//! *timer run* ([`ShardedEventQueue::push_timer`]). A timer armed a
 //! fixed delay past a non-decreasing clock — a retransmission timeout
 //! `watermark + RTO` — is never earlier than the previous one, so it is
 //! a deque append and later a deque pop instead of a far-heap push and
@@ -64,7 +64,7 @@
 //!   stores are broken by `seq` like everywhere else, so the merged
 //!   sequence is the same total order the old single heap produced.
 //!
-//! [`ShardedEventQueue`] extends the same argument across per-CPU lanes:
+//! The queue extends the same argument across per-CPU lanes:
 //! the lanes share one sequence counter and one watermark, and every pop
 //! takes the `(time, seq)`-minimum across lanes, so *which* lane stores
 //! an event is pure storage layout and cannot affect pop order.
@@ -132,8 +132,8 @@ const WORD_BITS: usize = 64;
 
 /// Two-level deterministic calendar: near-future per-cycle ring + far
 /// overflow heap. Sequence numbers and the causality watermark live in
-/// the wrapper types ([`EventQueue`], [`ShardedEventQueue`]) so several
-/// calendars can share one sequence space. See the module docs for the
+/// [`ShardedEventQueue`] so its lanes' calendars share one sequence
+/// space. See the module docs for the
 /// ordering proof.
 #[derive(Debug, Clone)]
 struct Calendar<E> {
@@ -271,134 +271,14 @@ impl<E> Calendar<E> {
     }
 }
 
-/// A deterministic min-queue of timestamped events.
-///
-/// # Example
-///
-/// ```
-/// use sim_core::{EventQueue, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.push(SimTime::from_cycles(5), 'b');
-/// q.push(SimTime::from_cycles(5), 'c'); // same cycle: FIFO order
-/// q.push(SimTime::from_cycles(1), 'a');
-/// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-/// assert_eq!(order, ['a', 'b', 'c']);
-/// ```
-#[derive(Debug, Clone)]
-pub struct EventQueue<E> {
-    calendar: Calendar<E>,
-    next_seq: u64,
-    /// Highest timestamp ever popped; used to reject scheduling in the past.
-    watermark: SimTime,
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty queue with room for `capacity` far-future events.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            calendar: Calendar::with_capacity(capacity),
-            next_seq: 0,
-            watermark: SimTime::ZERO,
-        }
-    }
-
-    /// Schedules `event` to fire at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than the timestamp of the most recently
-    /// popped event: scheduling into the past would violate causality and
-    /// indicates a bug in the caller.
-    pub fn push(&mut self, time: SimTime, event: E) {
-        assert!(
-            time >= self.watermark,
-            "event scheduled at {time} but simulation already advanced to {}",
-            self.watermark
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.calendar.push(self.watermark, time, seq, event);
-    }
-
-    /// Schedules `event` for the current watermark — "as soon as
-    /// possible" from the queue's point of view. Unlike [`EventQueue::push`]
-    /// with a caller-computed timestamp, this can never panic: the
-    /// watermark trivially satisfies the causality contract.
-    pub fn schedule_now(&mut self, event: E) {
-        let now = self.watermark;
-        self.push(now, event);
-    }
-
-    /// Removes and returns the earliest event, advancing the causality
-    /// watermark to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (time, _seq, event) = self.calendar.pop()?;
-        self.watermark = time;
-        Some((time, event))
-    }
-
-    /// Returns the timestamp of the earliest pending event without
-    /// removing it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.calendar.peek().map(|(t, _)| t)
-    }
-
-    /// Returns the number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.calendar.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.calendar.len() == 0
-    }
-
-    /// Timestamp of the most recently popped event (the current simulated
-    /// "now" from the queue's point of view).
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.watermark
-    }
-
-    /// Drops every pending event, keeping the watermark.
-    pub fn clear(&mut self) {
-        self.calendar.clear();
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> Extend<(SimTime, E)> for EventQueue<E> {
-    fn extend<I: IntoIterator<Item = (SimTime, E)>>(&mut self, iter: I) {
-        for (t, e) in iter {
-            self.push(t, e);
-        }
-    }
-}
-
 /// A deterministic event queue sharded into per-lane calendars.
 ///
 /// Lanes let a caller keep (say) CPU-local events in CPU-local storage:
 /// pushes name a lane, and pops take the `(time, seq)`-minimum across all
 /// lanes. Because every lane shares one sequence counter and one
 /// causality watermark, the merged pop order is *identical* to pushing
-/// everything through a single [`EventQueue`] — lane assignment is pure
-/// storage layout (see the module docs). The per-lane `(time, seq)` heads
+/// everything through a single lane — lane assignment is pure storage
+/// layout (see the module docs). The per-lane `(time, seq)` heads
 /// are cached, so `peek_time` is O(1) and only a lane pop pays the
 /// O(lanes) argmin rescan.
 ///
@@ -472,8 +352,8 @@ impl<E> ShardedEventQueue<E> {
     /// # Panics
     ///
     /// Panics if `lane` is out of range, or if `time` is earlier than the
-    /// timestamp of the most recently popped event (causality, as for
-    /// [`EventQueue::push`]).
+    /// timestamp of the most recently popped event: scheduling into the
+    /// past would violate causality and indicates a bug in the caller.
     pub fn push(&mut self, lane: usize, time: SimTime, event: E) {
         let seq = self.take_seq(time);
         self.lanes[lane].push(self.watermark, time, seq, event);
@@ -599,20 +479,20 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_cycles(30), 3);
-        q.push(SimTime::from_cycles(10), 1);
-        q.push(SimTime::from_cycles(20), 2);
+        let mut q = ShardedEventQueue::new(1);
+        q.push(0, SimTime::from_cycles(30), 3);
+        q.push(0, SimTime::from_cycles(10), 1);
+        q.push(0, SimTime::from_cycles(20), 2);
         let seq: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(seq, [1, 2, 3]);
     }
 
     #[test]
     fn ties_break_fifo() {
-        let mut q = EventQueue::new();
+        let mut q = ShardedEventQueue::new(1);
         let t = SimTime::from_cycles(7);
         for i in 0..100 {
-            q.push(t, i);
+            q.push(0, t, i);
         }
         let seq: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(seq, (0..100).collect::<Vec<_>>());
@@ -620,8 +500,8 @@ mod tests {
 
     #[test]
     fn watermark_tracks_now() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_cycles(5), ());
+        let mut q = ShardedEventQueue::new(1);
+        q.push(0, SimTime::from_cycles(5), ());
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), SimTime::from_cycles(5));
@@ -630,56 +510,49 @@ mod tests {
     #[test]
     #[should_panic(expected = "already advanced")]
     fn rejects_scheduling_in_the_past() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_cycles(10), ());
+        let mut q = ShardedEventQueue::new(1);
+        q.push(0, SimTime::from_cycles(10), ());
         q.pop();
-        q.push(SimTime::from_cycles(9), ());
+        q.push(0, SimTime::from_cycles(9), ());
     }
 
     #[test]
     fn scheduling_at_now_is_allowed() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_cycles(10), 1);
+        let mut q = ShardedEventQueue::new(1);
+        q.push(0, SimTime::from_cycles(10), 1);
         q.pop();
-        q.push(SimTime::from_cycles(10), 2); // same cycle as "now": fine
+        q.push(0, SimTime::from_cycles(10), 2); // same cycle as "now": fine
         assert_eq!(q.pop().map(|(_, e)| e), Some(2));
     }
 
     #[test]
     fn schedule_now_lands_on_the_watermark() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_cycles(10), 1);
+        let mut q = ShardedEventQueue::new(1);
+        q.push(0, SimTime::from_cycles(10), 1);
         q.pop();
-        q.schedule_now(2); // at the watermark: legal, pops next
+        q.schedule_now(0, 2); // at the watermark: legal, pops next
         assert_eq!(q.pop(), Some((SimTime::from_cycles(10), 2)));
         // On a fresh queue the watermark is time zero.
-        let mut fresh = EventQueue::new();
-        fresh.schedule_now('a');
+        let mut fresh = ShardedEventQueue::new(1);
+        fresh.schedule_now(0, 'a');
         assert_eq!(fresh.pop(), Some((SimTime::ZERO, 'a')));
     }
 
     #[test]
     fn peek_does_not_consume() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_cycles(3), 'x');
+        let mut q = ShardedEventQueue::new(1);
+        q.push(0, SimTime::from_cycles(3), 'x');
         assert_eq!(q.peek_time(), Some(SimTime::from_cycles(3)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
     }
 
     #[test]
-    fn extend_pushes_all() {
-        let mut q = EventQueue::new();
-        q.extend((0..5).map(|i| (SimTime::from_cycles(i), i)));
-        assert_eq!(q.len(), 5);
-    }
-
-    #[test]
     fn clear_keeps_watermark() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_cycles(10), ());
+        let mut q = ShardedEventQueue::new(1);
+        q.push(0, SimTime::from_cycles(10), ());
         q.pop();
-        q.push(SimTime::from_cycles(20), ());
+        q.push(0, SimTime::from_cycles(20), ());
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.now(), SimTime::from_cycles(10));
@@ -687,17 +560,17 @@ mod tests {
 
     #[test]
     fn far_future_events_cross_the_ring_boundary() {
-        let mut q = EventQueue::new();
+        let mut q = ShardedEventQueue::new(1);
         // One event far beyond the ring span, one inside it.
-        q.push(SimTime::from_cycles(1_000_000), 'f');
-        q.push(SimTime::from_cycles(3), 'n');
+        q.push(0, SimTime::from_cycles(1_000_000), 'f');
+        q.push(0, SimTime::from_cycles(3), 'n');
         assert_eq!(q.peek_time(), Some(SimTime::from_cycles(3)));
         assert_eq!(q.pop(), Some((SimTime::from_cycles(3), 'n')));
         // After the near event drains, the far event surfaces.
         assert_eq!(q.peek_time(), Some(SimTime::from_cycles(1_000_000)));
         // An event that is near *relative to the new watermark* but maps
         // to the same bucket as an old cycle must still order correctly.
-        q.push(SimTime::from_cycles(3 + SPAN as u64), 'w');
+        q.push(0, SimTime::from_cycles(3 + SPAN as u64), 'w');
         assert_eq!(q.pop(), Some((SimTime::from_cycles(3 + SPAN as u64), 'w')));
         assert_eq!(q.pop(), Some((SimTime::from_cycles(1_000_000), 'f')));
         assert!(q.is_empty());
@@ -705,27 +578,27 @@ mod tests {
 
     #[test]
     fn same_cycle_ties_across_ring_and_far_break_by_seq() {
-        let mut q = EventQueue::new();
+        let mut q = ShardedEventQueue::new(1);
         let t = SimTime::from_cycles(SPAN as u64 + 100);
         // First push: beyond watermark + SPAN, lands in the far heap.
-        q.push(t, 'f');
+        q.push(0, t, 'f');
         // Advance the watermark into range so the same cycle now maps to
         // the ring.
-        q.push(SimTime::from_cycles(200), 'x');
+        q.push(0, SimTime::from_cycles(200), 'x');
         q.pop();
-        q.push(t, 'r'); // near now: same cycle in the ring, later seq
+        q.push(0, t, 'r'); // near now: same cycle in the ring, later seq
         assert_eq!(q.pop(), Some((t, 'f')));
         assert_eq!(q.pop(), Some((t, 'r')));
     }
 
     #[test]
     fn sharded_merge_matches_single_queue() {
-        // Same pushes, lane-striped vs single queue: identical pop order.
+        // Same pushes, lane-striped vs one lane: identical pop order.
         // Every third push is a timer: times 1 and 5 append to the run
         // (5 ties with two earlier lane events), 2 falls behind the
         // run's tail and lands on a lane.
         let mut sharded = ShardedEventQueue::new(3);
-        let mut single = EventQueue::new();
+        let mut single = ShardedEventQueue::new(1);
         let times = [5u64, 5, 1, 9000, 7, 5, 12000, 2, 2, 9000];
         for (i, &t) in times.iter().enumerate() {
             if i % 3 == 2 {
@@ -733,7 +606,7 @@ mod tests {
             } else {
                 sharded.push(i % 3, SimTime::from_cycles(t), i);
             }
-            single.push(SimTime::from_cycles(t), i);
+            single.push(0, SimTime::from_cycles(t), i);
         }
         assert_eq!(sharded.len(), single.len());
         loop {

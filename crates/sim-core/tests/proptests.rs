@@ -4,12 +4,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
-use sim_core::{EventQueue, ShardedEventQueue, SimRng, SimTime};
+use sim_core::{ShardedEventQueue, SimRng, SimTime};
 
 /// Reference model of the pre-calendar event queue: one binary heap
 /// ordered by `(time, seq)`, with the same causality watermark. The
-/// calendar-backed [`EventQueue`] must be observationally identical to
-/// this on every interleaving.
+/// calendar-backed [`ShardedEventQueue`] must be observationally
+/// identical to this on every interleaving.
 #[derive(Default)]
 struct ModelQueue {
     heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
@@ -40,9 +40,9 @@ proptest! {
     /// events pop in insertion order.
     #[test]
     fn event_queue_pops_sorted_and_stable(times in prop::collection::vec(0u64..1000, 1..200)) {
-        let mut q = EventQueue::new();
+        let mut q = ShardedEventQueue::new(1);
         for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_cycles(t), i);
+            q.push(0, SimTime::from_cycles(t), i);
         }
         let mut last: Option<(SimTime, usize)> = None;
         while let Some((t, idx)) = q.pop() {
@@ -59,9 +59,9 @@ proptest! {
     /// Popping never yields more or fewer events than were pushed.
     #[test]
     fn event_queue_conserves_events(times in prop::collection::vec(0u64..100, 0..100)) {
-        let mut q = EventQueue::new();
+        let mut q = ShardedEventQueue::new(1);
         for &t in &times {
-            q.push(SimTime::from_cycles(t), ());
+            q.push(0, SimTime::from_cycles(t), ());
         }
         let mut popped = 0;
         while q.pop().is_some() {
@@ -101,15 +101,15 @@ proptest! {
         prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
     }
 
-    /// The calendar-backed queue matches the old binary-heap queue on
-    /// random push/pop/schedule_now interleavings: identical pop order,
-    /// watermarks, peeks, and lengths. Offsets span both the near ring
-    /// and the far heap so the merge between the two stores is exercised,
-    /// and a lane-striped [`ShardedEventQueue`] rides along to prove lane
-    /// assignment never leaks into the observable order.
+    /// The calendar-backed, lane-striped queue matches the old
+    /// binary-heap queue on random push/pop/schedule_now interleavings:
+    /// identical pop order, watermarks, peeks, and lengths. Offsets span
+    /// both the near ring and the far heap so the merge between the two
+    /// stores is exercised, and the lane striping proves lane assignment
+    /// never leaks into the observable order.
     ///
-    /// Timer pushes go to the sharded queue's FIFO timer run (and are
-    /// plain pushes for the single queue): fixed-delay ones at `watermark
+    /// Timer pushes go to the queue's FIFO timer run (and are plain
+    /// pushes for the model): fixed-delay ones at `watermark
     /// + delay`, with `delay` drawn once per case on either side of the
     /// ring span, and arbitrary ones that may fall behind the run's tail
     /// and take the lane fallback. Lane pushes at the same `watermark +
@@ -121,7 +121,6 @@ proptest! {
         delay in 0u64..6000,
     ) {
         let mut model = ModelQueue::default();
-        let mut cal = EventQueue::new();
         let mut sharded = ShardedEventQueue::new(3);
         for (i, &(op, offset)) in ops.iter().enumerate() {
             match op {
@@ -129,26 +128,22 @@ proptest! {
                 0 => {
                     let t = model.watermark + (offset % 1500);
                     model.push(t, i);
-                    cal.push(SimTime::from_cycles(t), i);
                     sharded.push(i % 3, SimTime::from_cycles(t), i);
                 }
                 // Far push: overflows past the ring span.
                 1 => {
                     let t = model.watermark + offset;
                     model.push(t, i);
-                    cal.push(SimTime::from_cycles(t), i);
                     sharded.push(i % 3, SimTime::from_cycles(t), i);
                 }
                 2 => {
                     model.push(model.watermark, i);
-                    cal.schedule_now(i);
                     sharded.schedule_now(i % 3, i);
                 }
                 // Fixed-delay timer: appends to the run.
                 3 => {
                     let t = model.watermark + delay;
                     model.push(t, i);
-                    cal.push(SimTime::from_cycles(t), i);
                     sharded.push_timer(i % 3, SimTime::from_cycles(t), i);
                 }
                 // Arbitrary timer: behind the run's tail it falls back to
@@ -156,7 +151,6 @@ proptest! {
                 4 => {
                     let t = model.watermark + offset;
                     model.push(t, i);
-                    cal.push(SimTime::from_cycles(t), i);
                     sharded.push_timer(i % 3, SimTime::from_cycles(t), i);
                 }
                 // Lane push on the fixed-delay timers' cycle: a same-cycle
@@ -164,29 +158,21 @@ proptest! {
                 5 => {
                     let t = model.watermark + delay;
                     model.push(t, i);
-                    cal.push(SimTime::from_cycles(t), i);
                     sharded.push(i % 3, SimTime::from_cycles(t), i);
                 }
                 _ => {
                     let want = model.pop();
-                    let got = cal.pop().map(|(t, p)| (t.cycles(), p));
-                    prop_assert_eq!(got, want);
                     let got = sharded.pop().map(|(t, p)| (t.cycles(), p));
                     prop_assert_eq!(got, want);
                 }
             }
-            prop_assert_eq!(cal.peek_time().map(SimTime::cycles), model.peek_time());
             prop_assert_eq!(sharded.peek_time().map(SimTime::cycles), model.peek_time());
-            prop_assert_eq!(cal.len(), model.heap.len());
             prop_assert_eq!(sharded.len(), model.heap.len());
-            prop_assert_eq!(cal.now().cycles(), model.watermark);
             prop_assert_eq!(sharded.now().cycles(), model.watermark);
         }
         // Drain: the full remaining order must agree.
         loop {
             let want = model.pop();
-            let got = cal.pop().map(|(t, p)| (t.cycles(), p));
-            prop_assert_eq!(got, want);
             let got = sharded.pop().map(|(t, p)| (t.cycles(), p));
             prop_assert_eq!(got, want);
             if want.is_none() {
@@ -203,9 +189,9 @@ proptest! {
         warm in prop::collection::vec(0u64..5000, 1..20),
         t in 0u64..6000,
     ) {
-        let mut q = EventQueue::new();
+        let mut q = ShardedEventQueue::new(1);
         for (i, &w) in warm.iter().enumerate() {
-            q.push(SimTime::from_cycles(w), i);
+            q.push(0, SimTime::from_cycles(w), i);
         }
         // Pop half to advance the watermark.
         for _ in 0..warm.len().div_ceil(2) {
@@ -213,7 +199,7 @@ proptest! {
         }
         let watermark = q.now().cycles();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            q.push(SimTime::from_cycles(t), usize::MAX);
+            q.push(0, SimTime::from_cycles(t), usize::MAX);
         }));
         if t < watermark {
             let payload = result.expect_err("push into the past must panic");

@@ -1,46 +1,21 @@
-//! Interrupt-moderation (coalescing) policies.
+//! Interrupt moderation (coalescing).
 //!
 //! The paper-era e1000 moderates interrupts by *packet count*: raise one
 //! interrupt per N events, with a hardware timer flushing partial
-//! batches at the end of a burst. [`CoalescePolicy`] lifts that decision
-//! into a per-queue policy object so the machine model can swap
-//! moderation schemes without touching the DMA path: [`FixedCount`] is
-//! the paper's scheme, [`AdaptiveTimeout`] is an `ethtool -C
+//! batches at the end of a burst. [`Coalescer`] is that per-queue
+//! state machine, built from a [`CoalesceConfig`]:
+//! [`CoalesceConfig::FixedCount`] is the paper's scheme, and
+//! [`CoalesceConfig::AdaptiveTimeout`] is an `ethtool -C
 //! adaptive-rx`-style variant that watches inter-arrival gaps and
-//! batches aggressively only under load.
+//! batches aggressively only under load. A fixed count is the adaptive
+//! machine with equal thresholds and the machine-level flush period.
 //!
-//! Policies are deterministic state machines over event timestamps —
-//! no wall clocks, no randomness — so simulation results stay
-//! bit-reproducible at any worker count.
+//! The machine is deterministic over event timestamps — no wall
+//! clocks, no randomness — so simulation results stay bit-reproducible
+//! at any worker count.
 
-/// Per-queue interrupt-moderation policy.
-///
-/// The device calls [`CoalescePolicy::on_event`] for every coalescable
-/// event (an RX frame DMA'd or a TX completion written back) and raises
-/// the queue's MSI-X vector when it returns `true`. The machine's
-/// moderation timer calls [`CoalescePolicy::flush`] at the end of a
-/// burst to drain partial batches.
-pub trait CoalescePolicy: std::fmt::Debug {
-    /// An event occurred at cycle `now`; returns `true` when an
-    /// interrupt should be asserted for the accumulated batch.
-    fn on_event(&mut self, now: u64) -> bool;
-
-    /// The moderation timer fired: returns `true` when a partial batch
-    /// was pending (and should raise an interrupt now).
-    fn flush(&mut self) -> bool;
-
-    /// Whether any events are pending (batched but not yet signalled).
-    fn pending(&self) -> bool;
-
-    /// Policy-specific moderation-timer period, or `None` to use the
-    /// machine-level default (`Tunables::coalesce_flush_cycles`).
-    fn timeout_cycles(&self) -> Option<u64> {
-        None
-    }
-}
-
-/// Plain-data description of a coalescing policy (the configuration
-/// counterpart of the [`CoalescePolicy`] state machines).
+/// Plain-data description of a queue's interrupt moderation, built
+/// into a [`Coalescer`] by [`CoalesceConfig::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoalesceConfig {
     /// Raise one interrupt per `events` coalescable events — the
@@ -75,77 +50,59 @@ impl CoalesceConfig {
     /// Builds the runtime state machine for this configuration.
     #[must_use]
     pub fn build(self) -> Coalescer {
-        match self {
-            CoalesceConfig::FixedCount { events } => Coalescer::Fixed(FixedCount {
-                events: events.max(1),
-                pending: 0,
-            }),
+        let (min_events, max_events, idle_gap_cycles, timeout_cycles) = match self {
+            CoalesceConfig::FixedCount { events } => (events, events, 0, None),
             CoalesceConfig::AdaptiveTimeout {
                 min_events,
                 max_events,
                 idle_gap_cycles,
                 timeout_cycles,
-            } => Coalescer::Adaptive(AdaptiveTimeout {
-                min_events: min_events.max(1),
-                max_events: max_events.max(1),
+            } => (
+                min_events,
+                max_events,
                 idle_gap_cycles,
-                timeout_cycles,
-                pending: 0,
-                last_event: None,
-            }),
+                Some(timeout_cycles),
+            ),
+        };
+        Coalescer {
+            min_events: min_events.max(1),
+            max_events: max_events.max(1),
+            idle_gap_cycles,
+            timeout_cycles,
+            pending: 0,
+            last_event: None,
         }
     }
 }
 
-/// Fixed packet-count moderation (the paper's e1000 scheme).
+/// A queue's interrupt-moderation state machine.
+///
+/// The device calls [`Coalescer::on_event`] for every coalescable event
+/// (an RX frame DMA'd or a TX completion written back) and raises the
+/// queue's MSI-X vector when it returns `true`. The machine's moderation
+/// timer calls [`Coalescer::flush`] at the end of a burst to drain
+/// partial batches.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FixedCount {
-    events: u32,
-    pending: u32,
-}
-
-impl CoalescePolicy for FixedCount {
-    fn on_event(&mut self, _now: u64) -> bool {
-        self.pending += 1;
-        if self.pending >= self.events {
-            self.pending = 0;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn flush(&mut self) -> bool {
-        if self.pending > 0 {
-            self.pending = 0;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn pending(&self) -> bool {
-        self.pending > 0
-    }
-}
-
-/// Gap-watching adaptive moderation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdaptiveTimeout {
+pub struct Coalescer {
+    /// Batch threshold after a gap wider than `idle_gap_cycles`.
     min_events: u32,
+    /// Batch threshold while events arrive densely.
     max_events: u32,
     idle_gap_cycles: u64,
-    timeout_cycles: u64,
+    /// Own moderation-timer period, or `None` for the machine default.
+    timeout_cycles: Option<u64>,
+    /// Events batched but not yet signalled.
     pending: u32,
     last_event: Option<u64>,
 }
 
-impl CoalescePolicy for AdaptiveTimeout {
-    fn on_event(&mut self, now: u64) -> bool {
-        let sparse = match self.last_event {
-            Some(last) => now.saturating_sub(last) > self.idle_gap_cycles,
-            None => true,
-        };
+impl Coalescer {
+    /// An event occurred at cycle `now`; returns `true` when an
+    /// interrupt should be asserted for the accumulated batch.
+    pub fn on_event(&mut self, now: u64) -> bool {
+        let sparse = self
+            .last_event
+            .is_none_or(|last| now.saturating_sub(last) > self.idle_gap_cycles);
         self.last_event = Some(now);
         self.pending += 1;
         let threshold = if sparse {
@@ -161,65 +118,25 @@ impl CoalescePolicy for AdaptiveTimeout {
         }
     }
 
-    fn flush(&mut self) -> bool {
-        if self.pending > 0 {
-            self.pending = 0;
-            true
-        } else {
-            false
-        }
+    /// The moderation timer fired: returns `true` when a partial batch
+    /// was pending (and should raise an interrupt now).
+    pub fn flush(&mut self) -> bool {
+        let had = self.pending();
+        self.pending = 0;
+        had
     }
 
-    fn pending(&self) -> bool {
+    /// Whether any events are pending (batched but not yet signalled).
+    #[must_use]
+    pub fn pending(&self) -> bool {
         self.pending > 0
     }
 
-    fn timeout_cycles(&self) -> Option<u64> {
-        Some(self.timeout_cycles)
-    }
-}
-
-/// A concrete, cloneable coalescer (enum dispatch over the policy
-/// implementations, so [`crate::Nic`] stays `Clone`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Coalescer {
-    /// Fixed packet-count moderation.
-    Fixed(FixedCount),
-    /// Adaptive gap-watching moderation.
-    Adaptive(AdaptiveTimeout),
-}
-
-impl Coalescer {
-    fn inner_mut(&mut self) -> &mut dyn CoalescePolicy {
-        match self {
-            Coalescer::Fixed(p) => p,
-            Coalescer::Adaptive(p) => p,
-        }
-    }
-
-    fn inner(&self) -> &dyn CoalescePolicy {
-        match self {
-            Coalescer::Fixed(p) => p,
-            Coalescer::Adaptive(p) => p,
-        }
-    }
-}
-
-impl CoalescePolicy for Coalescer {
-    fn on_event(&mut self, now: u64) -> bool {
-        self.inner_mut().on_event(now)
-    }
-
-    fn flush(&mut self) -> bool {
-        self.inner_mut().flush()
-    }
-
-    fn pending(&self) -> bool {
-        self.inner().pending()
-    }
-
-    fn timeout_cycles(&self) -> Option<u64> {
-        self.inner().timeout_cycles()
+    /// This queue's moderation-timer period, or `None` to use the
+    /// machine-level default (`Tunables::coalesce_flush_cycles`).
+    #[must_use]
+    pub fn timeout_cycles(&self) -> Option<u64> {
+        self.timeout_cycles
     }
 }
 

@@ -8,7 +8,7 @@
 //! that interact with affinity:
 //!
 //! * [`Nic`] — a device with per-queue RX/TX descriptor rings and a
-//!   pluggable interrupt-moderation policy ([`CoalescePolicy`]). DMA
+//!   per-queue interrupt-moderation state machine ([`Coalescer`]). DMA
 //!   goes through [`sim_mem::MemorySystem`], so arriving payload is
 //!   *uncached* for whichever CPU copies it later (the paper's RX-copy
 //!   observation) and transmit DMA forces writebacks. The paper-era
@@ -57,7 +57,7 @@ mod peer;
 pub mod ring;
 pub mod wire;
 
-pub use coalesce::{AdaptiveTimeout, CoalesceConfig, CoalescePolicy, Coalescer, FixedCount};
+pub use coalesce::{CoalesceConfig, Coalescer};
 pub use nic::{Nic, NicConfig, NicStats};
 pub use peer::{Peer, PeerConfig};
 pub use ring::{Mempool, RingStats, SpscRing};

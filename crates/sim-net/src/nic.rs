@@ -1,6 +1,6 @@
 //! The NIC device model.
 
-use crate::coalesce::{CoalesceConfig, CoalescePolicy, Coalescer};
+use crate::coalesce::{CoalesceConfig, Coalescer};
 use sim_core::{DeviceId, IrqVector};
 use sim_mem::{MemorySystem, RegionId};
 

@@ -5,9 +5,7 @@ use proptest::prelude::*;
 use sim_core::{ConnectionId, DeviceId, IrqVector, SimRng};
 use sim_mem::{MemoryConfig, MemorySystem};
 use sim_net::wire::{segment_count, segments_for};
-use sim_net::{
-    CoalesceConfig, CoalescePolicy, Mempool, Nic, NicConfig, Peer, PeerConfig, SpscRing,
-};
+use sim_net::{CoalesceConfig, Mempool, Nic, NicConfig, Peer, PeerConfig, SpscRing};
 use std::collections::VecDeque;
 
 proptest! {
@@ -238,5 +236,32 @@ proptest! {
             }
         }
         prop_assert_eq!(fired, events / min_events);
+    }
+
+    /// A fixed count of `n` is the adaptive machine with both thresholds
+    /// at `n`: over any timestamps (gaps dense or sparse against any
+    /// idle knee) the two raise on the same events, and a final flush
+    /// finds the same partial batch.
+    #[test]
+    fn fixed_count_is_adaptive_with_equal_thresholds(
+        n in 1u32..10,
+        idle_gap in 0u64..5_000,
+        gaps in prop::collection::vec(0u64..10_000, 1..200),
+    ) {
+        let mut fixed = CoalesceConfig::FixedCount { events: n }.build();
+        let mut adaptive = CoalesceConfig::AdaptiveTimeout {
+            min_events: n,
+            max_events: n,
+            idle_gap_cycles: idle_gap,
+            timeout_cycles: 10_000,
+        }
+        .build();
+        let mut now = 0u64;
+        for gap in gaps {
+            now += gap;
+            prop_assert_eq!(fixed.on_event(now), adaptive.on_event(now));
+            prop_assert_eq!(fixed.pending(), adaptive.pending());
+        }
+        prop_assert_eq!(fixed.flush(), adaptive.flush());
     }
 }

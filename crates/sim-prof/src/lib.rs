@@ -48,6 +48,6 @@ mod registry;
 mod report;
 
 pub use counters::{PollCounters, SteerCounters};
-pub use profiler::{ProfScratch, Profiler};
+pub use profiler::Profiler;
 pub use registry::{FuncId, FunctionMeta, FunctionRegistry};
 pub use report::{region_map_report, symbol_report, SampleView, SymbolRow};

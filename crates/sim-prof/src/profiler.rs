@@ -194,67 +194,6 @@ impl Profiler {
     }
 }
 
-/// A small scratch of per-function counter deltas, batched on one CPU.
-///
-/// Execution layers that charge many function executions back-to-back
-/// (one TCP episode runs a dozen modelled functions, some of them once
-/// per segment) accumulate the deltas here and [`flush`](ProfScratch::flush)
-/// them into the [`Profiler`] once, at the function-exit/context-switch
-/// boundary, instead of writing a full counter bank into the big matrix
-/// per call. Merging is by linear scan — the working set of one episode
-/// is far smaller than [`ProfScratch::CAPACITY`]; if it ever overflows
-/// the scratch flushes itself and keeps going.
-///
-/// Flushing only ever *adds* `u64` counters into matrix slots, so the
-/// batching is observably identical to eager recording provided every
-/// profiler read happens after the flush. Embedding the scratch in the
-/// executor's context object (which holds `&mut Profiler`) makes the
-/// borrow checker enforce exactly that.
-#[derive(Debug)]
-pub struct ProfScratch {
-    cpu: CpuId,
-    len: usize,
-    entries: [(FuncId, PerfCounters); ProfScratch::CAPACITY],
-}
-
-impl ProfScratch {
-    /// Distinct functions the scratch holds before self-flushing.
-    pub const CAPACITY: usize = 16;
-
-    /// An empty scratch attributing to `cpu`.
-    #[must_use]
-    pub fn new(cpu: CpuId) -> Self {
-        ProfScratch {
-            cpu,
-            len: 0,
-            entries: [(funcid_from_index(0), PerfCounters::default()); ProfScratch::CAPACITY],
-        }
-    }
-
-    /// Accumulates `delta` for `func`, spilling to `prof` on overflow.
-    pub fn note(&mut self, prof: &mut Profiler, func: FuncId, delta: &PerfCounters) {
-        for (f, c) in &mut self.entries[..self.len] {
-            if *f == func {
-                *c += *delta;
-                return;
-            }
-        }
-        if self.len == ProfScratch::CAPACITY {
-            self.flush(prof);
-        }
-        self.entries[self.len] = (func, *delta);
-        self.len += 1;
-    }
-
-    /// Drains every accumulated delta into `prof`.
-    pub fn flush(&mut self, prof: &mut Profiler) {
-        for (f, c) in &self.entries[..self.len] {
-            prof.record(self.cpu, *f, c);
-        }
-        self.len = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,47 +314,6 @@ mod tests {
         p.reset();
         assert!(p.total().is_empty());
         assert_eq!(p.cpu_cycles(CpuId::new(0)), 0);
-    }
-
-    #[test]
-    fn scratch_merges_and_flushes() {
-        let mut reg = FunctionRegistry::new();
-        let f0 = reg.register("a", "G");
-        let f1 = reg.register("b", "G");
-        let mut p = Profiler::new(1);
-        let mut s = ProfScratch::new(CpuId::new(0));
-        s.note(&mut p, f0, &delta(10, 1));
-        s.note(&mut p, f1, &delta(5, 0));
-        s.note(&mut p, f0, &delta(10, 0));
-        // Nothing visible until the flush...
-        assert_eq!(p.total().cycles, 0);
-        s.flush(&mut p);
-        // ...then everything, merged.
-        assert_eq!(p.counters(CpuId::new(0), f0).cycles, 20);
-        assert_eq!(p.counters(CpuId::new(0), f0).llc_misses, 1);
-        assert_eq!(p.counters(CpuId::new(0), f1).cycles, 5);
-        assert_eq!(p.cpu_cycles(CpuId::new(0)), 25);
-        // A drained scratch flushes to nothing.
-        s.flush(&mut p);
-        assert_eq!(p.total().cycles, 25);
-    }
-
-    #[test]
-    fn scratch_overflow_spills_to_profiler() {
-        let mut reg = FunctionRegistry::new();
-        let funcs: Vec<_> = (0..ProfScratch::CAPACITY + 4)
-            .map(|i| reg.register(format!("f{i}"), "G"))
-            .collect();
-        let mut p = Profiler::new(1);
-        let mut s = ProfScratch::new(CpuId::new(0));
-        for f in &funcs {
-            s.note(&mut p, *f, &delta(1, 0));
-        }
-        s.flush(&mut p);
-        assert_eq!(p.cpu_total(CpuId::new(0)).cycles, funcs.len() as u64);
-        for f in &funcs {
-            assert_eq!(p.counters(CpuId::new(0), *f).cycles, 1);
-        }
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Per-connection state: memory regions and the flow arena.
 //!
 //! Protocol state lives in [`FlowArena`], a structure-of-arrays arena
-//! keyed by dense [`FlowId`] handles. One simulated cell touches a
-//! handful of scalar fields per segment (cursors, queue byte counts,
-//! in-flight counters) across every active flow; splitting each field
-//! into its own dense array keeps those accesses on a few hot cache
-//! lines instead of striding over ~200-byte per-connection structs, and
-//! the generation stamp in the handle catches stale references the
-//! moment an arena slot is ever reused.
+//! whose slot `s` is connection `s` ([`ConnectionId::index`]). One
+//! simulated cell touches a handful of scalar fields per segment
+//! (cursors, queue byte counts, in-flight counters) across every active
+//! flow; splitting each field into its own dense array keeps those
+//! accesses on a few hot cache lines instead of striding over
+//! ~200-byte per-connection structs.
 
 use std::collections::VecDeque;
 
@@ -39,26 +38,6 @@ pub struct ConnectionRegions {
     pub rx_dma_buf: RegionId,
 }
 
-/// A generation-stamped handle into the stack's flow arena (`FlowArena`).
-///
-/// The index is dense (slot `i` of every field array); the generation
-/// must match the arena's current generation for that slot, so a handle
-/// kept across a slot reuse panics instead of silently reading another
-/// flow's state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FlowId {
-    index: u32,
-    gen: u32,
-}
-
-impl FlowId {
-    /// The dense slot index.
-    #[must_use]
-    pub const fn index(self) -> usize {
-        self.index as usize
-    }
-}
-
 /// Per-connection lifecycle state.
 ///
 /// The listener side (the ISSUE's LISTEN state) is not a per-flow state:
@@ -80,16 +59,13 @@ pub enum ConnState {
 
 /// Structure-of-arrays arena of per-flow protocol state.
 ///
-/// Field `x` of flow `f` is `x[f]` with `f = arena.slot(id)`; all arrays
-/// share one length. Fields mirror the Linux state the model charges
+/// Field `x` of connection `c` is `x[c.index()]`; all arrays share one
+/// length. Fields mirror the Linux state the model charges
 /// for: socket receive queue, delayed-ACK counter, send-window
 /// accounting, and the rolling slab/DMA cursors that decide which cache
 /// lines each operation touches.
 #[derive(Debug, Clone)]
 pub(crate) struct FlowArena {
-    /// Current generation of each slot (bumped on reuse).
-    generations: Vec<u32>,
-    pub ids: Vec<ConnectionId>,
     pub regions: Vec<ConnectionRegions>,
     /// Frames in the socket receive queue (payload bytes each), with the
     /// DMA-buffer offset they point at.
@@ -130,8 +106,6 @@ pub(crate) struct FlowArena {
 impl FlowArena {
     pub(crate) fn with_capacity(n: usize) -> Self {
         FlowArena {
-            generations: Vec::with_capacity(n),
-            ids: Vec::with_capacity(n),
             regions: Vec::with_capacity(n),
             rx_queue: Vec::with_capacity(n),
             rx_queue_bytes: Vec::with_capacity(n),
@@ -180,7 +154,7 @@ impl FlowArena {
         config: &StackConfig,
         rx_dma_buf: RegionId,
         max_message: u64,
-    ) -> FlowId {
+    ) {
         let conn = id.index() as u32;
         let [tcp_ctx, sock, skb_meta, skb_data, tx_app_buf, rx_app_buf] =
             Self::region_requests(config, max_message).map(|(suffix, size)| {
@@ -195,7 +169,7 @@ impl FlowArena {
             rx_app_buf,
             rx_dma_buf,
         };
-        self.push_slot(id, regions, config)
+        self.push_slot(regions, config);
     }
 
     /// Pre-provisions `conn_dma.len()` connection slots in one pass: the
@@ -232,20 +206,12 @@ impl FlowArena {
                 rx_app_buf: slab.get(stride + 5),
                 rx_dma_buf,
             };
-            self.push_slot(ConnectionId::new(i as u32), regions, config);
+            self.push_slot(regions, config);
         }
     }
 
     /// Appends one live slot with fresh protocol state.
-    fn push_slot(
-        &mut self,
-        id: ConnectionId,
-        regions: ConnectionRegions,
-        config: &StackConfig,
-    ) -> FlowId {
-        let index = self.ids.len() as u32;
-        self.generations.push(0);
-        self.ids.push(id);
+    fn push_slot(&mut self, regions: ConnectionRegions, config: &StackConfig) {
         self.regions.push(regions);
         self.rx_queue.push(VecDeque::new());
         self.rx_queue_bytes.push(0);
@@ -262,12 +228,11 @@ impl FlowArena {
             .push(CongestionState::new(config.initial_cwnd, config.max_cwnd));
         self.states.push(ConnState::Established);
         self.live += 1;
-        FlowId { index, gen: 0 }
     }
 
     /// Number of flows in the arena.
     pub(crate) fn len(&self) -> usize {
-        self.ids.len()
+        self.states.len()
     }
 
     /// Number of slots currently allocated (not on the free list).
@@ -276,16 +241,15 @@ impl FlowArena {
     }
 
     /// Pops a recycled slot and resets its protocol state for a new
-    /// connection, returning the slot's current-generation handle.
+    /// connection, returning the slot index.
     ///
     /// The connection's memory regions and the rolling slab/DMA cursors
     /// are deliberately *kept*: the slab allocator cycles buffers through
     /// the same arena across connections, so a recycled slot inherits the
     /// cache weather of its predecessor — the same churn the real
     /// allocator produces. Returns `None` when the free list is empty.
-    pub(crate) fn alloc(&mut self, config: &StackConfig) -> Option<FlowId> {
-        let index = self.free_list.pop()?;
-        let s = index as usize;
+    pub(crate) fn alloc(&mut self, config: &StackConfig) -> Option<usize> {
+        let s = self.free_list.pop()? as usize;
         self.rx_queue[s].clear();
         self.rx_queue_bytes[s] = 0;
         self.frames_since_ack[s] = 0;
@@ -296,21 +260,15 @@ impl FlowArena {
         self.congestion[s] = CongestionState::new(config.initial_cwnd, config.max_cwnd);
         self.states[s] = ConnState::Closed;
         self.live += 1;
-        Some(FlowId {
-            index,
-            gen: self.generations[s],
-        })
+        Some(s)
     }
 
-    /// Frees a live slot: bumps the generation (so `flow` and any copies
-    /// of it go stale) and pushes the slot on the free list.
+    /// Frees live slot `s`: pushes it on the free list.
     ///
     /// # Panics
     ///
-    /// Panics if `flow` is already stale.
-    pub(crate) fn free(&mut self, flow: FlowId) {
-        let s = self.slot(flow);
-        self.generations[s] = self.generations[s].wrapping_add(1);
+    /// Panics if `s` is out of range.
+    pub(crate) fn free(&mut self, s: usize) {
         self.states[s] = ConnState::Closed;
         self.free_list.push(s as u32);
         self.live -= 1;
@@ -318,45 +276,15 @@ impl FlowArena {
 
     /// Moves every slot onto the free list (server-mode initialisation:
     /// slots are pre-inserted for their memory regions, then allocated on
-    /// SYN arrival). Generations bump so pre-existing handles go stale.
-    /// The LIFO free order is deterministic: highest slot pops first.
+    /// SYN arrival). The LIFO free order is deterministic: highest slot
+    /// pops first.
     pub(crate) fn free_all(&mut self) {
         self.free_list.clear();
-        for s in 0..self.ids.len() {
-            self.generations[s] = self.generations[s].wrapping_add(1);
+        for s in 0..self.len() {
             self.states[s] = ConnState::Closed;
             self.free_list.push(s as u32);
         }
         self.live = 0;
-    }
-
-    /// The current-generation handle for the dense connection `conn`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `conn` is out of range.
-    pub(crate) fn handle(&self, conn: ConnectionId) -> FlowId {
-        let index = conn.index();
-        FlowId {
-            index: index as u32,
-            gen: self.generations[index],
-        }
-    }
-
-    /// Resolves a handle to its slot index, checking the generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle's generation doesn't match the slot's (the
-    /// slot was reused since the handle was taken).
-    #[inline]
-    pub(crate) fn slot(&self, flow: FlowId) -> usize {
-        let index = flow.index as usize;
-        assert_eq!(
-            self.generations[index], flow.gen,
-            "stale FlowId: slot {index} was reused"
-        );
-        index
     }
 }
 
@@ -365,24 +293,24 @@ mod tests {
     use super::*;
     use sim_mem::MemoryConfig;
 
-    fn arena_with_one(conn: u32) -> (MemorySystem, FlowArena, FlowId) {
+    fn arena_with_one(conn: u32) -> (MemorySystem, FlowArena) {
         let mut mem = MemorySystem::new(MemoryConfig::paper_sut(2));
         let dma = mem.add_region("nic0.rx_buffers", 64 * 1024);
         let mut arena = FlowArena::with_capacity(1);
-        let flow = arena.insert(
+        arena.insert(
             ConnectionId::new(conn),
             &mut mem,
             &StackConfig::paper(),
             dma,
             65536,
         );
-        (mem, arena, flow)
+        (mem, arena)
     }
 
     #[test]
     fn regions_are_allocated_distinct() {
-        let (mem, arena, flow) = arena_with_one(3);
-        let r = arena.regions[arena.slot(flow)];
+        let (mem, arena) = arena_with_one(3);
+        let r = arena.regions[0];
         let all = [
             r.tcp_ctx,
             r.sock,
@@ -422,7 +350,6 @@ mod tests {
         assert_eq!(bulk_arena.live(), loop_arena.live());
         for s in 0..3 {
             assert_eq!(bulk_arena.regions[s], loop_arena.regions[s]);
-            assert_eq!(bulk_arena.ids[s], loop_arena.ids[s]);
             let r = bulk_arena.regions[s];
             for id in [
                 r.tcp_ctx,
@@ -445,29 +372,11 @@ mod tests {
 
     #[test]
     fn fresh_state_is_empty() {
-        let (_mem, arena, flow) = arena_with_one(0);
-        let s = arena.slot(flow);
-        assert!(arena.rx_queue[s].is_empty());
-        assert_eq!(arena.rx_queue_bytes[s], 0);
-        assert_eq!(arena.tx_inflight[s], 0);
+        let (_mem, arena) = arena_with_one(0);
+        assert!(arena.rx_queue[0].is_empty());
+        assert_eq!(arena.rx_queue_bytes[0], 0);
+        assert_eq!(arena.tx_inflight[0], 0);
         assert_eq!(arena.len(), 1);
-    }
-
-    #[test]
-    fn handles_round_trip_through_slots() {
-        let (_mem, arena, flow) = arena_with_one(0);
-        assert_eq!(arena.handle(ConnectionId::new(0)), flow);
-        assert_eq!(flow.index(), 0);
-        assert_eq!(arena.slot(flow), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "stale FlowId")]
-    fn stale_generation_is_rejected() {
-        let (_mem, mut arena, flow) = arena_with_one(0);
-        // Simulate a slot reuse: bump the generation behind the handle.
-        arena.generations[0] += 1;
-        let _ = arena.slot(flow);
     }
 
     fn arena_with_slots(n: u32) -> (MemorySystem, FlowArena) {
@@ -495,31 +404,18 @@ mod tests {
     }
 
     #[test]
-    fn free_then_alloc_recycles_with_bumped_generation() {
+    fn free_then_alloc_recycles_the_slot() {
         let (_mem, mut arena) = arena_with_slots(1);
         let config = StackConfig::paper();
-        let old = arena.handle(ConnectionId::new(0));
         arena.rx_queue_bytes[0] = 77;
         arena.tx_unacked[0] = 3;
-        arena.free(old);
+        arena.free(0);
         assert_eq!(arena.live(), 0);
-        let fresh = arena.alloc(&config).expect("one slot free");
-        assert_eq!(fresh.index(), 0);
-        assert_ne!(fresh, old, "recycled handle must carry a new generation");
-        assert_eq!(arena.slot(fresh), 0);
+        assert_eq!(arena.alloc(&config), Some(0));
         assert_eq!(arena.rx_queue_bytes[0], 0, "protocol state resets");
         assert_eq!(arena.tx_unacked[0], 0);
         assert_eq!(arena.states[0], ConnState::Closed);
         assert_eq!(arena.live(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "stale FlowId")]
-    fn freed_handle_is_stale() {
-        let (_mem, mut arena) = arena_with_slots(1);
-        let old = arena.handle(ConnectionId::new(0));
-        arena.free(old);
-        let _ = arena.slot(old);
     }
 
     #[test]
@@ -529,26 +425,25 @@ mod tests {
         arena.free_all();
         assert_eq!(arena.live(), 0);
         // LIFO: highest slot pops first.
-        assert_eq!(arena.alloc(&config).unwrap().index(), 2);
-        assert_eq!(arena.alloc(&config).unwrap().index(), 1);
-        assert_eq!(arena.alloc(&config).unwrap().index(), 0);
+        assert_eq!(arena.alloc(&config), Some(2));
+        assert_eq!(arena.alloc(&config), Some(1));
+        assert_eq!(arena.alloc(&config), Some(0));
         assert!(arena.alloc(&config).is_none());
     }
 
     mod properties {
         use super::*;
         use proptest::prelude::*;
-        use std::collections::HashMap;
+        use std::collections::HashSet;
 
         const SLOTS: usize = 8;
 
         proptest! {
-            /// Satellite: random alloc/free sequences against a
-            /// HashMap<slot, FlowId> model of the live set. Recycled
-            /// slots must hand out a different generation than the
-            /// handle they invalidated, the live count must equal the
-            /// model's size after every op, and every live handle must
-            /// keep resolving to its slot.
+            /// Random alloc/free sequences against a model of the live
+            /// set (a `HashSet` of slots) and of the free list (a LIFO
+            /// stack): `alloc` must hand out the most recently freed
+            /// slot, never a live one, and the live count must equal the
+            /// model's size after every op.
             #[test]
             fn alloc_free_matches_hashmap_model(
                 ops in prop::collection::vec((0u8..2, 0usize..SLOTS), 0..96),
@@ -556,46 +451,31 @@ mod tests {
                 let (_mem, mut arena) = arena_with_slots(SLOTS as u32);
                 let config = StackConfig::paper();
                 arena.free_all();
-                let mut model: HashMap<usize, FlowId> = HashMap::new();
-                let mut retired: Vec<FlowId> = Vec::new();
+                let mut live: HashSet<usize> = HashSet::new();
+                let mut free: Vec<usize> = (0..SLOTS).collect();
                 for (op, pick) in ops {
                     match op {
-                        0 => match arena.alloc(&config) {
-                            Some(flow) => {
-                                prop_assert!(model.len() < SLOTS);
-                                let slot = flow.index();
-                                prop_assert!(!model.contains_key(&slot));
-                                if let Some(old) = retired.iter().find(|r| r.index() == slot) {
-                                    prop_assert_ne!(
-                                        *old, flow,
-                                        "recycled slot must bump generation"
-                                    );
-                                }
-                                model.insert(slot, flow);
+                        0 => {
+                            let got = arena.alloc(&config);
+                            prop_assert_eq!(got, free.pop(), "LIFO reuse");
+                            if let Some(slot) = got {
+                                prop_assert!(live.insert(slot), "slot {} already live", slot);
+                                prop_assert_eq!(arena.states[slot], ConnState::Closed);
                             }
-                            None => prop_assert_eq!(model.len(), SLOTS),
-                        },
+                        }
                         _ => {
-                            if model.is_empty() {
+                            if live.is_empty() {
                                 continue;
                             }
-                            let mut live: Vec<usize> = model.keys().copied().collect();
-                            live.sort_unstable();
-                            let slot = live[pick % live.len()];
-                            let flow = model.remove(&slot).unwrap();
-                            arena.free(flow);
-                            retired.push(flow);
+                            let mut slots: Vec<usize> = live.iter().copied().collect();
+                            slots.sort_unstable();
+                            let slot = slots[pick % slots.len()];
+                            live.remove(&slot);
+                            arena.free(slot);
+                            free.push(slot);
                         }
                     }
-                    prop_assert_eq!(arena.live(), model.len());
-                    for (&slot, &flow) in &model {
-                        prop_assert_eq!(arena.slot(flow), slot);
-                    }
-                }
-                // Every retired handle is stale: its generation no longer
-                // matches the slot's.
-                for old in retired {
-                    prop_assert_ne!(arena.generations[old.index()], old.gen);
+                    prop_assert_eq!(arena.live(), live.len());
                 }
             }
         }

@@ -34,8 +34,8 @@
 //! backlog overflow drops) → ESTABLISHED ([`TcpStack::accept`]) →
 //! FIN_WAIT ([`TcpStack::send_fin`]) → CLOSED
 //! ([`TcpStack::on_fin_ack`]) — with flow slots recycled through the
-//! arena free list ([`TcpStack::flow_alloc`]/[`TcpStack::flow_free`],
-//! generation-stamped so stale handles panic).
+//! arena free list ([`TcpStack::flow_alloc`]/[`TcpStack::flow_free`]);
+//! a slot is its [`sim_core::ConnectionId`]'s index.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,5 +49,5 @@ mod stack;
 pub use bin::Bin;
 pub use config::{FuncCost, StackConfig};
 pub use congestion::{CongestionPhase, CongestionState};
-pub use conn::{ConnState, ConnectionRegions, FlowId};
+pub use conn::{ConnState, ConnectionRegions};
 pub use stack::{ExecCtx, ListenSocket, RxBatchOutcome, SynOutcome, TcpStack};

@@ -5,7 +5,7 @@ use sim_cpu::{Core, DataTouch, PerfCounters, WorkItem};
 use sim_mem::{MemorySystem, RegionId};
 use sim_net::wire;
 use sim_os::SpinLock;
-use sim_prof::{FuncId, FunctionRegistry, ProfScratch, Profiler};
+use sim_prof::{FuncId, FunctionRegistry, Profiler};
 
 use crate::bin::Bin;
 use crate::config::{FuncCost, StackConfig};
@@ -14,12 +14,6 @@ use crate::conn::{ConnState, ConnectionRegions, FlowArena};
 /// Execution context threaded through every stack operation: the CPU the
 /// code runs on, the coherent memory system, the profiler receiving
 /// attribution, and the deterministic RNG.
-///
-/// Per-function counter deltas are batched in an internal [`ProfScratch`]
-/// and flushed into the profiler when the context is dropped — i.e. at
-/// the end of the episode (function-exit/context-switch boundary).
-/// Because the context holds the profiler `&mut`, the borrow checker
-/// guarantees no profiler read can happen before that flush.
 #[derive(Debug)]
 pub struct ExecCtx<'a> {
     /// The core executing the code.
@@ -30,7 +24,6 @@ pub struct ExecCtx<'a> {
     pub prof: &'a mut Profiler,
     /// Deterministic randomness (lock contention draws, etc.).
     pub rng: &'a mut SimRng,
-    scratch: ProfScratch,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -42,25 +35,17 @@ impl<'a> ExecCtx<'a> {
         prof: &'a mut Profiler,
         rng: &'a mut SimRng,
     ) -> Self {
-        let scratch = ProfScratch::new(core.id());
         ExecCtx {
             core,
             mem,
             prof,
             rng,
-            scratch,
         }
     }
 
-    /// Batches `delta` for `func` on this context's CPU.
+    /// Attributes `delta` to `func` on this context's CPU.
     fn record(&mut self, func: FuncId, delta: &PerfCounters) {
-        self.scratch.note(self.prof, func, delta);
-    }
-}
-
-impl Drop for ExecCtx<'_> {
-    fn drop(&mut self) {
-        self.scratch.flush(self.prof);
+        self.prof.record(self.core.id(), func, delta);
     }
 }
 
@@ -262,10 +247,8 @@ impl TcpStack {
         // incremental resizes and format allocations.
         let mut flows = FlowArena::with_capacity(conn_dma.len());
         flows.provision_all(mem, &config, conn_dma, max_message);
-        let locks = flows
-            .ids
-            .iter()
-            .map(|id| SpinLock::new(format!("conn{}.sk_lock", id.index())))
+        let locks = (0..flows.len())
+            .map(|c| SpinLock::new(format!("conn{c}.sk_lock")))
             .collect();
 
         // Lifecycle symbols last — after the per-connection regions, not
@@ -310,13 +293,6 @@ impl TcpStack {
         self.flows.len()
     }
 
-    /// Generation-checked arena slot of `conn` (panics if out of range
-    /// or if the slot was reused under a stale handle).
-    #[inline]
-    fn slot_of(&self, conn: ConnectionId) -> usize {
-        self.flows.slot(self.flows.handle(conn))
-    }
-
     /// The memory regions of `conn`.
     ///
     /// # Panics
@@ -324,7 +300,7 @@ impl TcpStack {
     /// Panics if `conn` is out of range.
     #[must_use]
     pub fn regions(&self, conn: ConnectionId) -> ConnectionRegions {
-        self.flows.regions[self.slot_of(conn)]
+        self.flows.regions[conn.index()]
     }
 
     /// The IRQ-handler function registered for `vector`, if any.
@@ -340,7 +316,7 @@ impl TcpStack {
     /// Panics if `conn` is out of range.
     #[must_use]
     pub fn rx_available(&self, conn: ConnectionId) -> u64 {
-        self.flows.rx_queue_bytes[self.slot_of(conn)]
+        self.flows.rx_queue_bytes[conn.index()]
     }
 
     /// TX segments in flight (queued to the NIC, not yet completed).
@@ -350,7 +326,7 @@ impl TcpStack {
     /// Panics if `conn` is out of range.
     #[must_use]
     pub fn tx_inflight(&self, conn: ConnectionId) -> u32 {
-        self.flows.tx_inflight[self.slot_of(conn)]
+        self.flows.tx_inflight[conn.index()]
     }
 
     /// Segments the congestion window currently allows in flight for
@@ -361,7 +337,7 @@ impl TcpStack {
     /// Panics if `conn` is out of range.
     #[must_use]
     pub fn tx_window(&self, conn: ConnectionId) -> u32 {
-        self.flows.congestion[self.slot_of(conn)].window()
+        self.flows.congestion[conn.index()].window()
     }
 
     /// TX segments sent but not yet ACKed (what the congestion window
@@ -372,7 +348,7 @@ impl TcpStack {
     /// Panics if `conn` is out of range.
     #[must_use]
     pub fn tx_unacked(&self, conn: ConnectionId) -> u32 {
-        self.flows.tx_unacked[self.slot_of(conn)]
+        self.flows.tx_unacked[conn.index()]
     }
 
     /// Bytes `recvmsg` has copied to the application on `conn` since the
@@ -383,7 +359,7 @@ impl TcpStack {
     /// Panics if `conn` is out of range.
     #[must_use]
     pub fn bytes_delivered(&self, conn: ConnectionId) -> u64 {
-        self.flows.rx_bytes_delivered[self.slot_of(conn)]
+        self.flows.rx_bytes_delivered[conn.index()]
     }
 
     /// Bytes `sendmsg` has accepted from the application on `conn` since
@@ -394,7 +370,7 @@ impl TcpStack {
     /// Panics if `conn` is out of range.
     #[must_use]
     pub fn bytes_submitted(&self, conn: ConnectionId) -> u64 {
-        self.flows.tx_bytes_submitted[self.slot_of(conn)]
+        self.flows.tx_bytes_submitted[conn.index()]
     }
 
     /// The congestion-control state of `conn` (read-only view).
@@ -404,7 +380,7 @@ impl TcpStack {
     /// Panics if `conn` is out of range.
     #[must_use]
     pub fn congestion(&self, conn: ConnectionId) -> crate::congestion::CongestionState {
-        self.flows.congestion[self.slot_of(conn)]
+        self.flows.congestion[conn.index()]
     }
 
     fn item(&self, cost: &FuncCost, func: FuncId, bytes: u64) -> WorkItem {
@@ -470,7 +446,7 @@ impl TcpStack {
         bytes: u64,
         cross_cpu: bool,
     ) -> Vec<u32> {
-        let ci = self.slot_of(conn);
+        let ci = conn.index();
         let segments = wire::segments_for(bytes, self.config.mss);
         let episodes = (segments.len() as u32)
             .div_ceil(self.config.tx_wake_batch)
@@ -596,7 +572,7 @@ impl TcpStack {
         ring_slot: u64,
         seg_bytes: u32,
     ) -> u64 {
-        let regions = self.flows.regions[self.slot_of(conn)];
+        let regions = self.flows.regions[conn.index()];
         let item = self
             .item(
                 &self.config.e1000_xmit,
@@ -628,7 +604,7 @@ impl TcpStack {
                 .touch(DataTouch::read(tx_ring, u64::from(i) * 16, 16));
             cycles += self.run(ctx, self.ids.e1000_clean_tx, item);
         }
-        let ci = self.slot_of(conn);
+        let ci = conn.index();
         self.flows.tx_inflight[ci] = self.flows.tx_inflight[ci].saturating_sub(frames);
         cycles
     }
@@ -646,7 +622,7 @@ impl TcpStack {
         acked_segments: u32,
         cross_cpu: bool,
     ) -> u64 {
-        let ci = self.slot_of(conn);
+        let ci = conn.index();
         let regions = self.flows.regions[ci];
         let mut cycles = self.acquire_lock(ctx, ci, cross_cpu);
         // ACK processing reads the whole control block and dirties the
@@ -691,7 +667,7 @@ impl TcpStack {
     ///
     /// Panics if `conn` is out of range.
     pub fn connect(&mut self, ctx: &mut ExecCtx<'_>, conn: ConnectionId, cross_cpu: bool) -> u64 {
-        let ci = self.slot_of(conn);
+        let ci = conn.index();
         let regions = self.flows.regions[ci];
         let mut cycles = 0;
         let item = self
@@ -725,7 +701,7 @@ impl TcpStack {
     ///
     /// Panics if `conn` is out of range.
     pub fn close(&mut self, ctx: &mut ExecCtx<'_>, conn: ConnectionId, cross_cpu: bool) -> u64 {
-        let ci = self.slot_of(conn);
+        let ci = conn.index();
         let regions = self.flows.regions[ci];
         let mut cycles = self.acquire_lock(ctx, ci, cross_cpu);
         let item = self
@@ -754,7 +730,7 @@ impl TcpStack {
         seg_bytes: u32,
         cross_cpu: bool,
     ) -> u64 {
-        let ci = self.slot_of(conn);
+        let ci = conn.index();
         let regions = self.flows.regions[ci];
         self.flows.congestion[ci].on_timeout();
         let mut cycles = self.acquire_lock(ctx, ci, cross_cpu);
@@ -805,7 +781,7 @@ impl TcpStack {
         rx_ring: RegionId,
         cross_cpu: bool,
     ) -> RxBatchOutcome {
-        let ci = self.slot_of(conn);
+        let ci = conn.index();
         let regions = self.flows.regions[ci];
         let was_empty = self.flows.rx_queue_bytes[ci] == 0;
         let mut outcome = RxBatchOutcome::default();
@@ -911,7 +887,7 @@ impl TcpStack {
         max_bytes: u64,
         cross_cpu: bool,
     ) -> u64 {
-        let ci = self.slot_of(conn);
+        let ci = conn.index();
         let regions = self.flows.regions[ci];
 
         let item = self
@@ -1015,25 +991,24 @@ impl TcpStack {
     /// Panics if `conn` is out of range.
     #[must_use]
     pub fn conn_state(&self, conn: ConnectionId) -> ConnState {
-        self.flows.states[self.slot_of(conn)]
+        self.flows.states[conn.index()]
     }
 
     /// Allocates a flow slot for an arriving connection (state
     /// [`ConnState::Closed`] until the SYN is processed). Returns `None`
     /// when every slot is live.
     pub fn flow_alloc(&mut self) -> Option<ConnectionId> {
-        let flow = self.flows.alloc(&self.config)?;
-        Some(ConnectionId::new(flow.index() as u32))
+        let slot = self.flows.alloc(&self.config)?;
+        Some(ConnectionId::new(slot as u32))
     }
 
-    /// Recycles `conn`'s slot (generation bumps; stale handles panic).
+    /// Recycles `conn`'s slot onto the free list.
     ///
     /// # Panics
     ///
-    /// Panics if `conn` is out of range or already free.
+    /// Panics if `conn` is out of range.
     pub fn flow_free(&mut self, conn: ConnectionId) {
-        let flow = self.flows.handle(conn);
-        self.flows.free(flow);
+        self.flows.free(conn.index());
     }
 
     /// Softirq SYN processing for a freshly allocated `conn`: validate,
@@ -1052,7 +1027,7 @@ impl TcpStack {
         conn: ConnectionId,
         cross_cpu: bool,
     ) -> SynOutcome {
-        let ci = self.slot_of(conn);
+        let ci = conn.index();
         let regions = self.flows.regions[ci];
         // Demux runs regardless of the backlog outcome.
         let item = self
@@ -1105,7 +1080,7 @@ impl TcpStack {
     /// Panics if `conn` is out of range, not in SYN_RCVD, or the backlog
     /// is empty.
     pub fn accept(&mut self, ctx: &mut ExecCtx<'_>, conn: ConnectionId, cross_cpu: bool) -> u64 {
-        let ci = self.slot_of(conn);
+        let ci = conn.index();
         assert_eq!(
             self.flows.states[ci],
             ConnState::SynRcvd,
@@ -1141,7 +1116,7 @@ impl TcpStack {
     ///
     /// Panics if `conn` is out of range or not ESTABLISHED.
     pub fn send_fin(&mut self, ctx: &mut ExecCtx<'_>, conn: ConnectionId, cross_cpu: bool) -> u64 {
-        let ci = self.slot_of(conn);
+        let ci = conn.index();
         assert_eq!(
             self.flows.states[ci],
             ConnState::Established,
@@ -1177,7 +1152,7 @@ impl TcpStack {
         conn: ConnectionId,
         cross_cpu: bool,
     ) -> u64 {
-        let ci = self.slot_of(conn);
+        let ci = conn.index();
         assert_eq!(
             self.flows.states[ci],
             ConnState::FinWait,
@@ -1270,7 +1245,6 @@ mod tests {
         h.stack
             .rx_bottom_half(&mut ctx, conn, &[1448, 1448], h.rx_ring, false);
         assert_eq!(h.stack.recvmsg(&mut ctx, conn, 2000, false), 2 * 1448);
-        drop(ctx);
         assert_eq!(h.stack.bytes_submitted(conn), 3000);
         assert_eq!(h.stack.bytes_delivered(conn), 2 * 1448);
 
@@ -1294,7 +1268,6 @@ mod tests {
         let mut h = harness();
         let mut ctx = ExecCtx::new(&mut h.core, &mut h.mem, &mut h.prof, &mut h.rng);
         h.stack.sendmsg(&mut ctx, CONN, 65536, false);
-        drop(ctx); // flush profiler scratch before reading totals
         let reg = h.stack.registry();
         for bin in [
             "Interface",
@@ -1317,7 +1290,6 @@ mod tests {
         let mut h = harness();
         let mut ctx = ExecCtx::new(&mut h.core, &mut h.mem, &mut h.prof, &mut h.rng);
         h.stack.sendmsg(&mut ctx, CONN, 65536, false);
-        drop(ctx);
         let reg = h.stack.registry();
         let copies = h.prof.group_total(reg, "Copies").cycles;
         let interface = h.prof.group_total(reg, "Interface").cycles;
@@ -1340,7 +1312,6 @@ mod tests {
         for _ in 0..200 {
             h.stack.sendmsg(&mut ctx, CONN, 128, false);
         }
-        drop(ctx);
         let reg = h.stack.registry();
         let copies = h.prof.group_total(reg, "Copies").cycles;
         let interface = h.prof.group_total(reg, "Interface").cycles;
@@ -1361,7 +1332,6 @@ mod tests {
         assert_eq!(out.acks_sent, 2); // delayed ack: one per two frames
         assert_eq!(h.stack.rx_available(CONN), 4 * 1448);
 
-        drop(ctx);
         let mut ctx = ExecCtx::new(&mut h.core, &mut h.mem, &mut h.prof, &mut h.rng);
         let got = h.stack.recvmsg(&mut ctx, CONN, 65536, false);
         assert_eq!(got, 4 * 1448);
@@ -1382,14 +1352,12 @@ mod tests {
         let mut ctx = ExecCtx::new(&mut h.core, &mut h.mem, &mut h.prof, &mut h.rng);
         h.stack
             .rx_bottom_half(&mut ctx, CONN, &[1448, 1448], rx_ring, false);
-        drop(ctx);
         let big_timers = h.prof.group_total(h.stack.registry(), "Timers").cycles;
         let mut h2 = harness();
         let rx_ring2 = h2.rx_ring;
         let mut ctx = ExecCtx::new(&mut h2.core, &mut h2.mem, &mut h2.prof, &mut h2.rng);
         h2.stack
             .rx_bottom_half(&mut ctx, CONN, &[128, 128], rx_ring2, false);
-        drop(ctx);
         let small_timers = h2.prof.group_total(h2.stack.registry(), "Timers").cycles;
         assert!(
             big_timers > small_timers * 4,
@@ -1410,7 +1378,6 @@ mod tests {
             ctx.mem.dma_write(dma, round * 1448, 1448);
             h.stack
                 .rx_bottom_half(&mut ctx, CONN, &[1448], rx_ring, false);
-            drop(ctx);
             let mut ctx = ExecCtx::new(&mut h.core, &mut h.mem, &mut h.prof, &mut h.rng);
             h.stack.recvmsg(&mut ctx, CONN, 65536, false);
         }
@@ -1430,16 +1397,13 @@ mod tests {
         let mut ctx = ExecCtx::new(&mut h.core, &mut h.mem, &mut h.prof, &mut h.rng);
         let segs = h.stack.sendmsg(&mut ctx, CONN, 8192, false);
         assert_eq!(h.stack.tx_inflight(CONN), segs.len() as u32);
-        drop(ctx);
         let mut ctx = ExecCtx::new(&mut h.core, &mut h.mem, &mut h.prof, &mut h.rng);
         for (i, &s) in segs.iter().enumerate() {
             h.stack.driver_tx(&mut ctx, CONN, tx_ring, i as u64, s);
         }
-        drop(ctx);
         let mut ctx = ExecCtx::new(&mut h.core, &mut h.mem, &mut h.prof, &mut h.rng);
         h.stack
             .tx_complete(&mut ctx, CONN, tx_ring, segs.len() as u32);
-        drop(ctx);
         assert_eq!(h.stack.tx_inflight(CONN), 0);
         let driver = h.prof.group_total(h.stack.registry(), "Driver").cycles;
         assert!(driver > 0);
@@ -1450,7 +1414,6 @@ mod tests {
         let mut h = harness();
         let mut ctx = ExecCtx::new(&mut h.core, &mut h.mem, &mut h.prof, &mut h.rng);
         h.stack.irq_top_half(&mut ctx, IrqVector::new(0x19));
-        drop(ctx);
         let func = h.stack.irq_func(IrqVector::new(0x19)).unwrap();
         assert_eq!(h.stack.registry().name(func), "IRQ0x19_interrupt");
         assert!(h.prof.func_total(func).cycles > 0);
@@ -1471,7 +1434,6 @@ mod tests {
         let mut rng = SimRng::new(1);
         let mut ctx = ExecCtx::new(&mut core, &mut mem, &mut prof, &mut rng);
         stack.sendmsg(&mut ctx, CONN, 1448, true);
-        drop(ctx);
         let contended_locks = prof.group_total(stack.registry(), "Locks");
         assert!(stack.lock_stats(CONN).contended > 0);
         assert!(
@@ -1499,7 +1461,6 @@ mod tests {
         assert!(cycles > 0);
         // Slow start restarts from the initial window.
         assert_eq!(h.stack.tx_window(CONN), h.stack.config().initial_cwnd);
-        drop(ctx);
         let f = h.stack.registry().lookup("tcp_v4_connect").unwrap();
         assert!(h.prof.func_total(f).cycles > 0);
         assert_eq!(h.stack.registry().group(f), "Engine");
@@ -1521,7 +1482,6 @@ mod tests {
         let mut ctx = ExecCtx::new(&mut h.core, &mut h.mem, &mut h.prof, &mut h.rng);
         let cycles = h.stack.close(&mut ctx, CONN, false);
         assert!(cycles > 0);
-        drop(ctx);
         let f = h.stack.registry().lookup("tcp_close").unwrap();
         assert!(h.prof.func_total(f).cycles > 0);
     }
@@ -1537,7 +1497,6 @@ mod tests {
         assert!(cycles > 0);
         assert!(h.stack.tx_window(CONN) < before);
         assert_eq!(h.stack.congestion(CONN).timeouts(), 1);
-        drop(ctx);
         let f = h.stack.registry().lookup("tcp_retransmit_skb").unwrap();
         assert!(h.prof.func_total(f).machine_clears == 0);
         assert!(h.prof.func_total(f).cycles > 0);
