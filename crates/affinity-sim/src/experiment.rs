@@ -145,8 +145,6 @@ pub struct ExperimentConfig {
     /// onto each NIC — round-robin (`flow % nics`) in the Figure 3
     /// modes, hash-steered under [`AffinityMode::Rss`].
     pub connections: usize,
-    /// Affinity mode under test.
-    pub mode: AffinityMode,
     /// The `ttcp` workload.
     pub workload: Workload,
     /// RNG seed (runs are fully deterministic given the seed).
@@ -161,12 +159,12 @@ pub struct ExperimentConfig {
     pub nic: NicConfig,
     /// Machine-level knobs.
     pub tunables: Tunables,
-    /// Explicit steering configuration. `None` (the default everywhere)
-    /// falls back to the [`AffinityMode`] preset bundle —
-    /// [`AffinityMode::steer_preset`] — so the paper matrix is untouched;
-    /// `Some` overrides the mode entirely (e.g.
-    /// [`SteerSpec::flow_director`]).
-    pub steer: Option<SteerSpec>,
+    /// Steering under test: flow placement, vector layout, dynamic
+    /// steering and process pinning. The constructors that take an
+    /// [`AffinityMode`] fill it from [`AffinityMode::steer_preset`];
+    /// assign any other spec (e.g. [`SteerSpec::flow_director`]) to run
+    /// beyond the paper's four modes.
+    pub steer: SteerSpec,
     /// Dataplane selection and poll-mode knobs. The default
     /// ([`DataplaneMode::Interrupt`]) leaves every interrupt-path
     /// experiment untouched.
@@ -188,7 +186,6 @@ impl ExperimentConfig {
             cpus: 2,
             nics: 8,
             connections: 8,
-            mode,
             workload: Workload::steady_state(direction, message_bytes),
             seed: 0x5EED,
             mem: MemoryConfig::paper_sut(2),
@@ -196,18 +193,10 @@ impl ExperimentConfig {
             stack: StackConfig::paper(),
             nic: NicConfig::default(),
             tunables: Tunables::default(),
-            steer: None,
+            steer: mode.steer_preset(),
             dataplane: DataplaneConfig::default(),
             server: None,
         }
-    }
-
-    /// The effective steering configuration: the explicit [`SteerSpec`]
-    /// when set, the mode's preset bundle otherwise. The machine builds
-    /// its policy from this — it never looks at the mode directly.
-    #[must_use]
-    pub fn steer_spec(&self) -> SteerSpec {
-        self.steer.unwrap_or_else(|| self.mode.steer_preset())
     }
 
     /// The §5 four-processor variant (4 CPUs, still 8 NICs).
@@ -224,17 +213,8 @@ impl ExperimentConfig {
     /// flow→queue assignment in the Figure 3 modes; hash steering under
     /// [`AffinityMode::Rss`]. Message counts are the quick-run defaults —
     /// the sweep multiplies work by the flow count already.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpus` is outside `1..=32` or `flows` is zero.
     #[must_use]
     pub fn scale(direction: Direction, cpus: usize, flows: usize, mode: AffinityMode) -> Self {
-        assert!(
-            (1..=MemoryConfig::MAX_CPUS).contains(&cpus),
-            "scale supports 1..=32 CPUs"
-        );
-        assert!(flows > 0, "need at least one flow");
         let mut config = ExperimentConfig::paper_sut(direction, 4096, mode);
         config.cpus = cpus;
         config.nics = cpus;
@@ -249,17 +229,8 @@ impl ExperimentConfig {
     /// so queues total `cpus` when `cpus >= 4` — carrying `flows`
     /// connections under an explicit steering `spec`. Quick-run message
     /// counts, like [`ExperimentConfig::scale`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpus` is outside `1..=32` or `flows` is zero.
     #[must_use]
     pub fn steer_sweep(direction: Direction, cpus: usize, flows: usize, spec: SteerSpec) -> Self {
-        assert!(
-            (1..=MemoryConfig::MAX_CPUS).contains(&cpus),
-            "steer_sweep supports 1..=32 CPUs"
-        );
-        assert!(flows > 0, "need at least one flow");
         let mut config = ExperimentConfig::paper_sut(direction, 4096, AffinityMode::Irq);
         config.cpus = cpus;
         config.nics = (cpus / 4).max(1);
@@ -267,7 +238,7 @@ impl ExperimentConfig {
         config.connections = flows;
         config.mem = MemoryConfig::paper_sut(cpus);
         config.workload = config.workload.quick();
-        config.steer = Some(spec);
+        config.steer = spec;
         config
     }
 
@@ -277,18 +248,9 @@ impl ExperimentConfig {
     /// running as a busy-polling PMD core. Flows are RSS-hashed across
     /// queues and queues spread evenly across cores, so the comparison
     /// against the interrupt-mode RSS cell is geometry-for-geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpus` is outside `1..=32` or `flows` is zero.
     #[must_use]
     pub fn poll_sweep(direction: Direction, cpus: usize, flows: usize) -> Self {
-        let spec = SteerSpec {
-            placement: crate::steer::FlowPlacement::RssHash,
-            vectors: crate::steer::VectorLayout::SplitEven,
-            dynamic: crate::steer::DynamicSteer::Off,
-            pin_processes: false,
-        };
+        let spec = AffinityMode::Rss.steer_preset();
         let mut config = ExperimentConfig::steer_sweep(direction, cpus, flows, spec);
         config.dataplane.mode = DataplaneMode::Poll;
         config
@@ -302,10 +264,6 @@ impl ExperimentConfig {
     /// 8-frame peer windows, per-segment ACKs) so 100k-slot cells stay
     /// tractable, and `workload.message_bytes` is sized to the largest
     /// response so the stack's skb regions fit every connection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpus` is outside `1..=32` or `flows` is zero.
     #[must_use]
     pub fn churn(cpus: usize, flows: usize, spec: SteerSpec, dataplane: DataplaneMode) -> Self {
         let server = ServerWorkload::churn(flows as u64);
@@ -492,7 +450,7 @@ mod tests {
         assert_eq!(c.cpus, 16);
         assert_eq!(c.nics, 16);
         assert_eq!(c.connections, 256);
-        assert_eq!(c.mode, AffinityMode::Rss);
+        assert_eq!(c.steer, AffinityMode::Rss.steer_preset());
     }
 
     #[test]
@@ -515,15 +473,6 @@ mod tests {
         let a = run_experiment(&config).unwrap();
         let b = run_experiment(&config).unwrap();
         assert_eq!(a.metrics, b.metrics);
-    }
-
-    #[test]
-    fn steer_spec_falls_back_to_the_mode_preset() {
-        let c = ExperimentConfig::paper_sut(Direction::Tx, 4096, AffinityMode::Full);
-        assert_eq!(c.steer_spec(), AffinityMode::Full.steer_preset());
-        let mut c = c;
-        c.steer = Some(SteerSpec::flow_director());
-        assert_eq!(c.steer_spec(), SteerSpec::flow_director());
     }
 
     #[test]

@@ -60,7 +60,9 @@ pub use metrics::{BinBreakdown, LifecycleCounters, RunMetrics};
 pub use mode::AffinityMode;
 pub use ready::ReadyCpus;
 pub use sim_net::CoalesceConfig;
-pub use steer::{
-    DynamicSteer, FlowPlacement, SteerDecision, SteerSpec, SteeringPolicy, VectorLayout,
-};
+pub use steer::{DynamicSteer, FlowPlacement, SteerSpec, VectorLayout};
+// The deleted steering trait's name, still imported by the benchmark
+// package's layer probes.
+#[doc(hidden)]
+pub use steer::FlowDirector as SteeringPolicy;
 pub use workload::{Direction, ServerWorkload, Workload, PAPER_SIZES};

@@ -104,7 +104,9 @@ impl Machine {
         let (got, delta) = self.recv(c, flow);
         self.sched.charge_current(cpu, delta);
         self.run_since_sched[c] += delta;
-        self.steering.consumer_ran(flow, cpu, &mut self.steer_stats);
+        if let Some(fd) = self.flow_dir.as_mut() {
+            fd.consumer_ran(flow, cpu, &mut self.steer_stats);
+        }
         let now = self.clocks[c];
         // Reading freed socket-buffer space: the advertised window opens.
         self.refill_peer_window(flow, now);
@@ -169,7 +171,7 @@ impl Machine {
         let vector = self.vectors[queue];
         let mut target = self.apic.route(vector);
         let mut t = t;
-        if self.steering.dynamic() {
+        if let Some(fd) = self.flow_dir.as_ref() {
             // Directed steering (Flow Director / aRFS): re-target the
             // queue's vector to wherever the consumer of the queue's
             // lowest flow with staged work last ran (the queue's only
@@ -184,15 +186,14 @@ impl Machine {
                 .filter(|&f| !self.staged[f].is_empty())
                 .min()
                 .or_else(|| self.queue_flows[queue].first().copied());
-            if let Some(decision) = flow.and_then(|f| self.steering.steer(f, &mut self.steer_stats))
-            {
-                if decision.target != target {
+            if let Some(to) = flow.and_then(|f| fd.target(f)) {
+                if to != target {
                     self.apic
-                        .retarget(vector, decision.target)
+                        .retarget(vector, to)
                         .expect("steer target is an online CPU");
                     self.steer_stats.resteers += 1;
-                    t += decision.resteer_cycles;
-                    target = decision.target;
+                    t += fd.resteer_cycles();
+                    target = to;
                 }
             }
         }

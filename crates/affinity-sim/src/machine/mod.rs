@@ -50,7 +50,7 @@ use crate::experiment::{DataplaneMode, ExperimentConfig};
 use crate::metrics::{BinBreakdown, RunMetrics};
 use crate::poll::{PollPlane, RxDesc};
 use crate::ready::ReadyCpus;
-use crate::steer::{even_home, SteeringPolicy};
+use crate::steer::{even_home, FlowDirector};
 use crate::workload::Direction;
 
 mod interrupt;
@@ -163,11 +163,11 @@ pub struct Machine {
     vectors: Vec<IrqVector>,
     ready: ReadyCpus,
 
-    /// The steering policy (placement/layout consulted at construction,
-    /// dynamic hooks on the interrupt path). Built once from the
-    /// experiment's [`SteerSpec`](crate::steer::SteerSpec) — no
-    /// `AffinityMode` dispatch survives in the run loop.
-    steering: Box<dyn SteeringPolicy>,
+    /// The Flow Director filter table — `Some` only when the
+    /// experiment's [`SteerSpec`](crate::steer::SteerSpec) asks for
+    /// dynamic steering. Placement and the static vector layout are
+    /// read from the spec once, at construction.
+    flow_dir: Option<FlowDirector>,
     steer_stats: SteerCounters,
 
     /// The kernel-bypass dataplane — `Some` only under
@@ -180,9 +180,6 @@ pub struct Machine {
     /// and die on FIN-ACK, and process context is charged directly on
     /// the connection's home CPU instead of through scheduler tasks.
     server: Option<Box<ServerState>>,
-    /// Whether consumer processing pins to each queue's even-spread home
-    /// CPU (the spec's `pin_processes`, cached for server-mode charging).
-    pin_processes: bool,
 
     /// What the ttcp task of each flow is blocked on, indexed by flow
     /// (task ids follow spawn order, which is flow order); empty for
@@ -192,7 +189,7 @@ pub struct Machine {
     run_since_sched: Vec<u64>,
 
     /// Hardware queue carrying each flow (global queue index): the
-    /// steering policy's placement — round-robin reduces to the identity
+    /// steer spec's placement — round-robin reduces to the identity
     /// map on the paper SUT, RSS hashing spreads flows like a real
     /// indirection table.
     flow_queue: Vec<usize>,
@@ -267,21 +264,16 @@ impl Machine {
         let mut mem = MemorySystem::new(config.mem.clone());
         let mut rng = SimRng::new(config.seed);
 
-        // Build the steering policy once; the run loop only ever sees
-        // the trait object.
-        let spec = config.steer_spec();
-        let steering = spec.build();
+        let spec = config.steer;
 
         let queues_per_nic = config.nic.queues.max(1) as usize;
         let total_queues = nics_n * queues_per_nic;
 
-        // Flow→queue steering per the policy's placement. Round-robin
+        // Flow→queue steering per the spec's placement. Round-robin
         // reduces to the identity map on the paper SUT
         // (`connections == nics`, one queue per port), keeping those
         // runs bit-identical.
-        let flow_queue: Vec<usize> = (0..flows)
-            .map(|f| steering.place_flow(f, total_queues))
-            .collect();
+        let flow_queue: Vec<usize> = (0..flows).map(|f| spec.place(f, total_queues)).collect();
         let mut queue_flows = vec![Vec::new(); total_queues];
         for (f, &q) in flow_queue.iter().enumerate() {
             queue_flows[q].push(f);
@@ -339,11 +331,11 @@ impl Machine {
             )));
         }
 
-        // Program the static vector layout the policy prescribes
+        // Program the static vector layout the spec prescribes
         // (everything-on-CPU0 layouts write the routing default back,
         // which is a no-op for delivery).
         for (q, &v) in vectors.iter().enumerate() {
-            let home = steering.vector_home(q, total_queues, cpus);
+            let home = spec.vector_home(q, total_queues, cpus);
             apic.set_affinity(v, CpuMask::single(home))?;
         }
         let mut blocked = Vec::new();
@@ -392,7 +384,7 @@ impl Machine {
         // of a sweep are geometry-for-geometry comparable.
         let poll = if config.dataplane.mode == DataplaneMode::Poll {
             let homes: Vec<usize> = (0..total_queues)
-                .map(|q| steering.vector_home(q, total_queues, cpus).index())
+                .map(|q| spec.vector_home(q, total_queues, cpus).index())
                 .collect();
             Some(PollPlane::new(
                 cpus,
@@ -441,11 +433,10 @@ impl Machine {
                 .div_ceil(cpus + 1),
             ),
             ready: ReadyCpus::new(),
-            steering,
+            flow_dir: spec.filter_table(),
             steer_stats: SteerCounters::default(),
             poll,
             server,
-            pin_processes: spec.pin_processes,
             blocked,
             last_task_on: vec![None; cpus],
             run_since_sched: vec![0; cpus],
@@ -687,7 +678,9 @@ impl Machine {
             None => {
                 self.sched.charge_current(cpu, delta);
                 self.run_since_sched[c] += delta;
-                self.steering.consumer_ran(flow, cpu, &mut self.steer_stats);
+                if let Some(fd) = self.flow_dir.as_mut() {
+                    fd.consumer_ran(flow, cpu, &mut self.steer_stats);
+                }
             }
         }
         if chunk == left {
@@ -1138,11 +1131,14 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::{should_trace, Machine};
-    use crate::experiment::ExperimentConfig;
+    use crate::experiment::{DataplaneMode, ExperimentConfig};
+    use crate::steer::SteerSpec;
     use crate::workload::Direction;
     use crate::AffinityMode;
+    use sim_core::CpuId;
     use sim_mem::MemoryConfig;
     use sim_net::CoalesceConfig;
+    use sim_os::CpuMask;
 
     #[test]
     fn coalescing_batch_must_fit_the_rx_ring() {
@@ -1186,6 +1182,53 @@ mod tests {
         let mut config = base;
         config.connections = 0;
         assert!(Machine::new(&config).is_err());
+        // The scenario constructors leave both checks to `Machine::new`.
+        let too_many = MemoryConfig::MAX_CPUS + 1;
+        let spec = SteerSpec::flow_director();
+        for (label, config) in [
+            (
+                "scale 33 cpus",
+                ExperimentConfig::scale(Direction::Rx, too_many, 64, AffinityMode::Rss),
+            ),
+            (
+                "scale 0 flows",
+                ExperimentConfig::scale(Direction::Rx, 4, 0, AffinityMode::Rss),
+            ),
+            (
+                "churn 33 cpus",
+                ExperimentConfig::churn(too_many, 64, spec, DataplaneMode::Interrupt),
+            ),
+            (
+                "churn 0 flows",
+                ExperimentConfig::churn(4, 0, spec, DataplaneMode::Poll),
+            ),
+        ] {
+            assert!(Machine::new(&config).is_err(), "{label}");
+        }
+    }
+
+    #[test]
+    fn flow_director_starts_from_the_specs_vector_layout() {
+        for (spec, cpu0) in [
+            (SteerSpec::flow_director_unconfigured(), true),
+            (SteerSpec::flow_director(), false),
+        ] {
+            let config = ExperimentConfig::steer_sweep(Direction::Rx, 4, 16, spec);
+            let machine = Machine::new(&config).unwrap();
+            for (q, &v) in machine.vectors.iter().enumerate() {
+                let home = if cpu0 {
+                    CpuId::new(0)
+                } else {
+                    CpuId::new(q as u32)
+                };
+                assert_eq!(
+                    machine.apic.affinity(v),
+                    CpuMask::single(home),
+                    "{spec:?} queue {q}"
+                );
+                assert_eq!(machine.apic.route(v), home, "{spec:?} queue {q}");
+            }
+        }
     }
 
     #[test]

@@ -110,7 +110,7 @@ impl Machine {
     /// the worker runs wherever the softirq just ran. Poll mode always
     /// runs to completion on the owning PMD core.
     fn server_proc_cpu(&self, flow: usize, softirq_cpu: usize) -> usize {
-        if self.poll.is_none() && self.pin_processes {
+        if self.poll.is_none() && self.config.steer.pin_processes {
             flow % self.config.cpus
         } else {
             softirq_cpu
@@ -178,7 +178,9 @@ impl Machine {
             stack.accept(ctx, conn_id, cross);
         });
         self.last_process_cpu[flow] = Some(cpu);
-        self.steering.flow_opened(flow, cpu, &mut self.steer_stats);
+        if let Some(fd) = self.flow_dir.as_mut() {
+            fd.flow_opened(flow, cpu, &mut self.steer_stats);
+        }
         let measuring = self.measuring;
         let srv = self.server.as_mut().expect("server mode");
         srv.accepts += 1;
@@ -240,7 +242,9 @@ impl Machine {
                 stack.recvmsg(ctx, conn_id, want, cross)
             });
             self.last_process_cpu[flow] = Some(cpu);
-            self.steering.consumer_ran(flow, cpu, &mut self.steer_stats);
+            if let Some(fd) = self.flow_dir.as_mut() {
+                fd.consumer_ran(flow, cpu, &mut self.steer_stats);
+            }
             if got == 0 {
                 return;
             }
@@ -270,7 +274,9 @@ impl Machine {
             self.clocks[pc] = self.clocks[pc].max(now);
             self.transmit(pc, flow, chunk, cross);
             self.last_process_cpu[flow] = Some(cpu);
-            self.steering.consumer_ran(flow, cpu, &mut self.steer_stats);
+            if let Some(fd) = self.flow_dir.as_mut() {
+                fd.consumer_ran(flow, cpu, &mut self.steer_stats);
+            }
             return;
         }
         // Response fully submitted: FIN once the retransmission queue
@@ -294,7 +300,9 @@ impl Machine {
     fn server_complete(&mut self, flow: usize, now: u64) {
         let conn_id = ConnectionId::new(flow as u32);
         debug_assert_eq!(self.stack.conn_state(conn_id), ConnState::Closed);
-        self.steering.flow_closed(flow, &mut self.steer_stats);
+        if let Some(fd) = self.flow_dir.as_mut() {
+            fd.flow_closed(flow, &mut self.steer_stats);
+        }
         self.stack.flow_free(conn_id);
         // Drop leftover client delayed-ACK state so the slot's next
         // incarnation starts clean.
@@ -366,7 +374,10 @@ impl Machine {
             fct_p50_cycles: pct(50),
             fct_p99_cycles: pct(99),
             final_live_flows: self.stack.live_flows() as u64,
-            final_table_entries: self.steering.occupancy().map_or(0, |(occ, _)| occ as u64),
+            final_table_entries: self
+                .flow_dir
+                .as_ref()
+                .map_or(0, |fd| fd.occupancy().0 as u64),
         }
     }
 }

@@ -55,7 +55,7 @@ impl AffinityMode {
         matches!(self, AffinityMode::Process | AffinityMode::Full)
     }
 
-    /// The steering-policy bundle this mode presets. This is the *only*
+    /// The steering spec this mode presets. This is the *only*
     /// place the mode enum is interpreted — the machine consumes the
     /// resulting [`SteerSpec`], never the enum.
     #[must_use]

@@ -6,8 +6,8 @@
 //! device seam pushes every frame arrival, peer ACK and transmit
 //! completion onto the queue's single-producer/single-consumer ring
 //! instead of staging it for an interrupt; the owning PMD core pops it.
-//! Queue → core ownership is fixed at construction from the steering
-//! policy's `vector_home`, which is exactly what makes each ring
+//! Queue → core ownership is fixed at construction from the steer
+//! spec's `vector_home`, which is exactly what makes each ring
 //! single-consumer.
 //!
 //! Ring capacity auto-sizes to the per-queue in-flight bound — each flow

@@ -15,12 +15,14 @@
 //!    ([`DynamicSteer`]: off, or a bounded Flow Director / aRFS filter
 //!    table with a modeled re-steer cost).
 //!
-//! A [`SteerSpec`] names one point in that space declaratively (it is
-//! plain data, part of `ExperimentConfig`); building it
-//! yields a [`SteeringPolicy`] trait object the machine consults on its
-//! hot paths — no `AffinityMode` dispatch survives in the run loop.
-//! [`AffinityMode`](crate::AffinityMode) lives on only as a preset
-//! constructor mapping each paper mode to a spec.
+//! A [`SteerSpec`] names one point in that space. It is plain data, the
+//! `steer` field of `ExperimentConfig`. The machine reads placement
+//! ([`SteerSpec::place`]) and the static vector home
+//! ([`SteerSpec::vector_home`]) once, at construction; the only
+//! steering state left on the delivery path is the optional
+//! [`FlowDirector`] filter table. [`AffinityMode`](crate::AffinityMode)
+//! lives on only as a preset ([`AffinityMode::steer_preset`](crate::AffinityMode::steer_preset))
+//! mapping each paper mode to a spec.
 //!
 //! Interrupt *moderation* is the fourth, per-queue decision; it lives in
 //! [`sim_net::coalesce`] as the [`Coalescer`](sim_net::Coalescer) state
@@ -28,10 +30,6 @@
 
 use sim_core::CpuId;
 use sim_prof::SteerCounters;
-
-mod policies;
-
-pub use policies::{FlowDirector, RoundRobin, RssHash, StaticIrq};
 
 /// The multiplicative-hash RSS indirection used by the scale sweep since
 /// PR 3; kept as *the* hash so placements stay bit-identical.
@@ -160,87 +158,134 @@ impl SteerSpec {
         }
     }
 
-    /// Builds the runtime policy for this spec.
+    /// The queue carrying `flow` out of `queues`.
     #[must_use]
-    pub fn build(&self) -> Box<dyn SteeringPolicy> {
-        match (self.vectors, self.dynamic) {
-            (
-                _,
-                DynamicSteer::FlowDirector {
-                    table_entries,
-                    resteer_cycles,
-                },
-            ) => Box::new(FlowDirector::new(
+    pub fn place(&self, flow: usize, queues: usize) -> usize {
+        self.placement.place(flow, queues)
+    }
+
+    /// The CPU queue `queue`'s vector is statically programmed to,
+    /// before any delivery-time re-target.
+    #[must_use]
+    pub fn vector_home(&self, queue: usize, queues: usize, cpus: usize) -> CpuId {
+        match self.vectors {
+            VectorLayout::AllCpu0 => CpuId::new(0),
+            VectorLayout::SplitEven => even_home(queue, queues, cpus),
+        }
+    }
+
+    /// A fresh filter table when the spec steers dynamically, `None`
+    /// for static steering.
+    #[must_use]
+    pub fn filter_table(&self) -> Option<FlowDirector> {
+        match self.dynamic {
+            DynamicSteer::Off => None,
+            DynamicSteer::FlowDirector {
+                table_entries,
+                resteer_cycles,
+            } => Some(FlowDirector::new(
                 self.placement,
                 table_entries,
                 resteer_cycles,
             )),
-            (VectorLayout::AllCpu0, DynamicSteer::Off) => Box::new(StaticIrq::new(self.placement)),
-            (VectorLayout::SplitEven, DynamicSteer::Off) => match self.placement {
-                FlowPlacement::RoundRobin => Box::new(RoundRobin),
-                FlowPlacement::RssHash => Box::new(RssHash),
-            },
         }
     }
 }
 
-/// A delivery-time re-target decision from a dynamic policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SteerDecision {
-    /// CPU the vector should deliver to.
-    pub target: CpuId,
-    /// Cycles of added delivery latency for the reprogram.
-    pub resteer_cycles: u64,
+/// Intel Flow Director / Linux aRFS: a bounded filter table tracks the
+/// CPU each flow's consumer last ran on; deliveries re-target the
+/// queue's vector there, chasing the consuming core. Static placement
+/// and layout come from the [`SteerSpec`]; the table overrides them per
+/// delivery.
+#[derive(Debug)]
+pub struct FlowDirector {
+    /// Filter table, indexed by flow; grown lazily so machines with few
+    /// flows don't pay for the full capacity. Entries are packed CPU
+    /// indices with [`FlowDirector::EMPTY`] for absent filters — half
+    /// the size of an `Option<CpuId>` per flow, so per-delivery lookups
+    /// stream a dense `u32` array.
+    table: Vec<u32>,
+    /// Occupied entries (bounded by `capacity`).
+    occupied: usize,
+    capacity: usize,
+    resteer_cycles: u64,
 }
 
-/// Flow→queue/vector steering policy.
-///
-/// Placement ([`SteeringPolicy::place_flow`]) and static layout
-/// ([`SteeringPolicy::vector_home`]) are consulted once at machine
-/// construction; the dynamic hooks run on the interrupt hot path, so
-/// static policies keep them as the free default no-ops.
-pub trait SteeringPolicy: std::fmt::Debug + Send {
-    /// Policy name for reports.
-    fn name(&self) -> &'static str;
+impl FlowDirector {
+    /// Sentinel for an unoccupied filter-table entry.
+    const EMPTY: u32 = u32::MAX;
 
-    /// The queue carrying `flow` out of `queues`.
-    fn place_flow(&self, flow: usize, queues: usize) -> usize;
-
-    /// The CPU queue `queue`'s vector is statically programmed to.
-    fn vector_home(&self, queue: usize, queues: usize, cpus: usize) -> CpuId;
-
-    /// Whether this policy re-targets vectors at delivery time (gates
-    /// the hot-path [`SteeringPolicy::steer`] call).
-    fn dynamic(&self) -> bool {
-        false
+    /// A director with a `capacity`-entry filter table and
+    /// `resteer_cycles` per reprogram. `_placement` is unused: the
+    /// machine places flows from its [`SteerSpec`].
+    #[must_use]
+    pub fn new(_placement: FlowPlacement, capacity: usize, resteer_cycles: u64) -> Self {
+        FlowDirector {
+            table: Vec::new(),
+            occupied: 0,
+            capacity,
+            resteer_cycles,
+        }
     }
 
-    /// A flow's consumer task ran on `cpu` — dynamic policies update
-    /// their filter table here.
-    fn consumer_ran(&mut self, _flow: usize, _cpu: CpuId, _counters: &mut SteerCounters) {}
-
-    /// Delivery-time re-target for `flow`, or `None` to keep the static
-    /// route. Only called when [`SteeringPolicy::dynamic`] is true.
-    fn steer(&mut self, _flow: usize, _counters: &mut SteerCounters) -> Option<SteerDecision> {
-        None
+    /// Cycles of added delivery latency per re-target.
+    #[must_use]
+    pub fn resteer_cycles(&self) -> u64 {
+        self.resteer_cycles
     }
 
-    /// A connection was accepted on `cpu` (server workloads): dynamic
-    /// policies install their per-flow steering state here, exactly once
-    /// per connection incarnation. Static policies keep the free no-op.
-    fn flow_opened(&mut self, _flow: usize, _cpu: CpuId, _counters: &mut SteerCounters) {}
+    /// A flow's consumer task ran on `cpu`: program (or update) its
+    /// filter. A full table rejects new flows, which keep their static
+    /// placement.
+    pub fn consumer_ran(&mut self, flow: usize, cpu: CpuId, counters: &mut SteerCounters) {
+        if flow >= self.table.len() {
+            self.table.resize(flow + 1, Self::EMPTY);
+        }
+        if self.table[flow] == Self::EMPTY {
+            if self.occupied >= self.capacity {
+                counters.table_rejects += 1;
+                return;
+            }
+            self.occupied += 1;
+        }
+        self.table[flow] = cpu.raw();
+    }
 
-    /// A connection finished teardown (server workloads): dynamic
-    /// policies must drop whatever [`SteeringPolicy::flow_opened`] or
-    /// [`SteeringPolicy::consumer_ran`] installed — per-flow table
-    /// entries must not outlive the connection.
-    fn flow_closed(&mut self, _flow: usize, _counters: &mut SteerCounters) {}
+    /// The CPU `flow`'s filter re-targets deliveries to, or `None` to
+    /// keep the static route.
+    #[must_use]
+    pub fn target(&self, flow: usize) -> Option<CpuId> {
+        self.table
+            .get(flow)
+            .copied()
+            .filter(|&t| t != Self::EMPTY)
+            .map(CpuId::new)
+    }
 
-    /// `(occupied, capacity)` of the policy's per-flow table, or `None`
-    /// for policies that keep no per-flow state. After every connection
+    /// A connection was accepted on `cpu` (server workloads): program its
+    /// filter exactly like the consumer running would, once per
+    /// connection incarnation.
+    pub fn flow_opened(&mut self, flow: usize, cpu: CpuId, counters: &mut SteerCounters) {
+        self.consumer_ran(flow, cpu, counters);
+    }
+
+    /// A connection finished teardown (server workloads): drop its
+    /// filter, so table entries never outlive the connection. Closing a
+    /// flow with no filter is a no-op.
+    pub fn flow_closed(&mut self, flow: usize, _counters: &mut SteerCounters) {
+        if let Some(entry) = self.table.get_mut(flow) {
+            if *entry != Self::EMPTY {
+                *entry = Self::EMPTY;
+                self.occupied -= 1;
+            }
+        }
+    }
+
+    /// `(occupied, capacity)` of the filter table. After every connection
     /// of a server run has closed, `occupied` must be zero.
-    fn occupancy(&self) -> Option<(usize, usize)> {
-        None
+    #[must_use]
+    pub fn occupancy(&self) -> (usize, usize) {
+        (self.occupied, self.capacity)
     }
 }
 
@@ -275,30 +320,80 @@ mod tests {
     }
 
     #[test]
-    fn build_picks_the_right_policy() {
+    fn spec_methods_follow_the_fields() {
         let rr = SteerSpec {
             placement: FlowPlacement::RoundRobin,
             vectors: VectorLayout::SplitEven,
             dynamic: DynamicSteer::Off,
             pin_processes: false,
         };
-        assert_eq!(rr.build().name(), "round-robin");
         assert_eq!(rr.label(), "RR/split");
+        assert_eq!(rr.place(11, 8), 3);
+        assert_eq!(rr.vector_home(7, 8, 4), CpuId::new(3));
         let cpu0 = SteerSpec {
             vectors: VectorLayout::AllCpu0,
             ..rr
         };
-        assert_eq!(cpu0.build().name(), "static-irq");
+        assert_eq!(cpu0.label(), "RR/cpu0");
+        assert_eq!(cpu0.vector_home(7, 8, 4), CpuId::new(0));
         let rss = SteerSpec {
             placement: FlowPlacement::RssHash,
             ..rr
         };
-        assert_eq!(rss.build().name(), "rss-hash");
         assert_eq!(rss.label(), "RSS");
+        assert_eq!(rss.place(11, 8), rss_hash(11, 8));
         let fd = SteerSpec::flow_director();
-        assert_eq!(fd.build().name(), "flow-director");
         assert_eq!(fd.label(), "FlowDir");
-        assert!(fd.build().dynamic());
-        assert!(!rss.build().dynamic());
+        assert_eq!(fd.vector_home(7, 8, 4), CpuId::new(3));
+    }
+
+    #[test]
+    fn flow_director_tracks_the_consumer() {
+        let mut ctrs = SteerCounters::default();
+        let mut fd = FlowDirector::new(FlowPlacement::RssHash, 4, 600);
+        assert!(fd.target(0).is_none(), "empty table keeps static route");
+        fd.consumer_ran(2, CpuId::new(3), &mut ctrs);
+        assert_eq!(fd.target(2), Some(CpuId::new(3)));
+        assert_eq!(fd.resteer_cycles(), 600);
+        // Re-running elsewhere updates the entry in place.
+        fd.consumer_ran(2, CpuId::new(1), &mut ctrs);
+        assert_eq!(fd.target(2), Some(CpuId::new(1)));
+        assert_eq!(fd.occupancy(), (1, 4));
+        assert_eq!(ctrs.table_rejects, 0);
+    }
+
+    #[test]
+    fn flow_director_table_is_bounded() {
+        let mut ctrs = SteerCounters::default();
+        let mut fd = FlowDirector::new(FlowPlacement::RoundRobin, 2, 600);
+        fd.consumer_ran(0, CpuId::new(0), &mut ctrs);
+        fd.consumer_ran(1, CpuId::new(1), &mut ctrs);
+        fd.consumer_ran(2, CpuId::new(2), &mut ctrs);
+        assert_eq!(fd.occupancy(), (2, 2));
+        assert_eq!(ctrs.table_rejects, 1);
+        assert!(fd.target(2).is_none(), "rejected flow stays static");
+        // Existing entries still update.
+        fd.consumer_ran(0, CpuId::new(3), &mut ctrs);
+        assert_eq!(fd.target(0), Some(CpuId::new(3)));
+        assert_eq!(fd.occupancy(), (2, 2));
+    }
+
+    #[test]
+    fn flow_director_uninstalls_on_close() {
+        let mut ctrs = SteerCounters::default();
+        let mut fd = FlowDirector::new(FlowPlacement::RssHash, 8, 600);
+        fd.flow_opened(3, CpuId::new(1), &mut ctrs);
+        fd.flow_opened(5, CpuId::new(2), &mut ctrs);
+        assert_eq!(fd.occupancy(), (2, 8));
+        assert!(fd.target(3).is_some());
+        fd.flow_closed(3, &mut ctrs);
+        assert!(fd.target(3).is_none(), "closed flow steers static");
+        assert_eq!(fd.occupancy(), (1, 8));
+        // Closing twice (or closing a never-opened flow) is a no-op.
+        fd.flow_closed(3, &mut ctrs);
+        fd.flow_closed(7, &mut ctrs);
+        assert_eq!(fd.occupancy(), (1, 8));
+        fd.flow_closed(5, &mut ctrs);
+        assert_eq!(fd.occupancy(), (0, 8));
     }
 }

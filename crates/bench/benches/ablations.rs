@@ -96,7 +96,7 @@ fn ablate_steering(c: &mut Criterion) {
         ("static_cpu0", |_| {}),
         ("rotation", |c| c.tunables.irq_rotation_cycles = 3_000_000),
         ("rss_dynamic", |c| {
-            c.steer = Some(affinity_sim::SteerSpec::flow_director_unconfigured());
+            c.steer = affinity_sim::SteerSpec::flow_director_unconfigured();
         }),
     ];
     for (name, configure) in policies {

@@ -90,7 +90,7 @@ fn main() {
     }
     config.tunables.loss_rate = loss;
     if rss {
-        config.steer = Some(SteerSpec::flow_director_unconfigured());
+        config.steer = SteerSpec::flow_director_unconfigured();
     }
     config.tunables.irq_rotation_cycles = rotate;
 

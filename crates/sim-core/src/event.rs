@@ -88,13 +88,13 @@ use crate::SimTime;
 
 /// An event with its scheduled time and tie-breaking sequence number.
 #[derive(Debug, Clone)]
-pub struct ScheduledEvent<E> {
+struct ScheduledEvent<E> {
     /// When the event fires.
-    pub time: SimTime,
+    time: SimTime,
     /// Monotonic insertion index; earlier pushes pop first on time ties.
-    pub seq: u64,
+    seq: u64,
     /// The caller-defined payload.
-    pub event: E,
+    event: E,
 }
 
 impl<E> PartialEq for ScheduledEvent<E> {

@@ -38,7 +38,7 @@ mod rng;
 mod time;
 
 pub use error::SimError;
-pub use event::{ScheduledEvent, ShardedEventQueue};
+pub use event::ShardedEventQueue;
 pub use ids::{ConnectionId, CpuId, DeviceId, IrqVector, TaskId};
 pub use rng::SimRng;
 pub use time::{Frequency, SimTime};

@@ -12,8 +12,8 @@
 /// One busy-polling core: the NIC queues it owns. A run keeps one per
 /// CPU, indexed by CPU.
 ///
-/// Queue ownership is static for the lifetime of a run (the steering
-/// policy's `vector_home` decides it up front), which is what makes the
+/// Queue ownership is static for the lifetime of a run (the steer
+/// spec's `vector_home` decides it up front), which is what makes the
 /// rx rings single-consumer.
 #[derive(Debug, Clone, Default)]
 pub struct PmdCore {

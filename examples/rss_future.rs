@@ -28,11 +28,15 @@ fn main() {
         run("2.6 rotation (1.5ms)", |c| {
             c.tunables.irq_rotation_cycles = 3_000_000;
         }),
-        run("static split (IRQ aff)", |c| c.mode = AffinityMode::Irq),
-        run("RSS dynamic steering", |c| {
-            c.steer = Some(SteerSpec::flow_director_unconfigured());
+        run("static split (IRQ aff)", |c| {
+            c.steer = AffinityMode::Irq.steer_preset();
         }),
-        run("full affinity (pinned)", |c| c.mode = AffinityMode::Full),
+        run("RSS dynamic steering", |c| {
+            c.steer = SteerSpec::flow_director_unconfigured();
+        }),
+        run("full affinity (pinned)", |c| {
+            c.steer = AffinityMode::Full.steer_preset();
+        }),
     ];
 
     println!(

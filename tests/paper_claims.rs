@@ -241,19 +241,16 @@ fn dynamic_steering_recovers_most_of_full_affinity_without_pinning() {
     // The paper's conclusion: Flow-Director-style adapters that steer
     // interrupts to the consumer's CPU should get affinity benefits
     // without static configuration.
-    let mk = |steer: Option<SteerSpec>, mode: AffinityMode| {
-        let mut c = ExperimentConfig::paper_sut(Direction::Rx, 16384, mode);
+    let mk = |steer: SteerSpec| {
+        let mut c = ExperimentConfig::paper_sut(Direction::Rx, 16384, AffinityMode::None);
         c.workload.warmup_messages = 8;
         c.workload.measure_messages = 20;
         c.steer = steer;
         run_experiment(&c).unwrap().metrics
     };
-    let no = mk(None, AffinityMode::None);
-    let rss = mk(
-        Some(SteerSpec::flow_director_unconfigured()),
-        AffinityMode::None,
-    );
-    let full = mk(None, AffinityMode::Full);
+    let no = mk(AffinityMode::None.steer_preset());
+    let rss = mk(SteerSpec::flow_director_unconfigured());
+    let full = mk(AffinityMode::Full.steer_preset());
     assert!(
         rss.throughput_mbps() > no.throughput_mbps() * 1.05,
         "rss {:.0} vs no {:.0}",
@@ -282,7 +279,7 @@ fn irq_rotation_runs_and_spreads_interrupt_load() {
 
     let mut full = rot.clone();
     full.tunables.irq_rotation_cycles = 0;
-    full.mode = AffinityMode::Full;
+    full.steer = AffinityMode::Full.steer_preset();
     let f = run_experiment(&full).unwrap().metrics;
 
     assert!(r.messages > 0);

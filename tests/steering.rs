@@ -1,5 +1,5 @@
 //! Property tests for the steering & interrupt-delivery subsystem:
-//! every policy keeps deliveries on online CPUs inside the programmed
+//! every spec keeps deliveries on online CPUs inside the programmed
 //! affinity masks, placement is independent of the sweep harness's
 //! thread count, and the `AffinityMode` presets reproduce the exact
 //! flow→CPU maps the pre-refactor dispatch produced.
@@ -38,10 +38,11 @@ fn all_specs() -> Vec<SteerSpec> {
 }
 
 proptest! {
-    /// For any machine shape, every policy places each flow on a real
+    /// For any machine shape, every spec places each flow on a real
     /// queue, homes each vector on an online CPU, and — after arbitrary
-    /// consumer activity — only ever re-targets a delivery to an online
-    /// CPU that stays inside the vector's programmed affinity mask.
+    /// consumer activity — its filter table only ever re-targets a
+    /// delivery to an online CPU that stays inside the vector's
+    /// programmed affinity mask.
     #[test]
     fn policies_deliver_to_online_cpus_in_the_affinity_mask(
         cpus in 1usize..17,
@@ -50,33 +51,34 @@ proptest! {
         runs in prop::collection::vec((0usize..64, 0usize..16), 0..40),
     ) {
         for spec in all_specs() {
-            let mut policy = spec.build();
+            let mut table = spec.filter_table();
             let mut counters = SteerCounters::default();
             let mut apic = IoApic::new(cpus);
             // Program the static layout the machine would install; one
             // vector per queue (vector number = 0x20 + queue).
             let vector = |q: usize| sim_core::IrqVector::new(0x20 + q as u32);
             for q in 0..queues {
-                let home = policy.vector_home(q, queues, cpus);
-                prop_assert!((home.index()) < cpus, "{}: queue {q} homed off-line", policy.name());
+                let home = spec.vector_home(q, queues, cpus);
+                prop_assert!(home.index() < cpus, "{}: queue {q} homed off-line", spec.label());
                 apic.set_affinity(vector(q), CpuMask::single(home)).unwrap();
             }
             // Arbitrary consumer activity on online CPUs.
-            for &(flow, cpu) in &runs {
-                policy.consumer_ran(flow % flows, CpuId::new((cpu % cpus) as u32), &mut counters);
+            if let Some(fd) = table.as_mut() {
+                for &(flow, cpu) in &runs {
+                    fd.consumer_ran(flow % flows, CpuId::new((cpu % cpus) as u32), &mut counters);
+                }
             }
             for flow in 0..flows {
-                let q = policy.place_flow(flow, queues);
-                prop_assert!(q < queues, "{}: flow {flow} placed off-queue", policy.name());
-                if let Some(decision) = policy.steer(flow, &mut counters) {
-                    prop_assert!(policy.dynamic(), "static policy returned a steer decision");
+                let q = spec.place(flow, queues);
+                prop_assert!(q < queues, "{}: flow {flow} placed off-queue", spec.label());
+                if let Some(target) = table.as_ref().and_then(|fd| fd.target(flow)) {
                     prop_assert!(
-                        decision.target.index() < cpus,
+                        target.index() < cpus,
                         "{}: steered flow {flow} to offline cpu {:?}",
-                        policy.name(),
-                        decision.target
+                        spec.label(),
+                        target
                     );
-                    apic.retarget(vector(q), decision.target).unwrap();
+                    apic.retarget(vector(q), target).unwrap();
                 }
                 // Wherever the vector ended up, its route is inside its
                 // own affinity mask and online.
@@ -107,7 +109,7 @@ proptest! {
             },
             pin_processes: false,
         };
-        let mut policy = spec.build();
+        let mut table = spec.filter_table().expect("a Flow Director spec");
         let mut counters = SteerCounters::default();
         // The model: flow → last programmed CPU, bounded by capacity.
         let mut model: std::collections::BTreeMap<usize, u32> = std::collections::BTreeMap::new();
@@ -115,26 +117,26 @@ proptest! {
         for &(flow, cpu, open) in &ops {
             let cpu_id = CpuId::new((cpu % cpus) as u32);
             if open {
-                policy.flow_opened(flow, cpu_id, &mut counters);
+                table.flow_opened(flow, cpu_id, &mut counters);
                 if model.contains_key(&flow) || model.len() < capacity {
                     model.insert(flow, cpu_id.raw());
                 } else {
                     rejects += 1;
                 }
             } else {
-                policy.flow_closed(flow, &mut counters);
+                table.flow_closed(flow, &mut counters);
                 model.remove(&flow);
             }
             prop_assert_eq!(
-                policy.occupancy(),
-                Some((model.len(), capacity)),
+                table.occupancy(),
+                (model.len(), capacity),
                 "occupancy diverged from the model after {:?}",
                 (flow, cpu, open)
             );
             // The table steers installed flows to their programmed CPU
             // and leaves everything else on its static placement.
-            match (policy.steer(flow, &mut counters), model.get(&flow)) {
-                (Some(d), Some(&want)) => prop_assert_eq!(d.target.raw(), want),
+            match (table.target(flow), model.get(&flow)) {
+                (Some(got), Some(&want)) => prop_assert_eq!(got.raw(), want),
                 (None, None) => {}
                 (got, want) => prop_assert!(
                     false,
@@ -145,11 +147,11 @@ proptest! {
         prop_assert_eq!(counters.table_rejects, rejects, "reject accounting diverged");
         // Drain: closing every flow ever touched empties the table.
         for &(flow, _, _) in &ops {
-            policy.flow_closed(flow, &mut counters);
+            table.flow_closed(flow, &mut counters);
         }
-        prop_assert_eq!(policy.occupancy(), Some((0, capacity)), "table did not drain to zero");
+        prop_assert_eq!(table.occupancy(), (0, capacity), "table did not drain to zero");
         for &(flow, _, _) in &ops {
-            prop_assert!(policy.steer(flow, &mut counters).is_none(), "stale filter survived drain");
+            prop_assert!(table.target(flow).is_none(), "stale filter survived drain");
         }
     }
 
@@ -213,7 +215,6 @@ fn affinity_mode_presets_reproduce_pre_refactor_maps() {
     let queues = 8;
     for mode in AffinityMode::ALL {
         let spec = mode.steer_preset();
-        let policy = spec.build();
         for flow in 0..queues {
             let expect_queue = match mode {
                 AffinityMode::Rss => {
@@ -222,7 +223,7 @@ fn affinity_mode_presets_reproduce_pre_refactor_maps() {
                 _ => flow % queues,
             };
             assert_eq!(
-                policy.place_flow(flow, queues),
+                spec.place(flow, queues),
                 expect_queue,
                 "{mode:?}: flow {flow} placement moved"
             );
@@ -232,12 +233,15 @@ fn affinity_mode_presets_reproduce_pre_refactor_maps() {
                 _ => CpuId::new((q * cpus / queues) as u32),
             };
             assert_eq!(
-                policy.vector_home(q, queues, cpus),
+                spec.vector_home(q, queues, cpus),
                 expect_cpu,
                 "{mode:?}: queue {q} vector home moved"
             );
         }
-        assert!(!policy.dynamic(), "presets never re-target dynamically");
+        assert!(
+            spec.filter_table().is_none(),
+            "presets never re-target dynamically"
+        );
         assert_eq!(spec.pin_processes, mode.processes_pinned());
     }
 
@@ -246,9 +250,8 @@ fn affinity_mode_presets_reproduce_pre_refactor_maps() {
         let config = ExperimentConfig::paper_sut(Direction::Rx, 4096, mode);
         let machine = Machine::new(&config).unwrap();
         let spec = mode.steer_preset();
-        let policy = spec.build();
         let expected: Vec<usize> = (0..config.connections)
-            .map(|f| policy.place_flow(f, queues))
+            .map(|f| spec.place(f, queues))
             .collect();
         assert_eq!(machine.flow_queues(), &expected[..], "{mode:?}");
     }
