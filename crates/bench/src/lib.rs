@@ -3,8 +3,8 @@
 //! The heavy lifting lives in [`affinity_sim`]; this crate adds the
 //! experiment *matrices* the paper's evaluation section defines (which
 //! sizes, which modes, which extreme points), seed-averaged sweeps, and a
-//! deterministic work-stealing job pool that runs matrix cells in
-//! parallel without letting the thread count leak into the results.
+//! deterministic job pool that runs cells in parallel, heaviest first,
+//! without letting the thread count leak into the results.
 
 #![forbid(unsafe_code)]
 
@@ -74,6 +74,14 @@ pub fn hardware_threads() -> usize {
 /// Runs every job through `run` on a pool of workers and returns the
 /// results **in job order**, regardless of scheduling.
 ///
+/// Workers claim jobs **from the back of the list**: the k-th claim takes
+/// job `n - 1 - k`. Callers list their jobs cheapest first, so the pool
+/// starts the heaviest ones first and the cheap ones fill in behind them
+/// (Graham's longest-processing-time rule, with the list order standing
+/// in for the unknown run times). A heavy job listed last under a
+/// front-first pool would start after everything else and leave every
+/// other worker idle while it ran.
+///
 /// `threads` is a *cap*, not a target: the simulation is pure CPU work,
 /// so spawning more workers than the machine has hardware threads can
 /// only add context-switch and cache-thrash overhead (measured as a
@@ -113,9 +121,10 @@ where
     if workers <= 1 {
         return jobs.into_iter().map(run).collect();
     }
-    // One shared cursor hands out job indices, so claiming a job is a
-    // single uncontended `fetch_add` instead of a queue-mutex
-    // acquisition. Each per-job slot is locked exactly once by the one
+    // One shared cursor counts claims, so claiming a job is a single
+    // uncontended `fetch_add` instead of a queue-mutex acquisition. The
+    // k-th claim takes job `n - 1 - k`: the list's heaviest (last) jobs
+    // start first. Each per-job slot is locked exactly once by the one
     // worker whose cursor draw claimed it. Workers accumulate results
     // in worker-local vectors (nothing shared to contend or false-share
     // on) and the join-time scatter restores job order, so the output
@@ -130,10 +139,11 @@ where
                 s.spawn(|| {
                     let mut local = Vec::new();
                     loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n {
+                        let claim = cursor.fetch_add(1, Ordering::Relaxed);
+                        if claim >= n {
                             return local;
                         }
+                        let idx = n - 1 - claim;
                         let job = slots[idx]
                             .lock()
                             .expect("job slot lock")
@@ -580,9 +590,49 @@ mod tests {
     fn run_pool_preserves_job_order() {
         let jobs: Vec<u64> = (0..37).collect();
         let serial = run_pool_exact(jobs.clone(), 1, |j| j * j);
-        let parallel = run_pool_exact(jobs, 4, |j| j * j);
-        assert_eq!(serial, parallel);
         assert_eq!(serial[5], 25);
+        // Uneven durations make workers finish out of step, so claims
+        // interleave differently from run to run.
+        let uneven = |j: u64| {
+            thread::sleep(std::time::Duration::from_millis(j * 7 % 5));
+            j * j
+        };
+        for workers in 2..=4 {
+            let parallel = run_pool_exact(jobs.clone(), workers, uneven);
+            assert_eq!(serial, parallel, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn run_pool_starts_the_last_job_first() {
+        // Every job but the last waits for the last one to have started.
+        // A pool that starts from the back never waits; under a
+        // front-first pool the first jobs time out instead of hanging.
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        for n in [3, 4, 9] {
+            let last_started = AtomicBool::new(false);
+            let timed_out = run_pool_exact((0..n).collect(), 2, |j: usize| {
+                if j == n - 1 {
+                    last_started.store(true, Ordering::Release);
+                    return false;
+                }
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while !last_started.load(Ordering::Acquire) {
+                    if Instant::now() > deadline {
+                        return true;
+                    }
+                    thread::sleep(Duration::from_millis(1));
+                }
+                false
+            });
+            let late: Vec<usize> = (0..n).filter(|&j| timed_out[j]).collect();
+            assert!(
+                late.is_empty(),
+                "n = {n}: jobs {late:?} timed out waiting for job {} to start",
+                n - 1
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! its own copy of these recipes; the quick digests pinned in this
 //! module's tests are its `QUICK_PINS`.
 
-use crate::{cell, fnv_fold, run_pool, FIGURE_SEEDS};
+use crate::{cell, fnv_fold, hardware_threads, run_pool, FIGURE_SEEDS};
 use affinity_sim::{
     run_experiment, AffinityMode, CoalesceConfig, DataplaneMode, Direction, DynamicSteer,
     ExperimentConfig, FlowPlacement, RunResult, ServerWorkload, SteerSpec, VectorLayout,
@@ -18,7 +18,7 @@ use std::fmt::Display;
 pub const HISTORY_PATH: &str = "BENCH_substrate.json";
 
 /// PR number stamped on history rows appended to [`HISTORY_PATH`].
-pub const CURRENT_PR: u32 = 22;
+pub const CURRENT_PR: u32 = 27;
 
 /// Construction bound for cells of a million flows or more, in host
 /// nanoseconds per provisioned flow: a quarter of the ~22,700 ns/flow the
@@ -99,6 +99,8 @@ pub(crate) struct Outcome {
     values: Vec<f64>,
     /// Host seconds spent constructing the machine (never digested).
     setup_wall_s: f64,
+    /// Host seconds the whole cell took, construction included.
+    wall_s: f64,
 }
 
 /// A finished sweep run.
@@ -107,6 +109,9 @@ pub struct Run {
     pub(crate) digest: u64,
     pub wall_s: f64,
     pub(crate) setup_wall_s: f64,
+    /// Worker seconds the pool spent without a cell to run: workers x
+    /// wall minus the summed cell walls.
+    pub(crate) pool_idle_s: f64,
 }
 
 impl Sweep {
@@ -192,10 +197,10 @@ impl Sweep {
         }
         let (n, wall, setup, digest) =
             (run.outcomes.len(), run.wall_s, run.setup_wall_s, run.digest);
-        let (name, rate) = (self.name, n as f64 / wall);
+        let (name, rate, idle) = (self.name, n as f64 / wall, run.pool_idle_s);
         out + &format!(
-            "\n{name}: {n} cells in {wall:.2} s ({rate:.1} cells/sec, setup {setup:.2} s), \
-             digest {digest:016x}"
+            "\n{name}: {n} cells in {wall:.2} s ({rate:.1} cells/sec, setup {setup:.2} s, \
+             pool idle {idle:.2} s), digest {digest:016x}"
         )
     }
 
@@ -216,14 +221,21 @@ impl Sweep {
 
 /// Runs `cells` of `sweep` on a pool of `threads` workers and folds the
 /// digest in cell order, so it is the same at any worker count.
+///
+/// Cells must be listed cheapest first: the pool starts from the back of
+/// the list (see [`run_pool`]).
 #[must_use]
 pub fn run(sweep: &Sweep, cells: &[&Cell], threads: usize) -> Run {
     let t0 = std::time::Instant::now();
     let outcomes = run_pool(cells.to_vec(), threads, |cell| measure(sweep, cell));
     let wall_s = t0.elapsed().as_secs_f64();
+    // The worker count `run_pool` spawns (one when it runs inline).
+    let workers = threads.min(hardware_threads()).min(cells.len()).max(1);
+    let busy_s: f64 = outcomes.iter().map(|o| o.wall_s).sum();
     Run {
         digest: fnv_fold(outcomes.iter().flat_map(|o| o.words.iter().copied())),
         setup_wall_s: outcomes.iter().map(|o| o.setup_wall_s).sum(),
+        pool_idle_s: workers as f64 * wall_s - busy_s,
         outcomes,
         wall_s,
     }
@@ -232,6 +244,7 @@ pub fn run(sweep: &Sweep, cells: &[&Cell], threads: usize) -> Run {
 /// Runs one cell and checks it (see [`digest_words`]). A cell of a
 /// million flows or more must also meet the construction bound.
 fn measure(sweep: &Sweep, cell: &Cell) -> Outcome {
+    let t0 = std::time::Instant::now();
     let config = &cell.config;
     let label = format!("{} {}", sweep.name, cell.label());
     let r = run_experiment(config).expect("valid sweep config");
@@ -240,11 +253,11 @@ fn measure(sweep: &Sweep, cell: &Cell) -> Outcome {
         assert_setup_bound(&label, r.setup_wall_s, config.connections);
     }
     let values = sweep.columns.iter().map(|c| (c.value)(&r)).collect();
-    let setup_wall_s = r.setup_wall_s;
     Outcome {
         words,
         values,
-        setup_wall_s,
+        setup_wall_s: r.setup_wall_s,
+        wall_s: t0.elapsed().as_secs_f64(),
     }
 }
 
@@ -696,6 +709,34 @@ mod tests {
         }
     }
 
+    /// The pool starts from the back of a cell list (`run_pool`), so the
+    /// heaviest cell must come last. Cell cost grows with CPUs and flows;
+    /// `perf` runs on the paper SUT's fixed two CPUs and is exempt.
+    #[test]
+    fn sweeps_list_their_cells_cheapest_first() {
+        let size = |c: &Cell| (c.config.cpus, c.config.connections);
+        for sweep in sweeps(false).iter().chain(&sweeps(true)) {
+            if sweep.name == "perf" {
+                continue;
+            }
+            let sizes: Vec<(usize, usize)> = sweep.cells.iter().map(size).collect();
+            assert!(
+                sizes.is_sorted(),
+                "{}: cells out of (cpus, flows) order: {sizes:?}",
+                sweep.name
+            );
+            let (cpus, flows) = sizes[sizes.len() - 1];
+            for extra in &sweep.extras {
+                let (c, f) = size(&extra.cells[0]);
+                assert!(
+                    c >= cpus && f >= flows,
+                    "{}: {c}x{f} is smaller than the grid's last cell {cpus}x{flows}",
+                    extra.name
+                );
+            }
+        }
+    }
+
     #[test]
     fn filter_errors_name_the_valid_tokens() {
         let steer = find(false, "steer");
@@ -739,6 +780,7 @@ mod tests {
                 words: Vec::new(),
                 values: vec![1.0; sweep.columns.len()],
                 setup_wall_s: 0.0,
+                wall_s: 1.0,
             };
             let outcomes = cells.iter().map(|_| outcome()).collect();
             let run = Run {
@@ -746,6 +788,7 @@ mod tests {
                 digest: 0,
                 wall_s: 1.0,
                 setup_wall_s: 0.0,
+                pool_idle_s: 0.0,
             };
             // Header, one row per cell, the headline if any, the summary.
             let lines = 2 + cells.len() + usize::from(sweep.headline.is_some());
@@ -781,6 +824,7 @@ mod tests {
             digest: 0x5b4b_100c_bd3a_3908,
             wall_s: 1.25,
             setup_wall_s: 0.5,
+            pool_idle_s: 0.0,
         };
         let path = std::env::temp_dir().join(format!("sweeps_row_{}.json", std::process::id()));
         let path = path.to_str().expect("utf-8 temp path");
