@@ -36,8 +36,7 @@
 //! PMD probe sees everything enqueued at its instant).
 
 use sim_core::{
-    ConnectionId, CpuId, DeviceId, IrqVector, Result, ShardedEventQueue, SimError, SimRng, SimTime,
-    TaskId,
+    ConnectionId, CpuId, DeviceId, EventQueue, IrqVector, Result, SimError, SimRng, SimTime, TaskId,
 };
 use sim_cpu::Core;
 use sim_mem::MemorySystem;
@@ -152,13 +151,9 @@ pub struct Machine {
     stack: TcpStack,
     prof: Profiler,
     rng: SimRng,
-    /// Pending device/wire events, sharded into one lane per CPU plus a
-    /// device lane (index `cpus`). Lane choice is storage layout only —
-    /// the sharded queue merges lanes in global `(time, seq)` order, so
-    /// routing cannot change pop order (see `sim_core::event`). Routing
-    /// flow/queue events to the interrupt's current home CPU keeps each
-    /// lane's calendar dense with same-CPU work.
-    events: ShardedEventQueue<Event>,
+    /// Pending device, wire and timer events of every CPU, popped in
+    /// global `(time, seq)` order (see `sim_core::event`).
+    events: EventQueue<Event>,
     /// MSI-X vector of each hardware queue, in global queue order.
     vectors: Vec<IrqVector>,
     ready: ReadyCpus,
@@ -245,8 +240,8 @@ impl Machine {
     /// Returns a configuration error if the CPU count differs from the
     /// memory system's (whose validation bounds it to
     /// `1..=MemoryConfig::MAX_CPUS`), if there is no connection, if the
-    /// memory or stack config is invalid or an affinity mask cannot be
-    /// applied.
+    /// wire loss rate is outside `[0, 1)`, if the memory or stack config
+    /// is invalid or an affinity mask cannot be applied.
     pub fn new(config: &ExperimentConfig) -> Result<Self> {
         let cpus = config.cpus;
         if cpus != config.mem.cpus {
@@ -260,6 +255,14 @@ impl Machine {
         let flows = config.connections;
         if flows == 0 {
             return Err(SimError::config("machine needs at least one connection"));
+        }
+        // A certain loss never delivers a segment, and the chance draw
+        // reads NaN or a negative rate as lossless.
+        let loss = config.tunables.loss_rate;
+        if !(0.0..1.0).contains(&loss) {
+            return Err(SimError::config(format!(
+                "loss rate {loss} is outside [0, 1)"
+            )));
         }
         let mut mem = MemorySystem::new(config.mem.clone());
         let mut rng = SimRng::new(config.seed);
@@ -418,19 +421,15 @@ impl Machine {
             rng,
             // Steady state carries a few in-flight events per queue
             // (wire segments, ACKs, coalescing timers) plus one peer
-            // window per *streaming* flow; pre-size so the heaps rarely
-            // reallocate mid-run. The budget is split across lanes —
-            // per-lane full capacity would multiply the reserve by the
-            // lane count, gigabytes of dead heap at 1M flows.
-            events: ShardedEventQueue::with_capacity(
-                cpus + 1,
-                (64 * total_queues
+            // window per *streaming* flow; pre-size so the far heap
+            // rarely reallocates mid-run.
+            events: EventQueue::with_capacity(
+                64 * total_queues
                     + config.tunables.peer_window as usize
                         * match config.workload.active_conns {
                             0 => flows,
                             n => n.min(flows),
-                        })
-                .div_ceil(cpus + 1),
+                        },
             ),
             ready: ReadyCpus::new(),
             flow_dir: spec.filter_table(),
@@ -1139,6 +1138,21 @@ mod tests {
     use sim_mem::MemoryConfig;
     use sim_net::CoalesceConfig;
     use sim_os::CpuMask;
+
+    #[test]
+    fn loss_rate_must_lie_in_the_unit_interval() {
+        let base = ExperimentConfig::paper_sut(Direction::Rx, 1024, AffinityMode::None).quick();
+        let with = |loss_rate| {
+            let mut config = base.clone();
+            config.tunables.loss_rate = loss_rate;
+            Machine::new(&config)
+        };
+        assert!(with(0.0).is_ok());
+        assert!(with(0.999).is_ok());
+        for bad in [1.0, 1.5, -3.0, f64::NAN, f64::INFINITY] {
+            assert!(with(bad).is_err(), "loss rate {bad} accepted");
+        }
+    }
 
     #[test]
     fn coalescing_batch_must_fit_the_rx_ring() {

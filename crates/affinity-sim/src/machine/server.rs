@@ -137,7 +137,7 @@ impl Machine {
         self.server.as_mut().expect("server mode").backlog_drops += 1;
         // Not `arm_rto`: `now` is the softirq CPU's clock, which runs
         // ahead of and behind the watermark, so these retries are not
-        // monotone with the timer run and belong on the lanes.
+        // monotone with the timer run and belong in the calendar.
         self.push_event(now + self.config.tunables.rto_cycles, Event::ConnArrival);
     }
 

@@ -12,37 +12,19 @@ impl Machine {
     /// trail device time, so a wire/timer computation may produce a
     /// timestamp the queue has already passed. Every event the machine
     /// schedules goes through here, so the watermark panic in
-    /// `ShardedEventQueue::push` is unreachable from the run loop.
+    /// `EventQueue::push` is unreachable from the run loop.
     pub(super) fn push_event(&mut self, at: u64, event: Event) {
         let at = at.max(self.events.now().cycles());
-        let lane = self.event_lane(&event);
-        self.events.push(lane, SimTime::from_cycles(at), event);
+        self.events.push(SimTime::from_cycles(at), event);
     }
 
     /// Arms a retransmission timer: `event` fires `rto_cycles` after the
     /// event being processed. The watermark never decreases and the
     /// delay is fixed, so these timers reach the queue in time order and
-    /// ride its FIFO timer run instead of a lane's far heap.
+    /// ride its FIFO timer run instead of the far heap.
     pub(super) fn arm_rto(&mut self, event: Event) {
         let at = self.events.now() + self.config.tunables.rto_cycles;
-        let lane = self.event_lane(&event);
-        self.events.push_timer(lane, at, event);
-    }
-
-    /// Storage lane for an event: flow and queue events live in the lane
-    /// of the CPU their interrupt currently targets, machine-wide timers
-    /// in the device lane. Pop order is lane-independent.
-    fn event_lane(&self, event: &Event) -> usize {
-        let queue = match *event {
-            Event::FrameArrival { flow, .. }
-            | Event::AckArrival { flow, .. }
-            | Event::WireTx { flow, .. }
-            | Event::RtoFire { flow, .. }
-            | Event::FinAckArrival { flow } => self.flow_queue[flow],
-            Event::CoalesceFlush { queue, .. } => queue,
-            Event::ConnArrival | Event::IrqRotate => return self.config.cpus,
-        };
-        self.apic.route(self.vectors[queue]).index()
+        self.events.push_timer(at, event);
     }
 
     pub(super) fn wire_time(&self, payload: u32) -> u64 {

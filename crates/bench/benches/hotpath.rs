@@ -7,7 +7,7 @@
 //! substrate rather than the workload model.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sim_core::{ConnectionId, CpuId, DeviceId, IrqVector, ShardedEventQueue, SimRng, SimTime};
+use sim_core::{ConnectionId, CpuId, DeviceId, EventQueue, IrqVector, SimRng, SimTime};
 use sim_cpu::{Core, CpuConfig};
 use sim_mem::{MemoryConfig, MemorySystem};
 use sim_net::{Nic, NicConfig};
@@ -123,37 +123,34 @@ fn bench_dma_directory_delta(c: &mut Criterion) {
 }
 
 /// A pending event of the retry-storm bench: a fixed-delay timer, or a
-/// far-future event stored on a lane.
+/// far-future calendar event.
 enum StormEvent {
     Timer,
-    Lane(usize),
+    Far,
 }
 
 /// The event queue in the shape of the 16-CPU × 100k-slot churn cell's
-/// SYN-retry storm, in steady state: 17 lanes holding ~170k far-future
-/// events, plus 12.5k arena-full retries, each re-armed exactly one RTO
-/// past the watermark when it fires. Lane events re-arm 0–134M cycles
-/// out, so ~92% of pops are timers, as in the cell (20.4M of 22.4M).
-/// One iteration is 1000 pop + re-push steps, so the reported time per
-/// iteration in µs reads as ns per step. The queue is built once and
-/// stays in steady state across samples.
+/// SYN-retry storm, in steady state: ~170k far-future events, plus 12.5k
+/// arena-full retries, each re-armed exactly one RTO past the watermark
+/// when it fires. Far events re-arm 0–134M cycles out, so ~92% of pops
+/// are timers, as in the cell (20.4M of 22.4M). One iteration is 1000
+/// pop + re-push steps, so the reported time per iteration in µs reads
+/// as ns per step. The queue is built once and stays in steady state
+/// across samples.
 fn bench_event_queue_retry_storm(c: &mut Criterion) {
-    const LANES: usize = 17;
-    const DEVICE_LANE: usize = LANES - 1;
-    const LANE_EVENTS: u64 = 170_000;
+    const FAR_EVENTS: u64 = 170_000;
     const TIMERS: u64 = 12_500;
     const RTO: u64 = 400_000;
-    const LANE_DELAY: u64 = 134_000_000;
+    const FAR_DELAY: u64 = 134_000_000;
     let mut rng = SimRng::new(13);
-    let mut q = ShardedEventQueue::new(LANES);
-    for i in 0..LANE_EVENTS {
-        let lane = i as usize % LANES;
-        let at = SimTime::from_cycles(rng.next_below(LANE_DELAY));
-        q.push(lane, at, StormEvent::Lane(lane));
+    let mut q = EventQueue::new();
+    for _ in 0..FAR_EVENTS {
+        let at = SimTime::from_cycles(rng.next_below(FAR_DELAY));
+        q.push(at, StormEvent::Far);
     }
     for i in 0..TIMERS {
         let at = SimTime::from_cycles(i * RTO / TIMERS);
-        q.push_timer(DEVICE_LANE, at, StormEvent::Timer);
+        q.push_timer(at, StormEvent::Timer);
     }
     let mut group = c.benchmark_group("event_queue");
     group.sample_size(200);
@@ -162,11 +159,8 @@ fn bench_event_queue_retry_storm(c: &mut Criterion) {
             for _ in 0..1000 {
                 let (t, event) = q.pop().expect("steady state never drains");
                 match event {
-                    StormEvent::Timer => q.push_timer(DEVICE_LANE, t + RTO, StormEvent::Timer),
-                    StormEvent::Lane(lane) => {
-                        let at = t + rng.next_below(LANE_DELAY);
-                        q.push(lane, at, StormEvent::Lane(lane));
-                    }
+                    StormEvent::Timer => q.push_timer(t + RTO, StormEvent::Timer),
+                    StormEvent::Far => q.push(t + rng.next_below(FAR_DELAY), StormEvent::Far),
                 }
             }
             black_box(q.peek_time())

@@ -8,7 +8,8 @@
 //! ```
 //!
 //! `--cpus` picks the paper's 2-CPU SUT or its §5 4-CPU variant; any
-//! other count is rejected.
+//! other count is rejected. `--loss` must lie in `[0, 1)`: any other rate
+//! is a configuration error, reported with exit status 1.
 
 #![forbid(unsafe_code)]
 

@@ -24,7 +24,7 @@ pub const CURRENT_PR: u32 = 27;
 /// nanoseconds per provisioned flow: a quarter of the ~22,700 ns/flow the
 /// incremental (pre-slab) path measured, ~5x above the slab rate
 /// (~1,100 ns/flow). A build near it has silently fallen back to
-/// per-region provisioning. Override with `REPRO_MAX_SETUP_NS_PER_FLOW`.
+/// per-region provisioning.
 const MAX_SETUP_NS_PER_FLOW: f64 = 22_700.0 / 4.0;
 
 /// A printed column: header, width and decimals, and the value it reads
@@ -287,16 +287,13 @@ fn digest_words(label: &str, r: &RunResult) -> Vec<u64> {
 
 /// Asserts the million-flow construction bound and logs the achieved rate.
 fn assert_setup_bound(label: &str, setup_wall_s: f64, flows: usize) {
-    let bound = std::env::var("REPRO_MAX_SETUP_NS_PER_FLOW").ok();
-    let bound = bound.and_then(|v| v.parse().ok());
-    let bound = bound.unwrap_or(MAX_SETUP_NS_PER_FLOW);
     let ns_per_flow = setup_wall_s * 1e9 / flows as f64;
     assert!(
-        ns_per_flow <= bound,
-        "{label}: construction at {ns_per_flow:.0} ns/flow is over the {bound:.0} ns/flow \
-         bound (REPRO_MAX_SETUP_NS_PER_FLOW): the slab path has regressed"
+        ns_per_flow <= MAX_SETUP_NS_PER_FLOW,
+        "{label}: construction at {ns_per_flow:.0} ns/flow is over the \
+         {MAX_SETUP_NS_PER_FLOW:.0} ns/flow bound: the slab path has regressed"
     );
-    eprintln!("{label}: construction {ns_per_flow:.0} ns/flow (bound {bound:.0})");
+    eprintln!("{label}: construction {ns_per_flow:.0} ns/flow (bound {MAX_SETUP_NS_PER_FLOW:.0})");
 }
 
 const MBPS: Column = col("Mb/s", 9, 0, |r| r.metrics.throughput_mbps());

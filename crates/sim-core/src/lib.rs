@@ -8,8 +8,7 @@
 //! TCP. It provides
 //!
 //! * [`SimTime`] — simulated time measured in clock cycles,
-//! * [`ShardedEventQueue`] — a stable priority queue of timestamped
-//!   events, stored in per-CPU lanes,
+//! * [`EventQueue`] — a stable priority queue of timestamped events,
 //! * [`SimRng`] — a small, fully deterministic random number generator,
 //! * identifier newtypes ([`CpuId`], [`TaskId`], [`IrqVector`], [`DeviceId`]).
 //!
@@ -19,11 +18,11 @@
 //! ## Example
 //!
 //! ```
-//! use sim_core::{ShardedEventQueue, SimTime};
+//! use sim_core::{EventQueue, SimTime};
 //!
-//! let mut q: ShardedEventQueue<&'static str> = ShardedEventQueue::new(1);
-//! q.push(0, SimTime::from_cycles(20), "second");
-//! q.push(0, SimTime::from_cycles(10), "first");
+//! let mut q: EventQueue<&'static str> = EventQueue::new();
+//! q.push(SimTime::from_cycles(20), "second");
+//! q.push(SimTime::from_cycles(10), "first");
 //! let (t, ev) = q.pop().unwrap();
 //! assert_eq!((t.cycles(), ev), (10, "first"));
 //! ```
@@ -38,7 +37,7 @@ mod rng;
 mod time;
 
 pub use error::SimError;
-pub use event::ShardedEventQueue;
+pub use event::{EventQueue, ShardedEventQueue};
 pub use ids::{ConnectionId, CpuId, DeviceId, IrqVector, TaskId};
 pub use rng::SimRng;
 pub use time::{Frequency, SimTime};

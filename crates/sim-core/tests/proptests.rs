@@ -4,11 +4,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
-use sim_core::{ShardedEventQueue, SimRng, SimTime};
+use sim_core::{EventQueue, SimRng, SimTime};
 
 /// Reference model of the pre-calendar event queue: one binary heap
 /// ordered by `(time, seq)`, with the same causality watermark. The
-/// calendar-backed [`ShardedEventQueue`] must be observationally
+/// calendar-backed [`EventQueue`] must be observationally
 /// identical to this on every interleaving.
 #[derive(Default)]
 struct ModelQueue {
@@ -40,9 +40,9 @@ proptest! {
     /// events pop in insertion order.
     #[test]
     fn event_queue_pops_sorted_and_stable(times in prop::collection::vec(0u64..1000, 1..200)) {
-        let mut q = ShardedEventQueue::new(1);
+        let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            q.push(0, SimTime::from_cycles(t), i);
+            q.push(SimTime::from_cycles(t), i);
         }
         let mut last: Option<(SimTime, usize)> = None;
         while let Some((t, idx)) = q.pop() {
@@ -59,9 +59,9 @@ proptest! {
     /// Popping never yields more or fewer events than were pushed.
     #[test]
     fn event_queue_conserves_events(times in prop::collection::vec(0u64..100, 0..100)) {
-        let mut q = ShardedEventQueue::new(1);
+        let mut q = EventQueue::new();
         for &t in &times {
-            q.push(0, SimTime::from_cycles(t), ());
+            q.push(SimTime::from_cycles(t), ());
         }
         let mut popped = 0;
         while q.pop().is_some() {
@@ -101,79 +101,80 @@ proptest! {
         prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
     }
 
-    /// The calendar-backed, lane-striped queue matches the old
-    /// binary-heap queue on random push/pop/schedule_now interleavings:
-    /// identical pop order, watermarks, peeks, and lengths. Offsets span
-    /// both the near ring and the far heap so the merge between the two
-    /// stores is exercised, and the lane striping proves lane assignment
-    /// never leaks into the observable order.
+    /// The calendar-backed queue matches the old binary-heap queue on
+    /// random push/pop/schedule_now interleavings: identical pop order,
+    /// watermarks, peeks, and lengths. Offsets span both the near ring
+    /// and the far heap so the merge between the two stores is
+    /// exercised.
     ///
     /// Timer pushes go to the queue's FIFO timer run (and are plain
     /// pushes for the model): fixed-delay ones at `watermark
     /// + delay`, with `delay` drawn once per case on either side of the
     /// ring span, and arbitrary ones that may fall behind the run's tail
-    /// and take the lane fallback. Lane pushes at the same `watermark +
-    /// delay` put same-cycle ties between the run and the lanes in both
-    /// seq orders, so a merge that compared time without seq fails here.
+    /// and take the calendar fallback. Calendar pushes at the same
+    /// `watermark + delay` put same-cycle ties between the run and the
+    /// calendar in both seq orders, so a merge that compared time
+    /// without seq fails here.
     #[test]
     fn calendar_queue_matches_binary_heap_model(
         ops in prop::collection::vec((0u8..7, 0u64..40_000), 1..300),
         delay in 0u64..6000,
     ) {
         let mut model = ModelQueue::default();
-        let mut sharded = ShardedEventQueue::new(3);
+        let mut q = EventQueue::new();
         for (i, &(op, offset)) in ops.iter().enumerate() {
             match op {
                 // Near push: lands in the calendar ring.
                 0 => {
                     let t = model.watermark + (offset % 1500);
                     model.push(t, i);
-                    sharded.push(i % 3, SimTime::from_cycles(t), i);
+                    q.push(SimTime::from_cycles(t), i);
                 }
                 // Far push: overflows past the ring span.
                 1 => {
                     let t = model.watermark + offset;
                     model.push(t, i);
-                    sharded.push(i % 3, SimTime::from_cycles(t), i);
+                    q.push(SimTime::from_cycles(t), i);
                 }
                 2 => {
                     model.push(model.watermark, i);
-                    sharded.schedule_now(i % 3, i);
+                    q.schedule_now(i);
                 }
                 // Fixed-delay timer: appends to the run.
                 3 => {
                     let t = model.watermark + delay;
                     model.push(t, i);
-                    sharded.push_timer(i % 3, SimTime::from_cycles(t), i);
+                    q.push_timer(SimTime::from_cycles(t), i);
                 }
                 // Arbitrary timer: behind the run's tail it falls back to
-                // a lane.
+                // the calendar.
                 4 => {
                     let t = model.watermark + offset;
                     model.push(t, i);
-                    sharded.push_timer(i % 3, SimTime::from_cycles(t), i);
+                    q.push_timer(SimTime::from_cycles(t), i);
                 }
-                // Lane push on the fixed-delay timers' cycle: a same-cycle
-                // tie with the run.
+                // Calendar push on the fixed-delay timers' cycle: a
+                // same-cycle tie with the run.
                 5 => {
                     let t = model.watermark + delay;
                     model.push(t, i);
-                    sharded.push(i % 3, SimTime::from_cycles(t), i);
+                    q.push(SimTime::from_cycles(t), i);
                 }
                 _ => {
                     let want = model.pop();
-                    let got = sharded.pop().map(|(t, p)| (t.cycles(), p));
+                    let got = q.pop().map(|(t, p)| (t.cycles(), p));
                     prop_assert_eq!(got, want);
                 }
             }
-            prop_assert_eq!(sharded.peek_time().map(SimTime::cycles), model.peek_time());
-            prop_assert_eq!(sharded.len(), model.heap.len());
-            prop_assert_eq!(sharded.now().cycles(), model.watermark);
+            prop_assert_eq!(q.peek_time().map(SimTime::cycles), model.peek_time());
+            prop_assert_eq!(q.len(), model.heap.len());
+            prop_assert_eq!(q.is_empty(), model.heap.is_empty());
+            prop_assert_eq!(q.now().cycles(), model.watermark);
         }
         // Drain: the full remaining order must agree.
         loop {
             let want = model.pop();
-            let got = sharded.pop().map(|(t, p)| (t.cycles(), p));
+            let got = q.pop().map(|(t, p)| (t.cycles(), p));
             prop_assert_eq!(got, want);
             if want.is_none() {
                 break;
@@ -189,9 +190,9 @@ proptest! {
         warm in prop::collection::vec(0u64..5000, 1..20),
         t in 0u64..6000,
     ) {
-        let mut q = ShardedEventQueue::new(1);
+        let mut q = EventQueue::new();
         for (i, &w) in warm.iter().enumerate() {
-            q.push(0, SimTime::from_cycles(w), i);
+            q.push(SimTime::from_cycles(w), i);
         }
         // Pop half to advance the watermark.
         for _ in 0..warm.len().div_ceil(2) {
@@ -199,7 +200,7 @@ proptest! {
         }
         let watermark = q.now().cycles();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            q.push(0, SimTime::from_cycles(t), usize::MAX);
+            q.push(SimTime::from_cycles(t), usize::MAX);
         }));
         if t < watermark {
             let payload = result.expect_err("push into the past must panic");
