@@ -536,18 +536,23 @@ impl Machine {
     }
 
     fn guard_limit(&self) -> u64 {
-        if let Some(srv) = &self.server {
+        let work = if let Some(srv) = &self.server {
             // Each connection costs a bounded number of loop iterations
             // (SYN, accept, request frames, response segments, ACKs,
             // FIN, drop retries): ~150 in the 16-CPU × 100k-slot churn
             // cell, most of them arena-full SYN retries. 50k per
             // connection is wedge detection.
-            return 50_000 * srv.workload.total_conns() + 1_000_000;
-        }
-        // Generous: every message costs well under 10k loop iterations.
-        let msgs = u64::from(self.config.workload.warmup_messages)
-            + u64::from(self.config.workload.measure_messages);
-        10_000 * msgs * self.message_target_scale() + 1_000_000
+            50_000 * srv.workload.total_conns()
+        } else {
+            // Generous: every message costs well under 10k loop iterations.
+            let msgs = u64::from(self.config.workload.warmup_messages)
+                + u64::from(self.config.workload.measure_messages);
+            10_000 * msgs * self.message_target_scale()
+        };
+        // A lost frame is sent again, so each delivered one costs
+        // `1 / (1 - loss)` transmissions on average.
+        let delivered = 1.0 - self.config.tunables.loss_rate;
+        (work as f64 / delivered).ceil() as u64 + 1_000_000
     }
 
     /// The RX working set: how many connections the peers stream on.
@@ -1152,6 +1157,18 @@ mod tests {
         for bad in [1.0, 1.5, -3.0, f64::NAN, f64::INFINITY] {
             assert!(with(bad).is_err(), "loss rate {bad} accepted");
         }
+    }
+
+    #[test]
+    fn run_loop_guard_scales_with_expected_transmissions() {
+        let base = ExperimentConfig::paper_sut(Direction::Rx, 1024, AffinityMode::None).quick();
+        let limit = |loss_rate| {
+            let mut config = base.clone();
+            config.tunables.loss_rate = loss_rate;
+            Machine::new(&config).unwrap().guard_limit() - 1_000_000
+        };
+        assert_eq!(limit(0.75), 4 * limit(0.0));
+        assert_eq!(limit(0.999), 1000 * limit(0.0));
     }
 
     #[test]

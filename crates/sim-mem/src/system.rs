@@ -23,12 +23,13 @@
 //! Touches dominate simulation time, so the structures they walk are flat:
 //!
 //! * The directory is paged ([`Directory`]): a flat top table indexed by
-//!   `line / DIR_LEAF_LINES` points into an arena of small leaves, and a
-//!   leaf is created on the first write to any of its lines. Every absent
-//!   leaf reads as the shared all-default leaf (no sharers, no owner),
-//!   which is exactly equivalent to "line unknown", so the directory holds
-//!   memory in proportion to the lines a run has written, not to the
-//!   lines it provisioned.
+//!   `line / DIR_LEAF_LINES` points into an arena of small leaves. A leaf
+//!   is taken on the first write to any of its lines and freed, for the
+//!   next leaf taken to reuse, once none of its lines is in an LLC. Every
+//!   absent leaf reads as the shared all-default leaf (no sharers, no
+//!   owner), which is exactly equivalent to "line unknown", so the
+//!   directory holds memory in proportion to the lines the caches hold,
+//!   not to the lines a run has written or provisioned.
 //! * A CPU's sharer bit is kept **exactly equal to LLC residency** (set by
 //!   the fill that lands the line in the LLC, cleared by the inclusive
 //!   eviction, the write-invalidation and DMA — the only ways a line
@@ -122,12 +123,20 @@ impl DirEntry {
     fn clear_owner(&mut self) {
         self.owner_plus1 = 0;
     }
+
+    /// No sharer and no owner: what an absent leaf reads as.
+    #[inline]
+    fn is_default(self) -> bool {
+        self.sharers == 0 && self.owner_plus1 == 0
+    }
 }
 
-/// Lines per directory leaf (a power of two). Small leaves keep the
-/// directory close to the lines a run writes: a run scatters its writes
-/// over short stretches of many regions, and a leaf is paid for whole.
-pub const DIR_LEAF_LINES: usize = 16;
+/// Lines per directory leaf (a power of two). A leaf is freed once none
+/// of its lines is cached and reused by the next leaf a run creates, so
+/// the arena tracks the lines the LLCs hold; larger leaves then cost
+/// little and shrink the top table, one entry per leaf-sized page of
+/// every provisioned line.
+pub const DIR_LEAF_LINES: usize = 64;
 
 /// The coherence directory, paged.
 ///
@@ -136,13 +145,22 @@ pub const DIR_LEAF_LINES: usize = 16;
 /// a shared leaf of default entries that is never written, so a zero top
 /// entry — what a fresh, calloc-backed top table holds everywhere — reads
 /// as "line unknown" with no branch, and the first write to a line of it
-/// creates the line's own leaf. A million-flow machine provisions
-/// billions of lines but writes a few million, and only those leaves
-/// (plus the top-table pages that number them) hold memory.
+/// takes a leaf for the line's page. `live[k]` counts leaf `k`'s
+/// non-default entries; when the last of them returns to default (an
+/// inclusive LLC eviction or a DMA write drops the line's last sharer),
+/// the page's top entry goes back to 0 and the leaf, all default again,
+/// joins the free list that [`Directory::add_leaf`] takes from first. A
+/// million-flow machine provisions billions of lines but caches a few
+/// million, and only those leaves (plus the top-table pages that number
+/// them) hold memory.
 #[derive(Debug, Clone)]
 struct Directory {
     top: Vec<u32>,
     entries: Vec<DirEntry>,
+    /// Non-default entries per leaf (leaf 0's stays 0).
+    live: Vec<u32>,
+    /// Released leaves, all default, for [`Directory::add_leaf`] to reuse.
+    free: Vec<u32>,
 }
 
 impl Directory {
@@ -150,6 +168,8 @@ impl Directory {
         Directory {
             top: Vec::new(),
             entries: vec![DirEntry::default(); DIR_LEAF_LINES],
+            live: vec![0],
+            free: Vec::new(),
         }
     }
 
@@ -158,9 +178,14 @@ impl Directory {
         lines.div_ceil(DIR_LEAF_LINES)
     }
 
-    /// Leaves, the shared default leaf included.
-    fn leaves(&self) -> usize {
-        self.entries.len() / DIR_LEAF_LINES
+    /// Arena leaves: live, free and the shared default leaf.
+    fn arena_leaves(&self) -> usize {
+        self.live.len()
+    }
+
+    /// Leaves a top entry numbers.
+    fn live_leaves(&self) -> usize {
+        self.arena_leaves() - self.free.len() - 1
     }
 
     /// Index in `entries` of `line`'s entry, in the shared default leaf
@@ -178,8 +203,9 @@ impl Directory {
         self.entries[self.index(line)]
     }
 
-    /// Index in `entries` of `line`'s entry, creating its leaf if absent.
-    /// Indices stay valid as leaves are added.
+    /// Index in `entries` of `line`'s entry, taking a leaf for it if
+    /// absent. The caller must make the entry non-default
+    /// ([`Directory::revive`]) before anything can release a leaf.
     #[inline]
     fn index_mut(&mut self, line: u64) -> usize {
         let l = line as usize;
@@ -190,21 +216,42 @@ impl Directory {
         leaf as usize * DIR_LEAF_LINES + l % DIR_LEAF_LINES
     }
 
-    /// Creates the leaf of top-table page `page` and returns its number.
+    /// Numbers a leaf for top-table page `page`, reusing a released one
+    /// before growing the arena, and returns its number.
     #[cold]
     fn add_leaf(&mut self, page: usize) -> u32 {
-        let leaf = u32::try_from(self.leaves()).expect("directory leaf count overflows u32");
+        let leaf = self.free.pop().unwrap_or_else(|| {
+            let leaf =
+                u32::try_from(self.arena_leaves()).expect("directory leaf count overflows u32");
+            self.entries
+                .extend_from_slice(&[DirEntry::default(); DIR_LEAF_LINES]);
+            self.live.push(0);
+            leaf
+        });
         self.top[page] = leaf;
-        self.entries
-            .extend_from_slice(&[DirEntry::default(); DIR_LEAF_LINES]);
         leaf
     }
 
-    /// The entry of `line` for writing, creating its leaf if absent.
+    /// Counts the entry at `di` live if it is default; call it before the
+    /// write that makes the entry non-default.
     #[inline]
-    fn get_mut(&mut self, line: u64) -> &mut DirEntry {
-        let i = self.index_mut(line);
-        &mut self.entries[i]
+    fn revive(&mut self, di: usize) {
+        if self.entries[di].is_default() {
+            self.live[di / DIR_LEAF_LINES] += 1;
+        }
+    }
+
+    /// Returns `line`'s entry at `di`, counted live, to the default and
+    /// releases its leaf if no live entry is left in it.
+    #[inline]
+    fn retire(&mut self, line: u64, di: usize) {
+        self.entries[di] = DirEntry::default();
+        let leaf = di / DIR_LEAF_LINES;
+        self.live[leaf] -= 1;
+        if self.live[leaf] == 0 {
+            self.top[line as usize / DIR_LEAF_LINES] = 0;
+            self.free.push(leaf as u32);
+        }
     }
 }
 
@@ -222,9 +269,10 @@ fn grow_zeroed(v: &mut Vec<u32>, len: usize) {
     }
 }
 
-/// Bytes of the 4 KiB pages of `v` that hold a non-zero entry: in a
-/// calloc-backed table whose entries never return to zero, exactly the
-/// pages a run has written.
+/// Bytes of the 4 KiB pages of `v` that hold a non-zero entry. In a
+/// calloc-backed table a page holds memory once a run writes it, and
+/// stays resident if its entries later return to zero, so this is a
+/// lower bound on the table's resident bytes.
 fn written_bytes(v: &[u32]) -> usize {
     const PAGE: usize = 4096 / size_of::<u32>();
     v.chunks(PAGE)
@@ -761,8 +809,13 @@ fn all_cpus_mask(ncpus: usize) -> u32 {
 }
 
 /// Drops `victim`, just evicted from CPU `me`'s inclusive LLC, from the
-/// CPU's inner levels and from the directory's view of the CPU, and notes
-/// the bump of the CPU's view of `victim`'s region `vrid`.
+/// CPU's inner levels and from the directory's view of the CPU (releasing
+/// its leaf when that was the leaf's last cached line), and notes the bump
+/// of the CPU's view of `victim`'s region `vrid`. A walk records its
+/// filled line's residency before it evicts the fill's victim: with
+/// leaves larger than the LLC's set count the two can share a leaf, which
+/// the line's still-default entry would otherwise let the victim release
+/// under the walk's held index.
 #[inline]
 fn evict_from_llc(
     caches: &mut CpuCaches,
@@ -774,10 +827,15 @@ fn evict_from_llc(
 ) {
     caches.l1.invalidate(victim);
     caches.l2.invalidate(victim);
-    let e = directory.get_mut(victim);
+    // The victim's sharer bit is set, so its leaf exists.
+    let di = directory.index(victim);
+    let e = &mut directory.entries[di];
     e.sharers &= !(1u32 << me);
     if e.owner_is(me) {
         e.clear_owner();
+    }
+    if e.is_default() {
+        directory.retire(victim, di);
     }
     note_bump(bumps, vrid, 1u32 << me);
 }
@@ -1127,6 +1185,7 @@ impl MemorySystem {
             match kind {
                 AccessKind::Write => {
                     let di = directory.index_mut(line);
+                    directory.revive(di);
                     let entry = &mut directory.entries[di];
                     let old = entry.sharers;
                     let others = old & !me_bit;
@@ -1175,16 +1234,16 @@ impl MemorySystem {
                         }
                         let _ = my.l2.fill_absent(line, kind);
                         let llc = my.llc.fill_absent(line, kind);
-                        if let Some(victim) = llc.evicted {
-                            let vrid = page_region[(victim >> lpp) as usize];
-                            evict_from_llc(my, directory, bump_masks, victim, vrid, me);
-                        }
                         // Record residency: the narrow above left the set
                         // empty, so it becomes exactly `{me}`. The sharer
                         // set grows, so every CPU's view of this line's
                         // region may change.
                         directory.entries[di].sharers = me_bit;
                         note_bump(bump_masks, page_region[(line >> lpp) as usize], all_mask);
+                        if let Some(victim) = llc.evicted {
+                            let vrid = page_region[(victim >> lpp) as usize];
+                            evict_from_llc(my, directory, bump_masks, victim, vrid, me);
+                        }
                     }
                 }
                 AccessKind::Read => {
@@ -1235,13 +1294,14 @@ impl MemorySystem {
                     result.llc_misses += 1;
                     let _ = my.l2.fill_absent(line, kind);
                     let llc = my.llc.fill_absent(line, kind);
+                    // Record residency, then evict (see `evict_from_llc`).
+                    directory.revive(di);
+                    directory.entries[di].sharers |= me_bit;
+                    note_bump(bump_masks, page_region[(line >> lpp) as usize], all_mask);
                     if let Some(victim) = llc.evicted {
                         let vrid = page_region[(victim >> lpp) as usize];
                         evict_from_llc(my, directory, bump_masks, victim, vrid, me);
                     }
-                    // Record residency.
-                    directory.entries[di].sharers |= me_bit;
-                    note_bump(bump_masks, page_region[(line >> lpp) as usize], all_mask);
                 }
             }
         }
@@ -1394,12 +1454,14 @@ impl MemorySystem {
             result.llc_misses += 1;
             let _ = caches.l2.fill_absent(line, AccessKind::Read);
             let llc = caches.llc.fill_absent(line, AccessKind::Read);
+            // Record residency, then evict (see `evict_from_llc`).
+            directory.revive(di);
+            directory.entries[di].sharers |= me_bit;
+            note_bump(bump_masks, page_region[(line >> lpp) as usize], all_mask);
             if let Some(victim) = llc.evicted {
                 let vrid = page_region[(victim >> lpp) as usize];
                 evict_from_llc(caches, directory, bump_masks, victim, vrid, me);
             }
-            directory.entries[di].sharers |= me_bit;
-            note_bump(bump_masks, page_region[(line >> lpp) as usize], all_mask);
         }
         apply_bumps(summaries, bump_masks);
 
@@ -1471,7 +1533,7 @@ impl MemorySystem {
             dma_sharers.push(mask);
             if mask != 0 {
                 union_mask |= mask;
-                directory.entries[di] = DirEntry::default();
+                directory.retire(line, di);
                 note_bump(bump_masks, page_region[(line >> lpp) as usize], mask);
             }
         }
@@ -1599,6 +1661,18 @@ impl MemorySystem {
         (c.itlb.stats(), c.dtlb.stats())
     }
 
+    /// Whether `cpu`'s LLC holds `line`. Testing hook for the directory
+    /// model of the property tests; not part of the public API.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cpu` is out of range.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn llc_holds(&self, cpu: CpuId, line: u64) -> bool {
+        self.cpus[cpu.index()].llc.contains(line)
+    }
+
     /// Cross-checks the incremental coherence-directory state against a
     /// naive full recompute, panicking on any divergence. Testing hook
     /// for the model-based property tests; not part of the public API.
@@ -1611,7 +1685,12 @@ impl MemorySystem {
     ///    a set bit into a guaranteed LLC hit);
     /// 2. the directory's shared leaf, which every absent leaf reads as,
     ///    is still all default entries;
-    /// 3. the summary cache's per-region holder masks match its tags.
+    /// 3. every leaf's live count equals its non-default entries, every
+    ///    leaf a top entry numbers has a count of at least 1 (and is
+    ///    numbered once), and every free leaf is all default and numbered
+    ///    by no top entry — so the directory holds only leaves with a
+    ///    cached line;
+    /// 4. the summary cache's per-region holder masks match its tags.
     ///
     /// # Panics
     ///
@@ -1624,6 +1703,7 @@ impl MemorySystem {
                 .all(|e| *e == DirEntry::default()),
             "the shared default directory leaf was written"
         );
+        self.verify_directory_leaves();
         self.summaries.verify();
         for (_, r) in self.regions.iter() {
             let first = self.line_of(r.base());
@@ -1650,6 +1730,44 @@ impl MemorySystem {
         }
     }
 
+    /// Invariant 3 of [`verify_incremental_state`](Self::verify_incremental_state).
+    fn verify_directory_leaves(&self) {
+        let d = &self.directory;
+        let leaves = d.arena_leaves();
+        assert_eq!(d.entries.len(), leaves * DIR_LEAF_LINES);
+        assert_eq!(d.live[0], 0, "the shared default leaf has a live count");
+        for (k, leaf) in d.entries.chunks(DIR_LEAF_LINES).enumerate() {
+            let live = leaf.iter().filter(|e| !e.is_default()).count();
+            assert_eq!(d.live[k] as usize, live, "leaf {k}: live count off");
+        }
+        // Leaf 0 is numbered by every absent page; each other leaf must
+        // be numbered by exactly one page or be free, not both.
+        let mut seen = vec![false; leaves];
+        seen[0] = true;
+        for (page, &leaf) in d.top.iter().enumerate().filter(|(_, &l)| l != 0) {
+            let leaf = leaf as usize;
+            assert!(
+                !seen[leaf],
+                "page {page} numbers leaf {leaf}, numbered before"
+            );
+            assert!(
+                d.live[leaf] >= 1,
+                "page {page} numbers leaf {leaf} with no live entry"
+            );
+            seen[leaf] = true;
+        }
+        for &leaf in &d.free {
+            let leaf = leaf as usize;
+            assert!(!seen[leaf], "free leaf {leaf} is numbered or listed twice");
+            assert_eq!(d.live[leaf], 0, "free leaf {leaf} is not all default");
+            seen[leaf] = true;
+        }
+        assert!(
+            seen.iter().all(|&s| s),
+            "a leaf is neither numbered nor free"
+        );
+    }
+
     /// Snapshot of the construction-time layout: directory shape, full
     /// page ownership, and the per-region table lengths. Two systems built by different provisioning paths
     /// (incremental `add_region` loop vs `add_regions_bulk`) must compare
@@ -1658,7 +1776,7 @@ impl MemorySystem {
     pub fn construction_layout(&self) -> ConstructionLayout {
         ConstructionLayout {
             directory_pages: self.directory.top.len(),
-            directory_leaves: self.directory.leaves(),
+            directory_leaves: self.directory.arena_leaves(),
             page_region: self.page_region.clone(),
             summary_regions: self.summaries.holders.len(),
             code_summary_slots: self.code_summaries.len(),
@@ -1668,11 +1786,14 @@ impl MemorySystem {
     /// Resident bytes per table, and the counts that drive them.
     ///
     /// Tables that grow with what a run reaches count what they hold:
-    /// directory leaves, the summary cache's entries and buffers, the
-    /// code summaries' materialized chunks. The directory's top table is
-    /// calloc-backed and its entries never return to zero, so it counts
-    /// the 4 KiB pages holding a non-zero entry — exactly the pages a run
-    /// has written. The other tables sized by what a machine provisions
+    /// the directory's leaf arena, the summary cache's entries and
+    /// buffers, the code summaries' materialized chunks. The arena keeps
+    /// its released leaves for reuse, so it counts live and free leaves
+    /// apart; every arena leaf was written when it was created, so its
+    /// bytes are resident. The directory's top table is calloc-backed and
+    /// counts the 4 KiB pages that number a live leaf now: a lower bound,
+    /// since a page whose leaves were all released reads zero again but
+    /// stays resident. The other tables sized by what a machine provisions
     /// (`page_region`, the summary cache's holder masks) count their full
     /// length: `page_region` is written whole at construction, and the
     /// holder masks are calloc-backed, so for them the figure is an upper
@@ -1681,10 +1802,13 @@ impl MemorySystem {
     pub fn footprint(&self) -> Footprint {
         let d = &self.directory;
         Footprint {
-            directory_leaves: d.leaves() - 1,
+            directory_leaves: d.live_leaves(),
+            directory_free_leaves: d.free.len(),
             summary_entries: self.summaries.len(),
             directory_top_bytes: written_bytes(&d.top),
-            directory_leaf_bytes: size_of_val(d.entries.as_slice()),
+            directory_leaf_bytes: size_of_val(d.entries.as_slice())
+                + size_of_val(d.live.as_slice())
+                + size_of_val(d.free.as_slice()),
             summary_cache_bytes: self.summaries.bytes(),
             holder_bytes: size_of_val(self.summaries.holders.as_slice()),
             code_summary_bytes: self.code_summaries.bytes(CodeSummary::heap_bytes),
@@ -1713,7 +1837,7 @@ impl MemorySystem {
 pub struct ConstructionLayout {
     /// Directory top-table length (leaf-sized pages of lines covered).
     pub directory_pages: usize,
-    /// Directory leaves, the shared default leaf included.
+    /// Directory arena leaves (live, free and the shared default leaf).
     pub directory_leaves: usize,
     /// Full page-ownership table (`page -> region index`).
     pub page_region: Vec<u32>,
@@ -1727,14 +1851,18 @@ pub struct ConstructionLayout {
 /// [`MemorySystem::footprint`]; see there.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Footprint {
-    /// Directory leaves created by writes (the shared default leaf not
-    /// counted).
+    /// Directory leaves a top entry numbers: the leaves holding a line
+    /// some CPU's LLC holds (the shared default leaf not counted).
     pub directory_leaves: usize,
+    /// Released directory leaves kept in the arena for reuse.
+    pub directory_free_leaves: usize,
     /// Summary-cache entries in use.
     pub summary_entries: usize,
-    /// Written pages of the directory's top table.
+    /// Pages of the directory's top table that number a live leaf (a
+    /// lower bound on the table's resident bytes).
     pub directory_top_bytes: usize,
-    /// Directory leaves.
+    /// The directory's leaf arena (live, free and shared leaves) with its
+    /// per-leaf live counts and free list.
     pub directory_leaf_bytes: usize,
     /// The summary cache's fixed arrays and entry buffers.
     pub summary_cache_bytes: usize,
@@ -1857,6 +1985,59 @@ mod tests {
         assert_eq!(m.data_touch(CPU0, r, 0, 64, false).dtlb_misses, 0);
         m.flush_tlbs(CPU0);
         assert_eq!(m.data_touch(CPU0, r, 0, 64, false).dtlb_misses, 1);
+    }
+
+    #[test]
+    fn dma_write_over_a_touched_region_releases_its_leaves() {
+        let mut m = sys();
+        let bytes = (4 * DIR_LEAF_LINES * 64) as u64;
+        let r = m.add_region("payload", bytes);
+        // One page, so the region's lines stay within the LLC's reach.
+        m.data_touch(CPU0, r, 0, 512, true);
+        m.data_touch(CPU1, r, 2 * DIR_LEAF_LINES as u64 * 64, 512, false);
+        assert_eq!(m.footprint().directory_leaves, 2);
+        m.dma_write(r, 0, bytes);
+        let f = m.footprint();
+        assert_eq!(f.directory_leaves, 0);
+        assert_eq!(f.directory_free_leaves, 2);
+        assert_eq!(f.directory_top_bytes, 0);
+        m.verify_incremental_state();
+    }
+
+    #[test]
+    fn released_leaves_are_reused_before_the_arena_grows() {
+        let mut m = sys();
+        let bytes = (2 * DIR_LEAF_LINES * 64) as u64;
+        let (a, b) = (m.add_region("a", bytes), m.add_region("b", bytes));
+        m.data_touch(CPU0, a, 0, 256, true);
+        m.data_touch(CPU0, a, DIR_LEAF_LINES as u64 * 64, 256, true);
+        let arena = m.construction_layout().directory_leaves;
+        m.dma_write(a, 0, bytes);
+        m.data_touch(CPU1, b, 0, 256, false);
+        m.data_touch(CPU1, b, DIR_LEAF_LINES as u64 * 64, 256, false);
+        let f = m.footprint();
+        assert_eq!(f.directory_leaves, 2);
+        assert_eq!(f.directory_free_leaves, 0);
+        assert_eq!(m.construction_layout().directory_leaves, arena);
+        m.verify_incremental_state();
+    }
+
+    #[test]
+    fn streaming_past_the_llc_keeps_only_the_leaves_it_holds() {
+        let mut m = sys();
+        let llc_lines = m.config().llc_size as usize / 64;
+        // Sixteen LLCs' worth of lines, streamed once by each CPU.
+        let bytes = (16 * llc_lines * 64) as u64;
+        let r = m.add_region("stream", bytes);
+        m.data_touch(CPU0, r, 0, bytes, false);
+        m.data_touch(CPU1, r, 0, bytes, true);
+        // Each LLC holds its last `llc_lines` consecutive lines, which
+        // span at most one leaf more than they fill.
+        let need = 2 * (llc_lines.div_ceil(DIR_LEAF_LINES) + 1);
+        let f = m.footprint();
+        assert!(f.directory_leaves <= need, "{f:?}");
+        assert!(f.directory_leaves + f.directory_free_leaves < 16 * llc_lines / DIR_LEAF_LINES);
+        m.verify_incremental_state();
     }
 
     #[test]

@@ -57,9 +57,9 @@ fn apply(m: &mut MemorySystem, regions: &[RegionId], op: Op) -> [u64; 5] {
     }
 }
 
-/// Directory leaves holding a line `op` touches from a CPU (a data touch
-/// or code fetch; DMA only clears lines some CPU touched before).
-fn touched_leaves(m: &MemorySystem, regions: &[RegionId], op: Op, leaves: &mut BTreeSet<u64>) {
+/// Adds the lines `op` touches from a CPU (a data touch or code fetch;
+/// DMA only clears lines some CPU touched before) to `lines`.
+fn touched_lines(m: &MemorySystem, regions: &[RegionId], op: Op, lines: &mut BTreeSet<u64>) {
     let (kind, _, rix, off, len) = op;
     let len = match kind {
         0 | 1 => len,
@@ -70,9 +70,19 @@ fn touched_leaves(m: &MemorySystem, regions: &[RegionId], op: Op, leaves: &mut B
     let line = u64::from(m.config().line_size);
     let start = r.addr(off);
     let end = start + len.min(r.size());
-    for l in start / line..=(end - 1) / line {
-        leaves.insert(l / DIR_LEAF_LINES as u64);
-    }
+    lines.extend(start / line..=(end - 1) / line);
+}
+
+/// Directory leaves holding one of `lines` that some CPU's LLC holds.
+fn cached_leaves(m: &MemorySystem, lines: &BTreeSet<u64>) -> usize {
+    let cpus = m.config().cpus as u32;
+    let cached = lines
+        .iter()
+        .filter(|&&l| (0..cpus).any(|c| m.llc_holds(CpuId::new(c), l)));
+    cached
+        .map(|l| l / DIR_LEAF_LINES as u64)
+        .collect::<BTreeSet<_>>()
+        .len()
 }
 
 proptest! {
@@ -183,8 +193,8 @@ proptest! {
         prop_assert!(res.l2_misses <= res.l1_misses);
     }
 
-    /// The incremental coherence directory (live `excl` exclusivity
-    /// counts, sharer-bit ⟺ LLC-residency, inclusion) matches a naive
+    /// The incremental coherence directory (sharer-bit ⟺ LLC-residency,
+    /// inclusion, per-leaf live counts and the free list) matches a naive
     /// full-recompute model directory after **every** step of an
     /// arbitrary operation sequence — reads, writes, instruction
     /// fetches, DMA invalidations and writebacks, issued by randomly
@@ -195,10 +205,10 @@ proptest! {
     /// divergence, so a bug in any delta-update site shrinks to a
     /// minimal op sequence.
     ///
-    /// The directory is paged, so the same sequence also pins its
-    /// footprint: after every step, the leaves it holds are exactly the
-    /// leaves of the lines some CPU has touched — a leaf is created by
-    /// the first write to one of its lines and by nothing else.
+    /// The directory is paged and frees a leaf once none of its lines is
+    /// cached, so the same sequence also pins its footprint: after every
+    /// step, the leaves it numbers are exactly the leaves holding a line
+    /// some CPU's LLC holds.
     #[test]
     fn incremental_directory_matches_full_recompute(
         ops in prop::collection::vec(
@@ -210,12 +220,39 @@ proptest! {
         // back-invalidations and cross-CPU steals happen constantly.
         let mut m = MemorySystem::new(MemoryConfig::tiny(3));
         let regions = [m.add_region("a", 4096), m.add_region("b", 8192)];
-        let mut leaves = BTreeSet::new();
+        let mut lines = BTreeSet::new();
         for &op in &ops {
             apply(&mut m, &regions, op);
-            touched_leaves(&m, &regions, op, &mut leaves);
+            touched_lines(&m, &regions, op, &mut lines);
             m.verify_incremental_state();
-            prop_assert_eq!(m.footprint().directory_leaves, leaves.len());
+            prop_assert_eq!(m.footprint().directory_leaves, cached_leaves(&m, &lines));
+        }
+    }
+
+    /// Leaf recycling when a fill's victim shares the filled line's
+    /// leaf: single-line reads, writes, code fetches and DMA writes from
+    /// two CPUs at lines of 16 leaves that fall in only two of `tiny`'s
+    /// 16 LLC sets. Each LLC then holds 8 of these lines, thinly spread
+    /// over the leaves, so a fill often evicts the last cached line of
+    /// its own leaf (a leaf spans more lines than the LLC has sets). The
+    /// model of the test above holds after every step.
+    #[test]
+    fn fills_that_evict_their_own_leaf_keep_the_directory_exact(
+        ops in prop::collection::vec((0u8..4, 0u32..2, 0u64..16, 0u64..8), 1..300),
+    ) {
+        let mut m = MemorySystem::new(MemoryConfig::tiny(2));
+        let leaf = DIR_LEAF_LINES as u64;
+        let regions = [m.add_region("leaves", 16 * leaf * 64)];
+        let mut lines = BTreeSet::new();
+        for &(kind, cpu, page, slot) in &ops {
+            // Sets 0 and 1 only: the slot's way-row times the set count,
+            // plus the set.
+            let line = page * leaf + (slot / 2 * 16 + slot % 2) % leaf;
+            let op = (kind, cpu, 0, line * 64, 64);
+            apply(&mut m, &regions, op);
+            touched_lines(&m, &regions, op, &mut lines);
+            m.verify_incremental_state();
+            prop_assert_eq!(m.footprint().directory_leaves, cached_leaves(&m, &lines));
         }
     }
 
