@@ -55,7 +55,7 @@ pub mod steer;
 mod workload;
 
 pub use experiment::{run_experiment, DataplaneConfig, DataplaneMode, ExperimentConfig, RunResult};
-pub use machine::{should_trace, Machine};
+pub use machine::Machine;
 pub use metrics::{BinBreakdown, LifecycleCounters, RunMetrics};
 pub use mode::AffinityMode;
 pub use ready::ReadyCpus;

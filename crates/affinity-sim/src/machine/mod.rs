@@ -65,7 +65,7 @@ use server::ServerState;
 /// the old `guard & (guard - 1) == 0` form mis-fired there, tracing an
 /// iteration that never ran.
 #[must_use]
-pub fn should_trace(guard: u64) -> bool {
+fn should_trace(guard: u64) -> bool {
     guard.is_power_of_two() || (guard > 0 && guard.is_multiple_of(200_000))
 }
 

@@ -3,9 +3,8 @@
 //! ```text
 //! repro                # everything
 //! repro fig3           # one artifact: fig3 fig4 fig5 table1..table5 fourp
-//! repro --sizes 128,65536 fig3   # restrict the size sweep
-//! repro --filter full/4096/tx    # run exactly one matrix cell
 //! repro perf           # time the benchmark matrix, append to BENCH_substrate.json
+//! repro perf --filter full/4096/tx   # one matrix cell (both perf seeds)
 //! repro perf --check   # compare against the latest BENCH row; exit 1 on >10% regression
 //! repro scale          # CPUs x flows x modes scaling sweep (incl. RSS)
 //! repro steer          # steering-policy sweep: RSS vs Flow Director
@@ -13,8 +12,10 @@
 //! repro churn          # connection-churn sweep: SYN-to-FIN lifecycle
 //! repro --list         # sweeps, their filter tokens, latest digests
 //! repro --quick perf   # smoke variants at tiny message counts (CI)
+//! repro --quick        # every paper artifact at tiny message counts
 //! ```
 //!
+//! The paper artifacts read one job list (`bench::paper`) run on one pool.
 //! The sweep subcommands are rows of one table (`bench::sweeps`) run by
 //! one driver; `repro --list` shows each sweep's filter axes and tokens.
 //! Quick, filtered and `--check` runs never record a history row. The
@@ -23,15 +24,9 @@
 
 #![forbid(unsafe_code)]
 
-use affinity_sim::{
-    report, AffinityMode, Direction, ExperimentConfig, RunMetrics, RunResult, PAPER_SIZES,
-};
+use bench::paper::{self, ARTIFACTS};
 use bench::sweeps::{self, Sweep, HISTORY_PATH};
-use bench::{
-    append_history, cell, figure_row, latest_entries_by_threads, latest_history_entry,
-    pool_threads, run_cell, EXTREME_POINTS,
-};
-use sim_cpu::EventCosts;
+use bench::{append_history, latest_entries_by_threads, latest_history_entry, pool_threads};
 
 /// Wall-time slack `--check` allows over the recorded row before it
 /// declares a regression.
@@ -44,17 +39,10 @@ const CHECK_SLACK: f64 = 1.10;
 /// sweeps the gate actually protects.
 const CHECK_NOISE_FLOOR_S: f64 = 0.25;
 
-/// The paper artifacts, in the order a bare `repro` renders them.
-const PAPER_ARTIFACTS: [&str; 9] = [
-    "fig3", "fig4", "table1", "table2", "fig5", "table3", "table4", "table5", "fourp",
-];
-
 struct Args {
     artifacts: Vec<String>,
-    sizes: Vec<u64>,
-    /// `--filter <spec>`: narrow a sweep to matching cells. The spec
-    /// grammar is per-subcommand, so the raw string is kept and parsed
-    /// where it's interpreted.
+    /// `--filter <spec>` (with a sweep): narrow it to the matching cells,
+    /// one token per axis of that sweep.
     filter: Option<String>,
     /// `--quick`: tiny message counts, no history entry (CI smoke).
     quick: bool,
@@ -72,9 +60,7 @@ struct Args {
 fn usage_error(what: &str, got: &str, valid: &str) -> ! {
     eprintln!("repro: unknown {what} {got:?}");
     eprintln!("  valid {what}s: {valid}");
-    eprintln!(
-        "  usage: repro [--list] [--quick] [--check] [--sizes N,N,..] [--filter spec] [artifact..]"
-    );
+    eprintln!("  usage: repro [--list] [--quick] [--check] [--filter spec] [artifact..]");
     std::process::exit(2);
 }
 
@@ -122,46 +108,9 @@ fn check_gate(sweep: &Sweep, wall: f64, quick: bool, threads: usize) {
     }
 }
 
-fn parse_mode(token: &str) -> AffinityMode {
-    match token.to_ascii_lowercase().as_str() {
-        "no" | "none" => AffinityMode::None,
-        "irq" => AffinityMode::Irq,
-        "proc" | "process" => AffinityMode::Process,
-        "full" => AffinityMode::Full,
-        "rss" => AffinityMode::Rss,
-        other => usage_error("filter mode", other, "no, irq, proc, full, rss"),
-    }
-}
-
-fn parse_filter(spec: &str) -> (AffinityMode, u64, Direction) {
-    let parts: Vec<&str> = spec.split('/').collect();
-    if parts.len() != 3 {
-        usage_error(
-            "filter",
-            spec,
-            "<mode>/<size>/<dir>, e.g. full/4096/tx (mode: no|irq|proc|full|rss; dir: tx|rx)",
-        );
-    }
-    let mode = parse_mode(parts[0]);
-    let size: u64 = parts[1].parse().unwrap_or_else(|_| {
-        usage_error(
-            "filter size",
-            parts[1],
-            "a message size in bytes, e.g. 128, 4096, 65536",
-        )
-    });
-    let direction = match parts[2].to_ascii_lowercase().as_str() {
-        "tx" => Direction::Tx,
-        "rx" => Direction::Rx,
-        other => usage_error("filter direction", other, "tx, rx"),
-    };
-    (mode, size, direction)
-}
-
 fn parse_args() -> Args {
     let mut parsed = Args {
         artifacts: Vec::new(),
-        sizes: PAPER_SIZES.to_vec(),
         filter: None,
         quick: false,
         check: false,
@@ -169,13 +118,7 @@ fn parse_args() -> Args {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--sizes" {
-            let list = args.next().unwrap_or_default();
-            parsed.sizes = list
-                .split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .collect();
-        } else if arg == "--filter" {
+        if arg == "--filter" {
             parsed.filter = Some(args.next().unwrap_or_default());
         } else if arg == "--quick" {
             parsed.quick = true;
@@ -183,12 +126,14 @@ fn parse_args() -> Args {
             parsed.check = true;
         } else if arg == "--list" {
             parsed.list = true;
+        } else if arg.starts_with("--") {
+            usage_error("option", &arg, "--list, --quick, --check, --filter");
         } else {
             parsed.artifacts.push(arg);
         }
     }
     let sweeps = sweeps::sweeps(false);
-    let known: Vec<&str> = PAPER_ARTIFACTS
+    let known: Vec<&str> = ARTIFACTS
         .into_iter()
         .chain(sweeps.iter().map(|s| s.name))
         .collect();
@@ -198,71 +143,9 @@ fn parse_args() -> Args {
         }
     }
     if parsed.artifacts.is_empty() {
-        parsed.artifacts = PAPER_ARTIFACTS.into_iter().map(String::from).collect();
+        parsed.artifacts = ARTIFACTS.into_iter().map(String::from).collect();
     }
     parsed
-}
-
-/// Runs the single matrix cell named by `--filter` and prints its
-/// headline metrics — the quickest way to reproduce one data point.
-fn run_filtered(mode: AffinityMode, size: u64, direction: Direction, quick: bool) {
-    let mut config = cell(direction, size, mode, 0x5EED);
-    if quick {
-        config.workload = config.workload.quick();
-    }
-    eprintln!(
-        "single cell: {} {} {}B ({} warmup + {} measured msgs/conn, seed 0x5EED)",
-        mode.label(),
-        direction.label(),
-        size,
-        config.workload.warmup_messages,
-        config.workload.measure_messages,
-    );
-    let r = affinity_sim::run_experiment(&config).expect("valid experiment config");
-    let m = &r.metrics;
-    println!("mode        : {}", mode.label());
-    println!("direction   : {}", direction.label());
-    println!("message size: {size} B");
-    println!("messages    : {}", m.messages);
-    println!("wall cycles : {}", m.wall_cycles);
-    println!("throughput  : {:.0} Mb/s", m.throughput_mbps());
-    println!("cost        : {:.2} GHz/Gbps", m.cost_ghz_per_gbps());
-    println!(
-        "cpu util    : {}",
-        (0..config.cpus)
-            .map(|c| format!("{:.2}", m.cpu_utilization(c)))
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
-}
-
-fn sweep(direction: Direction, sizes: &[u64]) -> Vec<(u64, Vec<(AffinityMode, RunMetrics)>)> {
-    sizes
-        .iter()
-        .map(|&size| {
-            eprintln!("  sweep {direction} {size}B ...");
-            (size, figure_row(direction, size))
-        })
-        .collect()
-}
-
-/// The four extreme points under no and full affinity (single seed; used
-/// by Tables 1/3/4/5 and Figure 5).
-fn extreme_runs() -> Vec<(String, RunResult, RunResult)> {
-    EXTREME_POINTS
-        .iter()
-        .map(|&(dir, size)| {
-            let label = format!(
-                "{} {}",
-                dir.label(),
-                if size == 65536 { "64KB" } else { "128B" }
-            );
-            eprintln!("  extreme point {label} ...");
-            let no = run_cell(dir, size, AffinityMode::None, 0x5EED);
-            let full = run_cell(dir, size, AffinityMode::Full, 0x5EED);
-            (label, no, full)
-        })
-        .collect()
 }
 
 /// Runs the sweep subcommand `name` (narrowed by `filter`, else followed
@@ -332,155 +215,38 @@ fn list_row(prefix: &str) {
 }
 
 fn main() {
-    let args = parse_args();
     let Args {
         artifacts,
-        sizes,
         filter,
         quick,
         check,
         list,
-    } = args;
-    let wants = |name: &str| artifacts.iter().any(|a| a == name);
+    } = parse_args();
 
     if list {
         list_sweeps();
         return;
     }
     let all = sweeps::sweeps(false);
-    if let Some(sweep) = all.iter().find(|s| wants(s.name)) {
+    if let Some(sweep) = all.iter().find(|s| artifacts.iter().any(|a| a == s.name)) {
         run_sweep(sweep.name, quick, check, filter.as_deref());
         return;
     }
-    if check {
-        eprintln!("repro: --check only applies to the sweep subcommands");
-        std::process::exit(2);
-    }
-    if let Some(spec) = &filter {
-        let (mode, size, direction) = parse_filter(spec);
-        run_filtered(mode, size, direction, quick);
-        return;
-    }
-
-    let need_sweep = wants("fig3") || wants("fig4");
-    let sweeps = if need_sweep {
-        eprintln!(
-            "running Figure 3/4 sweeps ({} sizes x 4 modes x 2 dirs)...",
-            sizes.len()
-        );
-        Some((sweep(Direction::Tx, &sizes), sweep(Direction::Rx, &sizes)))
-    } else {
-        None
-    };
-
-    let need_extremes = ["table1", "table2", "fig5", "table3", "table4", "table5"]
-        .iter()
-        .any(|a| wants(a));
-    let extremes = if need_extremes {
-        eprintln!("running the four extreme points (no vs full affinity)...");
-        Some(extreme_runs())
-    } else {
-        None
-    };
-
-    if let Some((tx, rx)) = &sweeps {
-        if wants("fig3") {
-            println!("{}", report::render_figure3("TX", tx));
-            println!("{}", report::render_figure3("RX", rx));
-        }
-        if wants("fig4") {
-            println!("{}", report::render_figure4("TX", tx));
-            println!("{}", report::render_figure4("RX", rx));
+    for (flag, set) in [("--check", check), ("--filter", filter.is_some())] {
+        if set {
+            eprintln!("repro: {flag} only applies to the sweep subcommands");
+            std::process::exit(2);
         }
     }
 
-    if let Some(extremes) = &extremes {
-        if wants("table1") {
-            for (label, no, full) in extremes {
-                println!(
-                    "{}",
-                    report::render_table1_panel(label, &no.metrics, &full.metrics)
-                );
-            }
-        }
-        if wants("table2") {
-            let (label, no, full) = &extremes[0];
-            println!("(from {label})");
-            println!("{}", report::render_table2(&no.metrics, &full.metrics));
-        }
-        if wants("fig5") {
-            let costs = EventCosts::paper();
-            for (label, no, full) in extremes {
-                println!(
-                    "{}",
-                    report::render_figure5_panel(
-                        &format!("{label} no affinity"),
-                        &no.metrics,
-                        &costs
-                    )
-                );
-                println!(
-                    "{}",
-                    report::render_figure5_panel(
-                        &format!("{label} full affinity"),
-                        &full.metrics,
-                        &costs
-                    )
-                );
-            }
-        }
-        if wants("table3") {
-            for (label, no, full) in extremes {
-                println!(
-                    "{}",
-                    report::render_table3_panel(label, &no.metrics, &full.metrics)
-                );
-            }
-        }
-        if wants("table4") {
-            for (label, no, full) in extremes {
-                if label.contains("128B") {
-                    println!(
-                        "{}",
-                        report::render_table4(&format!("{label} no affinity"), no, 10)
-                    );
-                    println!(
-                        "{}",
-                        report::render_table4(&format!("{label} full affinity"), full, 10)
-                    );
-                }
-            }
-        }
-        if wants("table5") {
-            let entries: Vec<(String, RunMetrics, RunMetrics)> = extremes
-                .iter()
-                .map(|(l, no, full)| (l.clone(), no.metrics.clone(), full.metrics.clone()))
-                .collect();
-            println!("{}", report::render_table5(&entries));
-        }
-    }
-
-    if wants("fourp") {
-        println!("4P extension (Section 5 note): 4 CPUs, 8 NICs, 64KB TX");
-        println!(
-            "{:>10} | {:>9} | {:>6} | {:>20}",
-            "mode", "BW (Mb/s)", "cost", "per-CPU utilization"
-        );
-        for mode in AffinityMode::ALL {
-            let mut config = ExperimentConfig::four_processor(Direction::Tx, 65536, mode);
-            config.workload.measure_messages = 24;
-            config.workload.warmup_messages = 8;
-            let r = affinity_sim::run_experiment(&config).expect("valid 4P config");
-            let utils: Vec<String> = (0..4)
-                .map(|c| format!("{:.2}", r.metrics.cpu_utilization(c)))
-                .collect();
-            println!(
-                "{:>10} | {:>9.0} | {:>6.2} | {}",
-                mode.label(),
-                r.metrics.throughput_mbps(),
-                r.metrics.cost_ghz_per_gbps(),
-                utils.join(" ")
-            );
-        }
-    }
+    let artifacts: Vec<&str> = artifacts.iter().map(String::as_str).collect();
+    let jobs = paper::jobs(&artifacts);
+    let threads = pool_threads();
+    let counts = if quick { " (quick smoke counts)" } else { "" };
+    eprintln!(
+        "paper artifacts: {} cells on {threads} worker(s){counts}...",
+        jobs.len()
+    );
+    let results = paper::run(jobs, quick, threads);
+    print!("{}", paper::render(&results, &artifacts));
 }

@@ -8,11 +8,10 @@
 
 #![forbid(unsafe_code)]
 
+pub mod paper;
 pub mod sweeps;
 
-use affinity_sim::{
-    run_experiment, AffinityMode, Direction, ExperimentConfig, RunMetrics, RunResult,
-};
+use affinity_sim::{AffinityMode, Direction, ExperimentConfig, RunMetrics};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -39,17 +38,6 @@ pub fn cell(direction: Direction, size: u64, mode: AffinityMode, seed: u64) -> E
     config.workload.measure_messages = (1024 * 1024 / size).clamp(16, 800) as u32;
     config.workload.warmup_messages = (config.workload.measure_messages / 3).max(6);
     config
-}
-
-/// Runs one cell and returns its metrics.
-///
-/// # Panics
-///
-/// Panics if the experiment configuration is invalid (a bug in the
-/// harness, not an I/O condition).
-#[must_use]
-pub fn run_cell(direction: Direction, size: u64, mode: AffinityMode, seed: u64) -> RunResult {
-    run_experiment(&cell(direction, size, mode, seed)).expect("valid experiment config")
 }
 
 /// Worker count for [`run_pool`]: the `REPRO_THREADS` environment
@@ -366,41 +354,16 @@ pub fn average_metrics(runs: &[RunMetrics]) -> RunMetrics {
     avg
 }
 
-/// Runs a whole figure row (all four modes for one size/direction) on
-/// the job pool, seed-averaged. The row is assembled in matrix order
-/// (mode-major, seed-minor), so the output is independent of how many
-/// workers the pool used.
-#[must_use]
-pub fn figure_row(direction: Direction, size: u64) -> Vec<(AffinityMode, RunMetrics)> {
-    figure_row_on(direction, size, pool_threads().min(hardware_threads()))
-}
-
-/// [`figure_row`] with an explicit, unclamped pool size (for
-/// thread-independence tests, which need real multi-worker scheduling
-/// even on single-core machines).
-#[must_use]
-pub fn figure_row_on(
-    direction: Direction,
-    size: u64,
-    threads: usize,
-) -> Vec<(AffinityMode, RunMetrics)> {
-    let jobs: Vec<(AffinityMode, u64)> = AffinityMode::ALL
-        .iter()
-        .flat_map(|&mode| FIGURE_SEEDS.iter().map(move |&seed| (mode, seed)))
-        .collect();
-    let runs = run_pool_exact(jobs, threads, |(mode, seed)| {
-        run_cell(direction, size, mode, seed).metrics
-    });
-    AffinityMode::ALL
-        .iter()
-        .zip(runs.chunks(FIGURE_SEEDS.len()))
-        .map(|(&mode, chunk)| (mode, average_metrics(chunk)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn full_tx_1k() -> RunMetrics {
+        let config = cell(Direction::Tx, 1024, AffinityMode::Full, 1);
+        affinity_sim::run_experiment(&config)
+            .expect("valid config")
+            .metrics
+    }
 
     #[test]
     fn cell_scales_counts_with_size() {
@@ -412,7 +375,7 @@ mod tests {
 
     #[test]
     fn average_metrics_means_rates() {
-        let mut a = run_cell(Direction::Tx, 1024, AffinityMode::Full, 1).metrics;
+        let mut a = full_tx_1k();
         let mut b = a.clone();
         a.wall_cycles = 100;
         a.bytes_moved = 100;
@@ -425,7 +388,7 @@ mod tests {
 
     #[test]
     fn average_metrics_rounds_every_counter() {
-        let a = run_cell(Direction::Tx, 1024, AffinityMode::Full, 1).metrics;
+        let a = full_tx_1k();
         let mut b = a.clone();
         // Perturb a scalar, the event bank, a bin and a breakdown entry
         // by odd deltas so a floored mean would lose the .5.
@@ -645,16 +608,5 @@ mod tests {
             run_pool(jobs, 1024, |j| j + 1),
             (1..=25).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn figure_row_independent_of_thread_count() {
-        let one = figure_row_on(Direction::Tx, 8192, 1);
-        let many = figure_row_on(Direction::Tx, 8192, 4);
-        assert_eq!(one.len(), many.len());
-        for ((m1, r1), (m2, r2)) in one.iter().zip(many.iter()) {
-            assert_eq!(m1, m2);
-            assert_eq!(r1, r2, "thread count leaked into {} results", m1.label());
-        }
     }
 }
