@@ -41,16 +41,27 @@ pub fn cell(direction: Direction, size: u64, mode: AffinityMode, seed: u64) -> E
 }
 
 /// Worker count for [`run_pool`]: the `REPRO_THREADS` environment
-/// variable if set, otherwise the machine's available parallelism.
+/// variable if set, otherwise the machine's available parallelism, and
+/// never more than the hardware threads — the count `run_pool` runs, so
+/// a report or history row stamped with it names the pool that ran.
 ///
 /// Results never depend on this number — only wall-clock time does.
 #[must_use]
 pub fn pool_threads() -> usize {
-    std::env::var("REPRO_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
+    pool_workers(
+        std::env::var("REPRO_THREADS").ok().as_deref(),
+        hardware_threads(),
+    )
+}
+
+/// The workers a `REPRO_THREADS` value `requested` gets on a machine of
+/// `hardware` threads: a positive integer, capped at `hardware`;
+/// `hardware` when unset or not a positive integer.
+fn pool_workers(requested: Option<&str>, hardware: usize) -> usize {
+    requested
+        .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n > 0)
-        .unwrap_or_else(|| thread::available_parallelism().map_or(1, usize::from))
+        .map_or(hardware, |n| n.min(hardware))
 }
 
 /// Hardware threads actually available to this process.
@@ -595,6 +606,16 @@ mod tests {
                 "n = {n}: jobs {late:?} timed out waiting for job {} to start",
                 n - 1
             );
+        }
+    }
+
+    #[test]
+    fn pool_workers_never_exceed_the_hardware_threads() {
+        assert_eq!(pool_workers(Some("8"), 2), 2);
+        assert_eq!(pool_workers(Some("1"), 2), 1);
+        assert_eq!(pool_workers(Some("2"), 4), 2);
+        for bad in [None, Some("0"), Some("-3"), Some("x"), Some("")] {
+            assert_eq!(pool_workers(bad, 4), 4, "{bad:?}");
         }
     }
 

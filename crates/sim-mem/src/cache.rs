@@ -264,6 +264,12 @@ impl Cache {
         }
     }
 
+    /// The line storage slot `slot` holds, if it is valid.
+    pub(crate) fn line_at(&self, slot: usize) -> Option<u64> {
+        let t = self.tags[slot];
+        (t & 1 != 0).then_some(t >> 1)
+    }
+
     /// Returns `true` if `line` is resident (does not touch LRU state).
     #[must_use]
     pub fn contains(&self, line: u64) -> bool {

@@ -51,7 +51,5 @@ mod tlb;
 pub use cache::{AccessKind, Cache, CacheStats};
 pub use config::MemoryConfig;
 pub use region::{MemRegion, RegionId, RegionName, RegionPlan, RegionSpan, RegionTable};
-pub use system::{
-    ConstructionLayout, FetchResult, Footprint, MemorySystem, TouchResult, DIR_LEAF_LINES,
-};
+pub use system::{ConstructionLayout, FetchResult, Footprint, MemorySystem, TouchResult};
 pub use tlb::{Tlb, TlbStats};

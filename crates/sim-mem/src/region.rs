@@ -141,28 +141,25 @@ impl From<String> for RegionName {
     }
 }
 
-/// A contiguous, page-aligned span of simulated physical memory.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A contiguous, page-aligned span of simulated physical memory, as the
+/// [`RegionTable`] stores it: 24 bytes, the name included.
+///
+/// A million-flow machine stores six regions per flow, so the record
+/// holds only a key into the table's name side table plus the `Indexed`
+/// index; [`RegionTable::name`] resolves it. (Records of two tables are
+/// compared by their bases, sizes and resolved names: the keys are the
+/// table's own.)
+#[derive(Debug, Clone, Copy)]
 pub struct MemRegion {
-    name: RegionName,
     base: u64,
     size: u64,
+    /// Entry in the owning table's [`Names`].
+    name: u32,
+    /// The `Indexed` name's index (0 for the other forms).
+    index: u32,
 }
 
 impl MemRegion {
-    /// Human-readable name ("conn3.tcp_context", "nic0.rx_ring", …),
-    /// rendered from the interned form.
-    #[must_use]
-    pub fn name(&self) -> String {
-        self.name.render()
-    }
-
-    /// The interned name, for allocation-free formatting via `Display`.
-    #[must_use]
-    pub fn raw_name(&self) -> &RegionName {
-        &self.name
-    }
-
     /// First byte address.
     #[must_use]
     pub fn base(&self) -> u64 {
@@ -184,10 +181,79 @@ impl MemRegion {
     }
 }
 
+/// Name side table shared by [`RegionTable`] and [`RegionPlan`].
+///
+/// An `Indexed` name is interned: its prefix and suffix are stored once,
+/// as an `Indexed` entry whose own index is unused (0), and each region
+/// keeps its index beside the key. `Static` and `Owned` names (code,
+/// NIC queues, IRQ handlers: a few dozen per machine) get an entry each.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    entries: Vec<RegionName>,
+    /// Keys of the interned `Indexed` entries, scanned on insertion: a
+    /// machine uses a handful of prefix/suffix pairs.
+    indexed: Vec<u32>,
+}
+
+impl Names {
+    /// Stores `name` and returns its `(key, index)`.
+    fn intern(&mut self, name: RegionName) -> (u32, u32) {
+        let RegionName::Indexed {
+            prefix,
+            index,
+            suffix,
+        } = name
+        else {
+            return (self.push(name), 0);
+        };
+        let found = self.indexed.iter().copied().find(|&k| {
+            matches!(self.entries[k as usize],
+                RegionName::Indexed { prefix: p, suffix: s, .. } if p == prefix && s == suffix)
+        });
+        let key = found.unwrap_or_else(|| {
+            let k = self.push(RegionName::indexed(prefix, 0, suffix));
+            self.indexed.push(k);
+            k
+        });
+        (key, index)
+    }
+
+    fn push(&mut self, name: RegionName) -> u32 {
+        let key = u32::try_from(self.entries.len()).expect("region name count overflows u32");
+        self.entries.push(name);
+        key
+    }
+
+    /// The name stored as `(key, index)`.
+    fn get(&self, key: u32, index: u32) -> RegionName {
+        match &self.entries[key as usize] {
+            RegionName::Indexed { prefix, suffix, .. } => {
+                RegionName::indexed(prefix, index, suffix)
+            }
+            other => other.clone(),
+        }
+    }
+
+    /// Heap bytes held.
+    fn bytes(&self) -> usize {
+        size_of_val(self.entries.as_slice())
+            + size_of_val(self.indexed.as_slice())
+            + self
+                .entries
+                .iter()
+                .map(|n| match n {
+                    RegionName::Owned(s) => s.capacity(),
+                    _ => 0,
+                })
+                .sum::<usize>()
+    }
+}
+
 /// Allocator and directory of all simulated memory regions.
 #[derive(Debug, Clone, Default)]
 pub struct RegionTable {
     regions: Vec<MemRegion>,
+    names: Names,
     next_base: u64,
     page_size: u64,
 }
@@ -206,34 +272,53 @@ impl RegionTable {
         );
         RegionTable {
             regions: Vec::new(),
+            names: Names::default(),
             // Leave page 0 unmapped, like a real kernel.
             next_base: page_size,
             page_size,
         }
     }
 
-    /// Reserves table capacity for `additional` more regions, so a bulk
-    /// provisioning pass never reallocates mid-loop.
-    pub fn reserve(&mut self, additional: usize) {
-        self.regions.reserve(additional);
-    }
-
     /// Allocates a region of at least `size` bytes (rounded up to one line
     /// is the caller's concern; zero-size regions are rounded up to one
     /// byte so `addr()` never divides by zero).
     pub fn add(&mut self, name: impl Into<RegionName>, size: u64) -> RegionId {
+        let (name, index) = self.names.intern(name.into());
+        self.push(name, index, size)
+    }
+
+    /// Appends the region whose name is stored as `(name, index)`.
+    fn push(&mut self, name: u32, index: u32, size: u64) -> RegionId {
         let size = size.max(1);
-        let id = RegionId(self.regions.len() as u32);
-        let region = MemRegion {
-            name: name.into(),
+        let id = RegionId(u32::try_from(self.regions.len()).expect("region count overflows u32"));
+        self.regions.push(MemRegion {
             base: self.next_base,
             size,
-        };
+            name,
+            index,
+        });
         // Advance to the next page boundary past the region.
         let end = self.next_base + size;
         self.next_base = end.div_ceil(self.page_size) * self.page_size;
-        self.regions.push(region);
         id
+    }
+
+    /// Allocates every request of `plan` in order, exactly as a loop of
+    /// [`add`](Self::add) calls would, interning each distinct plan name
+    /// once.
+    pub(crate) fn add_plan(&mut self, plan: RegionPlan) -> RegionSpan {
+        let span = RegionSpan::new(self.regions.len(), plan.len());
+        let keys: Vec<u32> = plan
+            .names
+            .entries
+            .into_iter()
+            .map(|n| self.names.intern(n).0)
+            .collect();
+        self.regions.reserve(plan.entries.len());
+        for e in plan.entries {
+            self.push(keys[e.name as usize], e.index, e.size);
+        }
+        span
     }
 
     /// Looks up a region.
@@ -244,6 +329,28 @@ impl RegionTable {
     #[must_use]
     pub fn get(&self, id: RegionId) -> &MemRegion {
         &self.regions[id.index()]
+    }
+
+    /// The region's name ("conn3.tcp_context", "nic0.rx_ring", …).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` did not come from this table.
+    #[must_use]
+    pub fn name(&self, id: RegionId) -> RegionName {
+        let r = &self.regions[id.index()];
+        self.names.get(r.name, r.index)
+    }
+
+    /// The region holding byte `addr`: the last one based at or below it.
+    /// Regions tile the address space from their first base, page after
+    /// page, so this is the region whose pages hold `addr`, or the last
+    /// region for an address past the table's footprint. `None` below the
+    /// first region.
+    #[must_use]
+    pub fn region_of(&self, addr: u64) -> Option<RegionId> {
+        let after = self.regions.partition_point(|r| r.base <= addr);
+        after.checked_sub(1).map(|i| RegionId(i as u32))
     }
 
     /// Number of regions allocated.
@@ -271,18 +378,35 @@ impl RegionTable {
     pub fn footprint(&self) -> u64 {
         self.next_base
     }
+
+    /// Host bytes the table holds: its records and its name side table.
+    #[must_use]
+    pub(crate) fn bytes(&self) -> usize {
+        size_of_val(self.regions.as_slice()) + self.names.bytes()
+    }
+}
+
+/// One request of a [`RegionPlan`]: a name stored as the plan's
+/// `(name, index)` and a size.
+#[derive(Debug, Clone, Copy)]
+struct PlanEntry {
+    name: u32,
+    index: u32,
+    size: u64,
 }
 
 /// An ordered batch of region requests for
 /// [`MemorySystem::add_regions_bulk`](crate::MemorySystem::add_regions_bulk).
 ///
-/// The plan is just `(name, size)` pairs in allocation order; building
-/// one costs no formatting when the names are interned
+/// The plan is `(name, size)` requests in allocation order, names stored
+/// as the [`RegionTable`] stores them (16 bytes a request); building one
+/// costs no formatting when the names are interned
 /// ([`RegionName::indexed`]), so a million-flow provisioning pass
-/// allocates exactly one `Vec`.
+/// allocates exactly one large `Vec`.
 #[derive(Debug, Default)]
 pub struct RegionPlan {
-    entries: Vec<(RegionName, u64)>,
+    names: Names,
+    entries: Vec<PlanEntry>,
 }
 
 impl RegionPlan {
@@ -290,6 +414,7 @@ impl RegionPlan {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         RegionPlan {
+            names: Names::default(),
             entries: Vec::with_capacity(capacity),
         }
     }
@@ -297,7 +422,8 @@ impl RegionPlan {
     /// Appends a region request. Requests are allocated in insertion
     /// order, exactly as an equivalent sequence of `add_region` calls.
     pub fn add(&mut self, name: impl Into<RegionName>, size: u64) {
-        self.entries.push((name.into(), size));
+        let (name, index) = self.names.intern(name.into());
+        self.entries.push(PlanEntry { name, index, size });
     }
 
     /// Number of requests in the plan.
@@ -310,11 +436,6 @@ impl RegionPlan {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Consumes the plan, yielding the requests in allocation order.
-    pub(crate) fn into_entries(self) -> Vec<(RegionName, u64)> {
-        self.entries
     }
 }
 
@@ -420,7 +541,7 @@ mod tests {
         t.add("y", 1);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-        let names: Vec<String> = t.iter().map(|(_, r)| r.name()).collect();
+        let names: Vec<String> = t.iter().map(|(id, _)| t.name(id).render()).collect();
         assert_eq!(names, ["x", "y"]);
     }
 
@@ -469,6 +590,63 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn region_span_bounds_checked() {
         let _ = RegionSpan::new(0, 2).get(2);
+    }
+
+    #[test]
+    fn a_record_is_24_bytes() {
+        assert_eq!(size_of::<MemRegion>(), 24);
+    }
+
+    #[test]
+    fn indexed_names_share_one_entry_per_prefix_and_suffix() {
+        let mut t = RegionTable::new(4096);
+        t.add("code.text", 64);
+        let ids: Vec<RegionId> = (0..100u32)
+            .flat_map(|i| ["tcp_ctx", "sock"].map(|f| RegionName::indexed("conn", i, f)))
+            .map(|n| t.add(n, 64))
+            .collect();
+        t.add(format!("nic{}.rx_ring", 0), 64);
+        assert_eq!(t.names.entries.len(), 4);
+        assert_eq!(t.name(ids[7]).render(), "conn3.sock");
+        assert_eq!(t.name(RegionId(0)).render(), "code.text");
+        assert_eq!(t.name(RegionId(201)).render(), "nic0.rx_ring");
+    }
+
+    #[test]
+    fn a_plan_allocates_like_a_loop_of_adds() {
+        let mut looped = RegionTable::new(4096);
+        let mut planned = RegionTable::new(4096);
+        let mut plan = RegionPlan::with_capacity(8);
+        for (i, size) in [0u64, 100, 5000, 4096].into_iter().enumerate() {
+            let name = RegionName::indexed("conn", i as u32, "sock");
+            looped.add(name.clone(), size);
+            plan.add(name, size);
+            looped.add("x.text", size);
+            plan.add("x.text", size);
+        }
+        let span = planned.add_plan(plan);
+        assert_eq!(span.len(), looped.len());
+        for id in span.iter() {
+            let (a, b) = (looped.get(id), planned.get(id));
+            assert_eq!((a.base(), a.size()), (b.base(), b.size()));
+            assert_eq!(looped.name(id), planned.name(id));
+        }
+        assert_eq!(looped.footprint(), planned.footprint());
+    }
+
+    #[test]
+    fn region_of_finds_the_region_whose_pages_hold_an_address() {
+        let mut t = RegionTable::new(4096);
+        let a = t.add("a", 5000);
+        let z = t.add("z", 0);
+        let b = t.add("b", 64);
+        assert_eq!(t.region_of(0), None);
+        assert_eq!(t.region_of(4096), Some(a));
+        assert_eq!(t.region_of(4096 + 8191), Some(a));
+        assert_eq!(t.region_of(3 * 4096 + 64), Some(z));
+        assert_eq!(t.region_of(4 * 4096), Some(b));
+        // Past the footprint: the last region.
+        assert_eq!(t.region_of(100 * 4096), Some(b));
     }
 
     #[test]

@@ -23,13 +23,22 @@
 //! Touches dominate simulation time, so the structures they walk are flat:
 //!
 //! * The directory is paged ([`Directory`]): a flat top table indexed by
-//!   `line / DIR_LEAF_LINES` points into an arena of small leaves. A leaf
-//!   is taken on the first write to any of its lines and freed, for the
-//!   next leaf taken to reuse, once none of its lines is in an LLC. Every
-//!   absent leaf reads as the shared all-default leaf (no sharers, no
-//!   owner), which is exactly equivalent to "line unknown", so the
-//!   directory holds memory in proportion to the lines the caches hold,
-//!   not to the lines a run has written or provisioned.
+//!   page points into an arena of one-page leaves. A leaf is taken on the
+//!   first write to any of its lines and freed, for the next leaf taken
+//!   to reuse, once none of its lines is in an LLC. Every absent leaf
+//!   reads as the shared all-default leaf (no sharers, no owner), which
+//!   is exactly equivalent to "line unknown", so the directory holds
+//!   memory in proportion to the lines the caches hold, not to the lines
+//!   a run has written or provisioned.
+//! * A line's region — whose summaries a change to the line must bump —
+//!   is kept where the line is cached, not in a table over every
+//!   provisioned page. Regions are page-aligned, so a leaf holds one
+//!   region's page and stores its id, taken from the walked region (or,
+//!   for a touch that runs past its region's end, found by base). Every
+//!   line in an L1, L2 or LLC has a live leaf, so walks, DMA and coherence
+//!   read their victims' regions there. The trace cache is exempt from
+//!   inclusion, so a TC victim may have lost its leaf: each CPU keeps the
+//!   region of every TC slot, written by the fill.
 //! * A CPU's sharer bit is kept **exactly equal to LLC residency** (set by
 //!   the fill that lands the line in the LLC, cleared by the inclusive
 //!   eviction, the write-invalidation and DMA — the only ways a line
@@ -65,9 +74,10 @@
 //!   an 8 KiB L1 (128 lines) can back live claims for at most 128 regions
 //!   per CPU.
 //! * Code fetches get the same treatment via [`CodeSummary`]: every fetch
-//!   whose span ends up fully resident (all hits, or a span no larger
-//!   than the trace cache's set count, where consecutive lines cannot
-//!   collide) records the span's trace-cache slots, and the next fetch of
+//!   that stays inside its region and whose span ends up fully resident
+//!   (all hits, or a span no larger than the trace cache's set count,
+//!   where consecutive lines cannot collide) records the span's
+//!   trace-cache slots, and the next fetch of
 //!   the same span replays the TC bookkeeping by slot. The TC is only
 //!   ever changed by the owning CPU's fetch fills (no invalidations or
 //!   flushes reach it), so the single bump site is a fill's eviction.
@@ -131,51 +141,61 @@ impl DirEntry {
     }
 }
 
-/// Lines per directory leaf (a power of two). A leaf is freed once none
-/// of its lines is cached and reused by the next leaf a run creates, so
-/// the arena tracks the lines the LLCs hold; larger leaves then cost
-/// little and shrink the top table, one entry per leaf-sized page of
-/// every provisioned line.
-pub const DIR_LEAF_LINES: usize = 64;
-
-/// The coherence directory, paged.
+/// The coherence directory, paged: a leaf is one page of lines.
 ///
-/// `top[line / DIR_LEAF_LINES]` numbers the leaf holding `line`; leaf `k`
-/// is `entries[k * DIR_LEAF_LINES..(k + 1) * DIR_LEAF_LINES]`. Leaf 0 is
-/// a shared leaf of default entries that is never written, so a zero top
-/// entry — what a fresh, calloc-backed top table holds everywhere — reads
-/// as "line unknown" with no branch, and the first write to a line of it
-/// takes a leaf for the line's page. `live[k]` counts leaf `k`'s
-/// non-default entries; when the last of them returns to default (an
-/// inclusive LLC eviction or a DMA write drops the line's last sharer),
-/// the page's top entry goes back to 0 and the leaf, all default again,
-/// joins the free list that [`Directory::add_leaf`] takes from first. A
-/// million-flow machine provisions billions of lines but caches a few
-/// million, and only those leaves (plus the top-table pages that number
-/// them) hold memory.
+/// `top[line >> shift]` numbers the leaf holding `line`; leaf `k` is
+/// `entries[k << shift..(k + 1) << shift]`. Leaf 0 is a shared leaf of
+/// default entries that is never written, so a zero top entry — what a
+/// fresh, calloc-backed top table holds everywhere — reads as "line
+/// unknown" with no branch, and the first write to a line of it takes a
+/// leaf for the line's page. `live[k]` counts leaf `k`'s non-default
+/// entries; when the last of them returns to default (an inclusive LLC
+/// eviction or a DMA write drops the line's last sharer), the page's top
+/// entry goes back to 0 and the leaf, all default again, joins the free
+/// list that [`Directory::add_leaf`] takes from first. A million-flow
+/// machine provisions billions of lines but caches a few million, and
+/// only those leaves (plus the top-table pages that number them) hold
+/// memory.
+///
+/// `region[k]` is the region whose page leaf `k` holds, set when the leaf
+/// is taken. Regions are page-aligned, so a one-page leaf never spans
+/// two, and every line a CPU's L1, L2 or LLC holds has a live leaf (its
+/// sharer bit is set): the generation bumps of a walk's victims read
+/// their region here, in proportion to the lines the caches hold.
 #[derive(Debug, Clone)]
 struct Directory {
+    /// Log2 of the lines per leaf (per page).
+    shift: u32,
     top: Vec<u32>,
     entries: Vec<DirEntry>,
     /// Non-default entries per leaf (leaf 0's stays 0).
     live: Vec<u32>,
+    /// Region id per leaf (leaf 0's and a free leaf's are stale).
+    region: Vec<u32>,
     /// Released leaves, all default, for [`Directory::add_leaf`] to reuse.
     free: Vec<u32>,
 }
 
 impl Directory {
-    fn new() -> Self {
+    fn new(shift: u32) -> Self {
         Directory {
+            shift,
             top: Vec::new(),
-            entries: vec![DirEntry::default(); DIR_LEAF_LINES],
+            entries: vec![DirEntry::default(); 1 << shift],
             live: vec![0],
+            region: vec![0],
             free: Vec::new(),
         }
     }
 
+    /// Lines per leaf.
+    fn leaf_lines(&self) -> usize {
+        1 << self.shift
+    }
+
     /// Top-table length that covers lines `0..lines`.
-    fn pages_for(lines: usize) -> usize {
-        lines.div_ceil(DIR_LEAF_LINES)
+    fn pages_for(&self, lines: usize) -> usize {
+        lines.div_ceil(self.leaf_lines())
     }
 
     /// Arena leaves: live, free and the shared default leaf.
@@ -194,7 +214,7 @@ impl Directory {
     #[inline]
     fn index(&self, line: u64) -> usize {
         let l = line as usize;
-        self.top[l / DIR_LEAF_LINES] as usize * DIR_LEAF_LINES + l % DIR_LEAF_LINES
+        ((self.top[l >> self.shift] as usize) << self.shift) | (l & (self.leaf_lines() - 1))
     }
 
     /// The entry of `line` (a default entry when its leaf is absent).
@@ -203,32 +223,52 @@ impl Directory {
         self.entries[self.index(line)]
     }
 
-    /// Index in `entries` of `line`'s entry, taking a leaf for it if
-    /// absent. The caller must make the entry non-default
-    /// ([`Directory::revive`]) before anything can release a leaf.
+    /// Region of the line whose entry is at `di`, which must be in a live
+    /// leaf.
     #[inline]
-    fn index_mut(&mut self, line: u64) -> usize {
-        let l = line as usize;
-        let mut leaf = self.top[l / DIR_LEAF_LINES];
-        if leaf == 0 {
-            leaf = self.add_leaf(l / DIR_LEAF_LINES);
-        }
-        leaf as usize * DIR_LEAF_LINES + l % DIR_LEAF_LINES
+    fn region_at(&self, di: usize) -> u32 {
+        debug_assert!(di >> self.shift != 0, "entry {di} is in the shared leaf");
+        self.region[di >> self.shift]
     }
 
-    /// Numbers a leaf for top-table page `page`, reusing a released one
-    /// before growing the arena, and returns its number.
+    /// Region of `line`, which some CPU's L1, L2 or LLC holds (so its leaf
+    /// is live).
+    #[inline]
+    fn region_of(&self, line: u64) -> u32 {
+        self.region_at(self.index(line))
+    }
+
+    /// Index in `entries` of `line`'s entry, taking a leaf for it if
+    /// absent; `page_region(page)` names the region of a page a leaf is
+    /// taken for. The caller must make the entry non-default
+    /// ([`Directory::revive`]) before anything can release a leaf.
+    #[inline]
+    fn index_mut(&mut self, line: u64, page_region: impl FnOnce(usize) -> u32) -> usize {
+        let l = line as usize;
+        let page = l >> self.shift;
+        let mut leaf = self.top[page];
+        if leaf == 0 {
+            leaf = self.add_leaf(page, page_region(page));
+        }
+        ((leaf as usize) << self.shift) | (l & (self.leaf_lines() - 1))
+    }
+
+    /// Numbers a leaf for page `page` of region `region`, reusing a
+    /// released one before growing the arena, and returns its number.
     #[cold]
-    fn add_leaf(&mut self, page: usize) -> u32 {
+    fn add_leaf(&mut self, page: usize, region: u32) -> u32 {
         let leaf = self.free.pop().unwrap_or_else(|| {
             let leaf =
                 u32::try_from(self.arena_leaves()).expect("directory leaf count overflows u32");
+            let lines = self.leaf_lines();
             self.entries
-                .extend_from_slice(&[DirEntry::default(); DIR_LEAF_LINES]);
+                .resize(self.entries.len() + lines, DirEntry::default());
             self.live.push(0);
+            self.region.push(0);
             leaf
         });
         self.top[page] = leaf;
+        self.region[leaf as usize] = region;
         leaf
     }
 
@@ -237,7 +277,7 @@ impl Directory {
     #[inline]
     fn revive(&mut self, di: usize) {
         if self.entries[di].is_default() {
-            self.live[di / DIR_LEAF_LINES] += 1;
+            self.live[di >> self.shift] += 1;
         }
     }
 
@@ -246,10 +286,10 @@ impl Directory {
     #[inline]
     fn retire(&mut self, line: u64, di: usize) {
         self.entries[di] = DirEntry::default();
-        let leaf = di / DIR_LEAF_LINES;
+        let leaf = di >> self.shift;
         self.live[leaf] -= 1;
         if self.live[leaf] == 0 {
-            self.top[line as usize / DIR_LEAF_LINES] = 0;
+            self.top[line as usize >> self.shift] = 0;
             self.free.push(leaf as u32);
         }
     }
@@ -590,7 +630,8 @@ const LAZY_CHUNK: usize = 1 << 12;
 /// access, and shared reads of never-written slots see one canonical
 /// default instance. Only code regions are ever fetched or lose a line
 /// from the trace cache, so only their chunks materialize: a few, however
-/// many flows a machine provisions.
+/// many flows a machine provisions. The chunk table itself grows on the
+/// first write past its end, so it too covers only the fetched regions.
 ///
 /// Chunked (4096 slots) rather than prefix-grown so a sparse touch at a
 /// high region index — e.g. a victim-eviction bump against a late
@@ -620,30 +661,30 @@ impl<T: Default + Clone> LazySlots<T> {
         self.len
     }
 
-    /// Grows the logical length; O(chunk count) pointer bookkeeping only.
+    /// Grows the logical length; O(1).
     fn grow_to(&mut self, len: usize) {
         debug_assert!(len >= self.len, "slot tables never shrink");
         self.len = len;
-        let chunks = len.div_ceil(LAZY_CHUNK);
-        if self.chunks.len() < chunks {
-            self.chunks.resize_with(chunks, || None);
-        }
     }
 
     #[inline]
     fn get(&self, i: usize) -> &T {
         debug_assert!(i < self.len, "slot {i} out of range ({})", self.len);
-        match &self.chunks[i / LAZY_CHUNK] {
-            Some(c) => &c[i % LAZY_CHUNK],
-            None => &self.default,
+        match self.chunks.get(i / LAZY_CHUNK) {
+            Some(Some(c)) => &c[i % LAZY_CHUNK],
+            _ => &self.default,
         }
     }
 
     #[inline]
     fn get_mut(&mut self, i: usize) -> &mut T {
         debug_assert!(i < self.len, "slot {i} out of range ({})", self.len);
-        let chunk = self.chunks[i / LAZY_CHUNK]
-            .get_or_insert_with(|| vec![T::default(); LAZY_CHUNK].into_boxed_slice());
+        let c = i / LAZY_CHUNK;
+        if c >= self.chunks.len() {
+            self.chunks.resize_with(c + 1, || None);
+        }
+        let chunk =
+            self.chunks[c].get_or_insert_with(|| vec![T::default(); LAZY_CHUNK].into_boxed_slice());
         &mut chunk[i % LAZY_CHUNK]
     }
 
@@ -743,12 +784,16 @@ pub struct MemorySystem {
     regions: RegionTable,
     cpus: Vec<CpuCaches>,
     /// Paged coherence directory, indexed by line address. A default
-    /// entry is equivalent to "line unknown".
+    /// entry is equivalent to "line unknown". Each leaf also names its
+    /// page's region, for attributing cache and directory events (a touch
+    /// can run past its region's end, so attribution goes by the line
+    /// actually affected, not by the touched region).
     directory: Directory,
-    /// Region index per page, for attributing cache and directory events
-    /// (a touch can run past its region's end, so attribution goes by the
-    /// line actually affected, not by the touched region).
-    page_region: Vec<u32>,
+    /// `tc_regions[cpu * tc_slots + slot]`: region of the line in the
+    /// CPU's trace-cache slot, written by the fill. The trace cache is
+    /// exempt from inclusion, so a TC victim's directory leaf may be gone;
+    /// its fetch-summary bump reads the region here.
+    tc_regions: Vec<u32>,
     /// Per-CPU data-side fast-path state ([`Summary`]), tagged by region.
     summaries: SummaryCache,
     /// `code_summaries[region * cpus + cpu]`: trace-cache fast-path
@@ -792,6 +837,29 @@ fn note_bump(bumps: &mut Vec<(u32, u32)>, rid: u32, mask: u32) {
     bumps.push((rid, mask));
 }
 
+/// The region number of a directory leaf taken during a walk of region
+/// `rid`, whose own pages end at `last_page`, as a function of the leaf's
+/// page: `rid` for the region's own pages, else the region holding the
+/// page, found by base (a touch that runs past its region's end).
+#[inline]
+fn leaf_region(
+    regions: &RegionTable,
+    rid: u32,
+    last_page: u64,
+    page_shift: u32,
+) -> impl Fn(usize) -> u32 + Copy + '_ {
+    move |page| {
+        if page as u64 <= last_page {
+            rid
+        } else {
+            regions
+                .region_of((page as u64) << page_shift)
+                .expect("a walked page lies past the walked region's base")
+                .index() as u32
+        }
+    }
+}
+
 /// Applies the accumulated generation bumps. Claims stamped before this
 /// touch become stale exactly as they would under per-line bumping; the
 /// absolute generation values differ but only equality is ever tested.
@@ -811,10 +879,10 @@ fn all_cpus_mask(ncpus: usize) -> u32 {
 /// Drops `victim`, just evicted from CPU `me`'s inclusive LLC, from the
 /// CPU's inner levels and from the directory's view of the CPU (releasing
 /// its leaf when that was the leaf's last cached line), and notes the bump
-/// of the CPU's view of `victim`'s region `vrid`. A walk records its
-/// filled line's residency before it evicts the fill's victim: with
-/// leaves larger than the LLC's set count the two can share a leaf, which
-/// the line's still-default entry would otherwise let the victim release
+/// of the CPU's view of `victim`'s region. A walk records its filled
+/// line's residency before it evicts the fill's victim: with leaves
+/// larger than the LLC's set count the two can share a leaf, which the
+/// line's still-default entry would otherwise let the victim release
 /// under the walk's held index.
 #[inline]
 fn evict_from_llc(
@@ -822,13 +890,13 @@ fn evict_from_llc(
     directory: &mut Directory,
     bumps: &mut Vec<(u32, u32)>,
     victim: u64,
-    vrid: u32,
     me: u8,
 ) {
     caches.l1.invalidate(victim);
     caches.l2.invalidate(victim);
     // The victim's sharer bit is set, so its leaf exists.
     let di = directory.index(victim);
+    let vrid = directory.region_at(di);
     let e = &mut directory.entries[di];
     e.sharers &= !(1u32 << me);
     if e.owner_is(me) {
@@ -910,12 +978,13 @@ impl MemorySystem {
                 dtlb: Tlb::new(config.dtlb_entries as usize),
             })
             .collect();
+        let tc_slots = cpus.iter().map(|c| c.tc.capacity_lines()).sum();
         MemorySystem {
             line_shift: config.line_size.trailing_zeros(),
             page_shift: config.page_size.trailing_zeros(),
             regions: RegionTable::new(config.page_size as u64),
-            directory: Directory::new(),
-            page_region: Vec::new(),
+            directory: Directory::new(config.page_size.trailing_zeros() - line.trailing_zeros()),
+            tc_regions: vec![0; tc_slots],
             summaries: SummaryCache::new(cpus.len(), sets, ways),
             code_summaries: LazySlots::new(),
             dma_sharers: Vec::new(),
@@ -946,19 +1015,9 @@ impl MemorySystem {
         // so line indexing never leaves the flat structures.
         let cover = (base + 2 * size).max(self.regions.footprint());
         let lines = (cover >> self.line_shift) as usize + 1;
-        let dir_pages = Directory::pages_for(lines);
+        let dir_pages = self.directory.pages_for(lines);
         if self.directory.top.len() < dir_pages {
             self.directory.top.resize(dir_pages, 0);
-        }
-        let first_page = (base >> self.page_shift) as usize;
-        let pages = (cover >> self.page_shift) as usize + 1;
-        if self.page_region.len() < pages {
-            self.page_region.resize(pages, 0);
-        }
-        // Authoritative for this region's own pages; trailing overflow
-        // pages keep this id until a later region claims them.
-        for p in &mut self.page_region[first_page..pages] {
-            *p = id.index() as u32;
         }
         self.summaries.add_region();
         self.code_summaries
@@ -967,32 +1026,24 @@ impl MemorySystem {
     }
 
     /// Allocates every region in `plan` in one batched pass, returning
-    /// the dense id range. Produces state byte-identical to calling
+    /// the dense id range. Produces state identical to calling
     /// [`add_region`](Self::add_region) once per plan entry, in order —
-    /// same `RegionId`s, bases, footprint, directory/page-table lengths,
-    /// and page ownership — but pays O(1) resizes instead of O(n).
+    /// same `RegionId`s, names, bases, footprint and directory top-table
+    /// length — but pays O(1) resizes instead of O(n).
     ///
     /// Layout-identity argument (property-tested in
     /// `tests/proptests.rs`):
     ///
-    /// - **Ids and bases.** `RegionTable::add` is independent of the
-    ///   surrounding bookkeeping, so pushing all table entries first
-    ///   yields the same ids and bases as the interleaved sequence.
-    /// - **Structure lengths.** The incremental path grows the
-    ///   directory's top table and `page_region` monotonically to
-    ///   per-region high-water marks (`cover_i`), so the final lengths
-    ///   are the running *maximum* over all entries — computed here in
-    ///   one scan, applied in one growth. The fill values (top entry `0`,
-    ///   the shared default leaf; page owner `0`) match the incremental
-    ///   fills, and cells beyond every page-run write end up `0` on both
-    ///   paths. Neither path creates a directory leaf.
-    /// - **Page ownership.** Each region writes the run
-    ///   `[first_page_i, pages_i)`; runs *overlap* (an earlier large
-    ///   region's cover can reach past a later small region's), and the
-    ///   incremental path resolves overlaps last-writer-wins in
-    ///   allocation order. Replaying the same writes in the same order
-    ///   over the pre-sized table reproduces the exact final ownership.
-    ///   A reverse-order or watermark fill would *not*.
+    /// - **Ids, names and bases.** `RegionTable::add` is independent of
+    ///   the surrounding bookkeeping, so pushing all table entries first
+    ///   yields the same ids and bases as the interleaved sequence, and
+    ///   each name resolves to the string its request carried.
+    /// - **Top-table length.** The incremental path grows the directory's
+    ///   top table monotonically to per-region high-water marks
+    ///   (`cover_i`), so the final length is the running *maximum* over
+    ///   all entries — computed here in one scan, applied in one growth.
+    ///   The fill value (top entry `0`, the shared default leaf) matches
+    ///   the incremental fills. Neither path creates a directory leaf.
     /// - **Per-region tables.** `code_summaries` grows by `ncpus` slots
     ///   and the summary cache's `holders` by one per region, regardless
     ///   of interleaving; one growth to the final length is equivalent.
@@ -1002,49 +1053,27 @@ impl MemorySystem {
     /// advances `next_base` to exactly the next region's base), and for
     /// the last entry is the final footprint.
     pub fn add_regions_bulk(&mut self, plan: RegionPlan) -> RegionSpan {
-        let n = plan.len();
-        let first = self.regions.len();
-        let span = RegionSpan::new(first, n);
-        if n == 0 {
+        let span = self.regions.add_plan(plan);
+        if span.is_empty() {
             return span;
         }
-        self.regions.reserve(n);
-        for (name, bytes) in plan.into_entries() {
-            self.regions.add(name, bytes);
-        }
         let footprint = self.regions.footprint();
-        let mut max_lines = self.directory.top.len() * DIR_LEAF_LINES;
-        let mut max_pages = self.page_region.len();
-        for i in 0..n {
+        let mut max_lines = 0;
+        for i in 0..span.len() {
             let r = self.regions.get(span.get(i));
-            let after = if i + 1 < n {
+            let after = if i + 1 < span.len() {
                 self.regions.get(span.get(i + 1)).base()
             } else {
                 footprint
             };
             let cover = (r.base() + 2 * r.size()).max(after);
             max_lines = max_lines.max((cover >> self.line_shift) as usize + 1);
-            max_pages = max_pages.max((cover >> self.page_shift) as usize + 1);
         }
         // Calloc-backed growth (content-identical to the incremental
-        // `resize` fills): the tails fault in only where the run later
+        // `resize` fills): the tail faults in only where the run later
         // writes.
-        grow_zeroed(&mut self.directory.top, Directory::pages_for(max_lines));
-        grow_zeroed(&mut self.page_region, max_pages);
-        for i in 0..n {
-            let id = span.get(i);
-            let r = self.regions.get(id);
-            let (base, size) = (r.base(), r.size());
-            let after = if i + 1 < n {
-                self.regions.get(span.get(i + 1)).base()
-            } else {
-                footprint
-            };
-            let cover = (base + 2 * size).max(after);
-            let first_page = (base >> self.page_shift) as usize;
-            let pages = (cover >> self.page_shift) as usize + 1;
-            self.page_region[first_page..pages].fill(id.index() as u32);
-        }
+        let pages = self.directory.pages_for(max_lines);
+        grow_zeroed(&mut self.directory.top, pages);
         let regions = self.regions.len();
         self.summaries.cover_bulk(regions);
         self.code_summaries.grow_to(regions * self.cpus.len());
@@ -1107,10 +1136,11 @@ impl MemorySystem {
 
         let me_bit = 1u32 << idx;
         let me = idx as u8;
+        let page_shift = self.page_shift;
         let MemorySystem {
+            regions,
             cpus,
             directory,
-            page_region,
             summaries,
             remote_invals,
             remote_cleans,
@@ -1120,6 +1150,7 @@ impl MemorySystem {
         } = self;
         let ncpus = cpus.len();
         let rid = region.index() as u32;
+        let page_region = leaf_region(regions, rid, region_last_line >> lpp, page_shift);
 
         // Fast path: an exact repeat of a promoted touch span of this
         // region, while nothing that could move or reclassify its lines
@@ -1184,7 +1215,7 @@ impl MemorySystem {
             // coherence-first order.
             match kind {
                 AccessKind::Write => {
-                    let di = directory.index_mut(line);
+                    let di = directory.index_mut(line, page_region);
                     directory.revive(di);
                     let entry = &mut directory.entries[di];
                     let old = entry.sharers;
@@ -1192,7 +1223,7 @@ impl MemorySystem {
                     entry.sharers = old & me_bit;
                     entry.set_owner(me);
                     if others != 0 {
-                        note_bump(bump_masks, page_region[(line >> lpp) as usize], others);
+                        note_bump(bump_masks, directory.region_at(di), others);
                         remote_invals.push((line, others));
                     }
                     if old & me_bit != 0 {
@@ -1209,7 +1240,7 @@ impl MemorySystem {
                         }
                         result.l1_misses += 1;
                         if let Some(victim) = l1.evicted {
-                            note_bump(bump_masks, page_region[(victim >> lpp) as usize], me_bit);
+                            note_bump(bump_masks, directory.region_of(victim), me_bit);
                         }
                         if my.l2.access(line, kind).hit {
                             continue;
@@ -1230,7 +1261,7 @@ impl MemorySystem {
                         let l1 = my.l1.fill_absent(line, kind);
                         span_slots.push(l1.slot);
                         if let Some(victim) = l1.evicted {
-                            note_bump(bump_masks, page_region[(victim >> lpp) as usize], me_bit);
+                            note_bump(bump_masks, directory.region_of(victim), me_bit);
                         }
                         let _ = my.l2.fill_absent(line, kind);
                         let llc = my.llc.fill_absent(line, kind);
@@ -1239,10 +1270,9 @@ impl MemorySystem {
                         // set grows, so every CPU's view of this line's
                         // region may change.
                         directory.entries[di].sharers = me_bit;
-                        note_bump(bump_masks, page_region[(line >> lpp) as usize], all_mask);
+                        note_bump(bump_masks, directory.region_at(di), all_mask);
                         if let Some(victim) = llc.evicted {
-                            let vrid = page_region[(victim >> lpp) as usize];
-                            evict_from_llc(my, directory, bump_masks, victim, vrid, me);
+                            evict_from_llc(my, directory, bump_masks, victim, me);
                         }
                     }
                 }
@@ -1254,11 +1284,10 @@ impl MemorySystem {
                     }
                     result.l1_misses += 1;
                     if let Some(victim) = l1.evicted {
-                        note_bump(bump_masks, page_region[(victim >> lpp) as usize], me_bit);
+                        note_bump(bump_masks, directory.region_of(victim), me_bit);
                     }
-                    let di = directory.index_mut(line);
-                    let entry = &mut directory.entries[di];
-                    if entry.sharers & me_bit != 0 {
+                    let di = directory.index_mut(line, page_region);
+                    if directory.entries[di].sharers & me_bit != 0 {
                         // In this CPU's LLC, so its owner can only be this
                         // CPU or nobody (a remote write would have cleared
                         // the bit): no downgrade, and the LLC cannot miss.
@@ -1275,16 +1304,14 @@ impl MemorySystem {
                         );
                         continue;
                     }
+                    let line_rid = directory.region_at(di);
+                    let entry = &mut directory.entries[di];
                     if let Some(owner) = entry.owner() {
                         if owner as usize != idx {
                             // Remote modified copy: force writeback, keep
                             // shared. The sharer set is untouched.
                             entry.clear_owner();
-                            note_bump(
-                                bump_masks,
-                                page_region[(line >> lpp) as usize],
-                                1u32 << owner,
-                            );
+                            note_bump(bump_masks, line_rid, 1u32 << owner);
                             remote_cleans.push((line, owner));
                         }
                     }
@@ -1297,10 +1324,9 @@ impl MemorySystem {
                     // Record residency, then evict (see `evict_from_llc`).
                     directory.revive(di);
                     directory.entries[di].sharers |= me_bit;
-                    note_bump(bump_masks, page_region[(line >> lpp) as usize], all_mask);
+                    note_bump(bump_masks, line_rid, all_mask);
                     if let Some(victim) = llc.evicted {
-                        let vrid = page_region[(victim >> lpp) as usize];
-                        evict_from_llc(my, directory, bump_masks, victim, vrid, me);
+                        evict_from_llc(my, directory, bump_masks, victim, me);
                     }
                 }
             }
@@ -1373,9 +1399,14 @@ impl MemorySystem {
         }
         let idx = cpu.index();
         assert!(idx < self.cpus.len(), "cpu {idx} out of range");
-        let (start, end) = {
+        let (start, end, region_last_line) = {
             let r = self.regions.get(region);
-            (r.addr(offset), r.addr(offset) + bytes.min(r.size()))
+            let start = r.addr(offset);
+            (
+                start,
+                start + bytes.min(r.size()),
+                (r.base() + r.size() - 1) >> self.line_shift,
+            )
         };
         let first = start >> self.line_shift;
         let last = (end - 1) >> self.line_shift;
@@ -1384,10 +1415,12 @@ impl MemorySystem {
         result.itlb_misses = probe_pages(&mut self.cpus[idx].itlb, first, last, lpp);
         let me_bit = 1u32 << idx;
         let me = idx as u8;
+        let page_shift = self.page_shift;
         let MemorySystem {
+            regions,
             cpus,
             directory,
-            page_region,
+            tc_regions,
             summaries,
             code_summaries,
             bump_masks,
@@ -1395,6 +1428,14 @@ impl MemorySystem {
             ..
         } = self;
         let ncpus = cpus.len();
+        let page_region = leaf_region(
+            regions,
+            region.index() as u32,
+            region_last_line >> lpp,
+            page_shift,
+        );
+        let tc_slots = cpus[idx].tc.capacity_lines();
+        let tc_regions = &mut tc_regions[idx * tc_slots..][..tc_slots];
         // Flat (region, cpu) offset into `code_summaries`.
         let si = region.index() * ncpus + idx;
 
@@ -1424,14 +1465,18 @@ impl MemorySystem {
             }
             result.tc_misses += 1;
             // The fill may displace another region's code; its span claim
-            // dies with the victim.
-            if let Some(victim) = tc.evicted {
-                let vr = page_region[(victim >> lpp) as usize] as usize;
-                code_summaries.get_mut(vr * ncpus + idx).bump();
+            // dies with the victim. The slot's region is the victim's
+            // until the line's own is recorded below.
+            let ts = tc.slot as usize;
+            if tc.evicted.is_some() {
+                code_summaries
+                    .get_mut(tc_regions[ts] as usize * ncpus + idx)
+                    .bump();
             }
             // A clear bit means the line is filled and recorded below, so
             // its leaf is needed either way.
-            let di = directory.index_mut(line);
+            let di = directory.index_mut(line, page_region);
+            tc_regions[ts] = directory.region_at(di);
             if directory.entries[di].sharers & me_bit != 0 {
                 // In this CPU's LLC (sharer bit ⟺ LLC residency): the L2
                 // may miss but the LLC cannot, and the refill changes no
@@ -1457,10 +1502,9 @@ impl MemorySystem {
             // Record residency, then evict (see `evict_from_llc`).
             directory.revive(di);
             directory.entries[di].sharers |= me_bit;
-            note_bump(bump_masks, page_region[(line >> lpp) as usize], all_mask);
+            note_bump(bump_masks, directory.region_at(di), all_mask);
             if let Some(victim) = llc.evicted {
-                let vrid = page_region[(victim >> lpp) as usize];
-                evict_from_llc(caches, directory, bump_masks, victim, vrid, me);
+                evict_from_llc(caches, directory, bump_masks, victim, me);
             }
         }
         apply_bumps(summaries, bump_masks);
@@ -1474,12 +1518,16 @@ impl MemorySystem {
         // stamped *after* the walk, absorbing any bumps the walk's own
         // victims caused. Larger missy spans self-conflict mid-fetch;
         // their slots are stale, so the claim is explicitly withdrawn
-        // (the buffer was stolen from the summary above).
+        // (the buffer was stolen from the summary above). As for data
+        // touches, a fetch that runs past the region's end is not
+        // claimable: a TC victim bumps the region holding its line.
         let cs = code_summaries.get_mut(si);
         cs.span_first = first;
         cs.span_last = last;
         cs.slots = slot_buf;
-        cs.verified_gen = if result.tc_misses == 0 || result.lines <= caches.tc.sets() as u64 {
+        cs.verified_gen = if last <= region_last_line
+            && (result.tc_misses == 0 || result.lines <= caches.tc.sets() as u64)
+        {
             cs.change_gen
         } else {
             cs.change_gen.wrapping_sub(1)
@@ -1500,11 +1548,9 @@ impl MemorySystem {
         };
         let first = self.line_of(start);
         let last = self.line_of(end.saturating_sub(1));
-        let lpp = self.page_shift - self.line_shift;
         let MemorySystem {
             cpus,
             directory,
-            page_region,
             summaries,
             dma_sharers,
             bump_masks,
@@ -1533,8 +1579,8 @@ impl MemorySystem {
             dma_sharers.push(mask);
             if mask != 0 {
                 union_mask |= mask;
+                note_bump(bump_masks, directory.region_at(di), mask);
                 directory.retire(line, di);
-                note_bump(bump_masks, page_region[(line >> lpp) as usize], mask);
             }
         }
         apply_bumps(summaries, bump_masks);
@@ -1690,22 +1736,51 @@ impl MemorySystem {
     ///    numbered once), and every free leaf is all default and numbered
     ///    by no top entry — so the directory holds only leaves with a
     ///    cached line;
-    /// 4. the summary cache's per-region holder masks match its tags.
+    /// 4. the summary cache's per-region holder masks match its tags;
+    /// 5. every numbered leaf, and every valid trace-cache slot, names the
+    ///    region holding its page or line ([`RegionTable::region_of`]):
+    ///    the region a bump of one of its lines reaches.
     ///
     /// # Panics
     ///
     /// Panics if any invariant is violated.
     #[doc(hidden)]
     pub fn verify_incremental_state(&self) {
+        let d = &self.directory;
         assert!(
-            self.directory.entries[..DIR_LEAF_LINES]
+            d.entries[..d.leaf_lines()]
                 .iter()
                 .all(|e| *e == DirEntry::default()),
             "the shared default directory leaf was written"
         );
         self.verify_directory_leaves();
         self.summaries.verify();
-        for (_, r) in self.regions.iter() {
+        let region_of = |line: u64| {
+            self.regions
+                .region_of(line << self.line_shift)
+                .map(|id| id.index() as u32)
+        };
+        for (page, &leaf) in d.top.iter().enumerate().filter(|(_, &l)| l != 0) {
+            let want = region_of((page as u64) << d.shift);
+            assert_eq!(
+                Some(d.region[leaf as usize]),
+                want,
+                "leaf {leaf} of page {page} names the wrong region"
+            );
+        }
+        for (cpu, c) in self.cpus.iter().enumerate() {
+            let slots = c.tc.capacity_lines();
+            for slot in 0..slots {
+                if let Some(line) = c.tc.line_at(slot) {
+                    assert_eq!(
+                        Some(self.tc_regions[cpu * slots + slot]),
+                        region_of(line),
+                        "trace-cache slot {slot} of cpu {cpu} (line {line}) names the wrong region"
+                    );
+                }
+            }
+        }
+        for (id, r) in self.regions.iter() {
             let first = self.line_of(r.base());
             let last = self.line_of(r.base() + r.size() - 1);
             for line in first..=last {
@@ -1714,15 +1789,16 @@ impl MemorySystem {
                     let bit = e.sharers & (1u32 << cpu) != 0;
                     let in_llc = c.llc.contains(line);
                     assert_eq!(
-                        bit, in_llc,
+                        bit,
+                        in_llc,
                         "line {line} of {}: sharer bit {bit} but LLC residency {in_llc} on cpu {cpu}",
-                        r.name()
+                        self.regions.name(id)
                     );
                     if !in_llc {
                         assert!(
                             !c.l1.contains(line) && !c.l2.contains(line),
                             "line {line} of {}: inner level holds a line outside the LLC on cpu {cpu}",
-                            r.name()
+                            self.regions.name(id)
                         );
                     }
                 }
@@ -1734,9 +1810,10 @@ impl MemorySystem {
     fn verify_directory_leaves(&self) {
         let d = &self.directory;
         let leaves = d.arena_leaves();
-        assert_eq!(d.entries.len(), leaves * DIR_LEAF_LINES);
+        assert_eq!(d.entries.len(), leaves * d.leaf_lines());
+        assert_eq!(d.region.len(), leaves);
         assert_eq!(d.live[0], 0, "the shared default leaf has a live count");
-        for (k, leaf) in d.entries.chunks(DIR_LEAF_LINES).enumerate() {
+        for (k, leaf) in d.entries.chunks(d.leaf_lines()).enumerate() {
             let live = leaf.iter().filter(|e| !e.is_default()).count();
             assert_eq!(d.live[k] as usize, live, "leaf {k}: live count off");
         }
@@ -1768,8 +1845,8 @@ impl MemorySystem {
         );
     }
 
-    /// Snapshot of the construction-time layout: directory shape, full
-    /// page ownership, and the per-region table lengths. Two systems built by different provisioning paths
+    /// Snapshot of the construction-time layout: directory shape and the
+    /// per-region table lengths. Two systems built by different provisioning paths
     /// (incremental `add_region` loop vs `add_regions_bulk`) must compare
     /// equal here — the equivalence the bulk path's property test pins.
     #[must_use]
@@ -1777,7 +1854,6 @@ impl MemorySystem {
         ConstructionLayout {
             directory_pages: self.directory.top.len(),
             directory_leaves: self.directory.arena_leaves(),
-            page_region: self.page_region.clone(),
             summary_regions: self.summaries.holders.len(),
             code_summary_slots: self.code_summaries.len(),
         }
@@ -1786,18 +1862,19 @@ impl MemorySystem {
     /// Resident bytes per table, and the counts that drive them.
     ///
     /// Tables that grow with what a run reaches count what they hold:
-    /// the directory's leaf arena, the summary cache's entries and
-    /// buffers, the code summaries' materialized chunks. The arena keeps
-    /// its released leaves for reuse, so it counts live and free leaves
-    /// apart; every arena leaf was written when it was created, so its
-    /// bytes are resident. The directory's top table is calloc-backed and
-    /// counts the 4 KiB pages that number a live leaf now: a lower bound,
-    /// since a page whose leaves were all released reads zero again but
-    /// stays resident. The other tables sized by what a machine provisions
-    /// (`page_region`, the summary cache's holder masks) count their full
-    /// length: `page_region` is written whole at construction, and the
-    /// holder masks are calloc-backed, so for them the figure is an upper
-    /// bound that a run reaching every region attains.
+    /// the directory's leaf arena and its per-leaf region ids, the summary
+    /// cache's entries and buffers, the code summaries' materialized
+    /// chunks. The arena keeps its released leaves for reuse, so it counts
+    /// live and free leaves apart; every arena leaf was written when it
+    /// was created, so its bytes are resident. The directory's top table
+    /// is calloc-backed and counts the 4 KiB pages that number a live leaf
+    /// now: a lower bound, since a page whose leaves were all released
+    /// reads zero again but stays resident. The trace-cache slot regions
+    /// are fixed by the geometry. Two tables are sized by what a machine
+    /// provisions, one entry per region: the region records (written at
+    /// construction) and the summary cache's holder masks (calloc-backed,
+    /// counted at full length, an upper bound that a run reaching every
+    /// region attains).
     #[must_use]
     pub fn footprint(&self) -> Footprint {
         let d = &self.directory;
@@ -1809,10 +1886,12 @@ impl MemorySystem {
             directory_leaf_bytes: size_of_val(d.entries.as_slice())
                 + size_of_val(d.live.as_slice())
                 + size_of_val(d.free.as_slice()),
+            leaf_region_bytes: size_of_val(d.region.as_slice()),
+            tc_region_bytes: size_of_val(self.tc_regions.as_slice()),
             summary_cache_bytes: self.summaries.bytes(),
             holder_bytes: size_of_val(self.summaries.holders.as_slice()),
             code_summary_bytes: self.code_summaries.bytes(CodeSummary::heap_bytes),
-            page_region_bytes: size_of_val(self.page_region.as_slice()),
+            region_bytes: self.regions.bytes(),
         }
     }
 
@@ -1839,8 +1918,6 @@ pub struct ConstructionLayout {
     pub directory_pages: usize,
     /// Directory arena leaves (live, free and the shared default leaf).
     pub directory_leaves: usize,
-    /// Full page-ownership table (`page -> region index`).
-    pub page_region: Vec<u32>,
     /// Regions the data summary cache's holder masks cover.
     pub summary_regions: usize,
     /// `code_summaries` slot count (`regions × ncpus`).
@@ -1864,14 +1941,20 @@ pub struct Footprint {
     /// The directory's leaf arena (live, free and shared leaves) with its
     /// per-leaf live counts and free list.
     pub directory_leaf_bytes: usize,
+    /// The region id of each arena leaf.
+    pub leaf_region_bytes: usize,
+    /// The region id of each CPU's trace-cache slots.
+    pub tc_region_bytes: usize,
     /// The summary cache's fixed arrays and entry buffers.
     pub summary_cache_bytes: usize,
     /// The summary cache's per-region holder masks (full length).
     pub holder_bytes: usize,
-    /// Materialized code-summary chunks and their slot buffers.
+    /// Materialized code-summary chunks, their slot buffers and the chunk
+    /// table.
     pub code_summary_bytes: usize,
-    /// `page_region` (full length).
-    pub page_region_bytes: usize,
+    /// The region table: one [`MemRegion`](crate::MemRegion) record per
+    /// region and the side table of names that are not interned.
+    pub region_bytes: usize,
 }
 
 #[cfg(test)]
@@ -1884,6 +1967,8 @@ mod tests {
 
     const CPU0: CpuId = CpuId::new(0);
     const CPU1: CpuId = CpuId::new(1);
+    /// Lines per directory leaf (one 4 KiB page of 64-byte lines).
+    const LEAF_LINES: usize = 64;
 
     #[test]
     fn cold_then_warm() {
@@ -1990,11 +2075,11 @@ mod tests {
     #[test]
     fn dma_write_over_a_touched_region_releases_its_leaves() {
         let mut m = sys();
-        let bytes = (4 * DIR_LEAF_LINES * 64) as u64;
+        let bytes = (4 * LEAF_LINES * 64) as u64;
         let r = m.add_region("payload", bytes);
         // One page, so the region's lines stay within the LLC's reach.
         m.data_touch(CPU0, r, 0, 512, true);
-        m.data_touch(CPU1, r, 2 * DIR_LEAF_LINES as u64 * 64, 512, false);
+        m.data_touch(CPU1, r, 2 * LEAF_LINES as u64 * 64, 512, false);
         assert_eq!(m.footprint().directory_leaves, 2);
         m.dma_write(r, 0, bytes);
         let f = m.footprint();
@@ -2007,14 +2092,14 @@ mod tests {
     #[test]
     fn released_leaves_are_reused_before_the_arena_grows() {
         let mut m = sys();
-        let bytes = (2 * DIR_LEAF_LINES * 64) as u64;
+        let bytes = (2 * LEAF_LINES * 64) as u64;
         let (a, b) = (m.add_region("a", bytes), m.add_region("b", bytes));
         m.data_touch(CPU0, a, 0, 256, true);
-        m.data_touch(CPU0, a, DIR_LEAF_LINES as u64 * 64, 256, true);
+        m.data_touch(CPU0, a, LEAF_LINES as u64 * 64, 256, true);
         let arena = m.construction_layout().directory_leaves;
         m.dma_write(a, 0, bytes);
         m.data_touch(CPU1, b, 0, 256, false);
-        m.data_touch(CPU1, b, DIR_LEAF_LINES as u64 * 64, 256, false);
+        m.data_touch(CPU1, b, LEAF_LINES as u64 * 64, 256, false);
         let f = m.footprint();
         assert_eq!(f.directory_leaves, 2);
         assert_eq!(f.directory_free_leaves, 0);
@@ -2033,10 +2118,10 @@ mod tests {
         m.data_touch(CPU1, r, 0, bytes, true);
         // Each LLC holds its last `llc_lines` consecutive lines, which
         // span at most one leaf more than they fill.
-        let need = 2 * (llc_lines.div_ceil(DIR_LEAF_LINES) + 1);
+        let need = 2 * (llc_lines.div_ceil(LEAF_LINES) + 1);
         let f = m.footprint();
         assert!(f.directory_leaves <= need, "{f:?}");
-        assert!(f.directory_leaves + f.directory_free_leaves < 16 * llc_lines / DIR_LEAF_LINES);
+        assert!(f.directory_leaves + f.directory_free_leaves < 16 * llc_lines / LEAF_LINES);
         m.verify_incremental_state();
     }
 
@@ -2218,5 +2303,69 @@ mod tests {
         // Lines wrap through the L1; misses must keep being reported.
         let again = m.data_touch(CPU0, big, 0, 2048, false);
         assert!(again.l1_misses > 0);
+    }
+
+    // --- region attribution of bumps ---
+
+    /// Fetches `bytes` of `region` at `offset` on CPU0 through `m` and
+    /// through the reference, asserting equal results.
+    fn fetch_both(m: &mut MemorySystem, oracle: &mut MemorySystem, r: RegionId, offset: u64) {
+        let want = oracle.code_fetch(CPU0, r, offset, 64);
+        assert_eq!(m.code_fetch(CPU0, r, offset, 64), want);
+    }
+
+    #[test]
+    fn a_code_fetch_past_its_region_end_is_never_replayed() {
+        // Tiny TC: 4 sets x 2 ways. `a`'s last line and `b`'s first are
+        // one fetch of `a`; evicting `b`'s line bumps `b`, not `a`.
+        let mut m = sys();
+        let (a, b) = (m.add_region("a.text", 4096), m.add_region("b.text", 4096));
+        let tail = m.code_fetch(CPU0, a, 4032, 128);
+        assert_eq!((tail.lines, tail.tc_misses), (2, 2));
+        // Two more lines of `b`'s first TC set evict its first line.
+        m.code_fetch(CPU0, b, 256, 64);
+        m.code_fetch(CPU0, b, 512, 64);
+        assert_eq!(m.code_fetch(CPU0, a, 4032, 128).tc_misses, 1);
+        m.verify_incremental_state();
+    }
+
+    #[test]
+    fn a_tc_victim_whose_leaf_is_gone_still_bumps_its_region() {
+        let (mut m, mut oracle) = (sys(), MemorySystem::reference(MemoryConfig::tiny(2)));
+        let mut add = |name: &'static str, bytes| {
+            let id = m.add_region(name, bytes);
+            assert_eq!(oracle.add_region(name, bytes), id);
+            id
+        };
+        let (a, b, stream) = (add("a.text", 64), add("b.text", 4096), add("stream", 8192));
+        fetch_both(&mut m, &mut oracle, a, 0);
+        fetch_both(&mut m, &mut oracle, a, 0);
+        // Twice the LLC streamed through CPU0: `a`'s line leaves the LLC
+        // and its page's leaf is freed; the TC keeps the line.
+        m.data_touch(CPU0, stream, 0, 8192, false);
+        oracle.data_touch(CPU0, stream, 0, 8192, false);
+        let a_line = m.regions().get(a).base() >> 6;
+        assert!(!m.llc_holds(CPU0, a_line));
+        assert_eq!(m.directory.top[a_line as usize / LEAF_LINES], 0);
+        // `b`'s lines of `a`'s TC set evict it: the bump must reach `a`.
+        fetch_both(&mut m, &mut oracle, b, 0);
+        fetch_both(&mut m, &mut oracle, b, 256);
+        fetch_both(&mut m, &mut oracle, a, 0);
+        m.verify_incremental_state();
+    }
+
+    #[test]
+    fn a_dma_over_a_recycled_leaf_bumps_the_region_it_holds_now() {
+        let mut m = sys();
+        let (a, b) = (m.add_region("a", 256), m.add_region("b", 256));
+        m.data_touch(CPU0, a, 0, 64, false);
+        m.dma_write(a, 0, 64);
+        // `b`'s page takes the leaf `a`'s page released, and `b` claims.
+        warm(&mut m, CPU0, b, 64, false);
+        assert_eq!(m.footprint().directory_leaves, 1);
+        assert_eq!(m.construction_layout().directory_leaves, 2);
+        m.dma_write(b, 0, 64);
+        assert_eq!(m.data_touch(CPU0, b, 0, 64, false).llc_misses, 1);
+        m.verify_incremental_state();
     }
 }

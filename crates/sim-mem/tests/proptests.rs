@@ -6,8 +6,7 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 use sim_core::CpuId;
 use sim_mem::{
-    AccessKind, Cache, MemoryConfig, MemorySystem, RegionId, RegionName, RegionPlan, Tlb,
-    DIR_LEAF_LINES,
+    AccessKind, Cache, Footprint, MemoryConfig, MemorySystem, RegionId, RegionName, RegionPlan, Tlb,
 };
 
 /// One memory-system operation: `(kind, cpu, region, offset, bytes)`,
@@ -73,6 +72,11 @@ fn touched_lines(m: &MemorySystem, regions: &[RegionId], op: Op, lines: &mut BTr
     lines.extend(start / line..=(end - 1) / line);
 }
 
+/// Lines per directory leaf: a leaf is one page.
+fn leaf_lines(m: &MemorySystem) -> u64 {
+    u64::from(m.config().page_size / m.config().line_size)
+}
+
 /// Directory leaves holding one of `lines` that some CPU's LLC holds.
 fn cached_leaves(m: &MemorySystem, lines: &BTreeSet<u64>) -> usize {
     let cpus = m.config().cpus as u32;
@@ -80,9 +84,72 @@ fn cached_leaves(m: &MemorySystem, lines: &BTreeSet<u64>) -> usize {
         .iter()
         .filter(|&&l| (0..cpus).any(|c| m.llc_holds(CpuId::new(c), l)));
     cached
-        .map(|l| l / DIR_LEAF_LINES as u64)
+        .map(|l| l / leaf_lines(m))
         .collect::<BTreeSet<_>>()
         .len()
+}
+
+/// The exactness oracle: runs `ops` over regions of `sizes` (allocated in
+/// order, so each follows the one before) through three systems, and
+/// every per-op result and every cache and TLB counter must agree:
+///
+/// * the default system;
+/// * one whose summary cache holds a single entry per CPU, so nearly
+///   every access evicts (the cache's capacity is unobservable);
+/// * the reference, which never replays a claim and walks every touch
+///   and fetch line by line (the fast paths are exact).
+///
+/// Each system also passes `verify_incremental_state` at the end.
+fn assert_fast_paths_exact(config: &MemoryConfig, sizes: &[u64], ops: &[Op]) {
+    let mut systems = [
+        MemorySystem::new(config.clone()),
+        MemorySystem::with_single_summary_entry(config.clone()),
+        MemorySystem::reference(config.clone()),
+    ];
+    let regions: Vec<RegionId> = sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &size)| {
+            let ids: Vec<RegionId> = systems
+                .iter_mut()
+                .map(|m| m.add_region(format!("r{i}"), size))
+                .collect();
+            assert!(ids.iter().all(|&id| id == ids[0]));
+            ids[0]
+        })
+        .collect();
+    let [fast, others @ ..] = &mut systems;
+    for &op in ops {
+        let want = apply(fast, &regions, op);
+        for m in others.iter_mut() {
+            prop_assert_eq!(want, apply(m, &regions, op), "op {:?} diverged", op);
+        }
+    }
+    for m in others.iter() {
+        for cpu in (0..config.cpus as u32).map(CpuId::new) {
+            prop_assert_eq!(fast.l1_stats(cpu), m.l1_stats(cpu));
+            prop_assert_eq!(fast.l2_stats(cpu), m.l2_stats(cpu));
+            prop_assert_eq!(fast.llc_stats(cpu), m.llc_stats(cpu));
+            prop_assert_eq!(fast.tc_stats(cpu), m.tc_stats(cpu));
+            prop_assert_eq!(fast.tlb_stats(cpu), m.tlb_stats(cpu));
+        }
+        m.verify_incremental_state();
+        prop_assert_eq!(
+            fast.footprint().directory_leaves,
+            m.footprint().directory_leaves
+        );
+    }
+    fast.verify_incremental_state();
+}
+
+/// The oracle's geometry: `tiny` with a 16-line, 4-set L1, so spans of up
+/// to four lines and small regions can hold live claims.
+fn oracle_config() -> MemoryConfig {
+    MemoryConfig {
+        l1_size: 1024,
+        l1_assoc: 4,
+        ..MemoryConfig::tiny(2)
+    }
 }
 
 proptest! {
@@ -241,7 +308,7 @@ proptest! {
         ops in prop::collection::vec((0u8..4, 0u32..2, 0u64..16, 0u64..8), 1..300),
     ) {
         let mut m = MemorySystem::new(MemoryConfig::tiny(2));
-        let leaf = DIR_LEAF_LINES as u64;
+        let leaf = leaf_lines(&m);
         let regions = [m.add_region("leaves", 16 * leaf * 64)];
         let mut lines = BTreeSet::new();
         for &(kind, cpu, page, slot) in &ops {
@@ -256,20 +323,12 @@ proptest! {
         }
     }
 
-    /// Fast-path exactness oracle: the same random reads, writes, code
-    /// fetches and DMA go through three systems, and every per-op result
-    /// and every cache and TLB counter must agree:
-    ///
-    /// * the default system;
-    /// * one whose summary cache holds a single entry per CPU, so nearly
-    ///   every access evicts (the cache's capacity is unobservable);
-    /// * the reference, which never replays a claim and walks every touch
-    ///   and fetch line by line (the fast paths are exact).
-    ///
-    /// Data touches dominate the mix, and offsets and lengths come from
-    /// small sets, so exact spans repeat and small regions fit the L1:
-    /// that is what engages the fast paths on the default side and
-    /// replaces live entries on the single-entry side.
+    /// Fast-path exactness ([`assert_fast_paths_exact`]) under random
+    /// reads, writes, code fetches and DMA. Data touches dominate the mix,
+    /// and offsets and lengths come from small sets, so exact spans repeat
+    /// and small regions fit the L1: that is what engages the fast paths
+    /// on the default side and replaces live entries on the single-entry
+    /// side.
     #[test]
     fn summary_cache_capacity_is_unobservable(
         ops in prop::collection::vec(
@@ -277,66 +336,101 @@ proptest! {
             1..200,
         ),
     ) {
-        let config = MemoryConfig {
-            l1_size: 1024,
-            l1_assoc: 4,
-            ..MemoryConfig::tiny(2)
-        };
-        let mut systems = [
-            MemorySystem::new(config.clone()),
-            MemorySystem::with_single_summary_entry(config.clone()),
-            MemorySystem::reference(config),
-        ];
-        let sizes = [64u64, 192, 256, 4096];
-        let regions: Vec<RegionId> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &size)| {
-                let ids: Vec<RegionId> = systems
-                    .iter_mut()
-                    .map(|m| m.add_region(format!("r{i}"), size))
-                    .collect();
-                assert!(ids.iter().all(|&id| id == ids[0]));
-                ids[0]
+        let ops: Vec<Op> = ops
+            .into_iter()
+            .map(|(kind, cpu, rix, off, len)| {
+                // 0..=5 data touches (odd kinds write), then one each of
+                // code fetch, DMA write, DMA read and TLB flush.
+                let kind = if kind < 6 { kind % 2 } else { kind - 4 };
+                (kind, cpu, rix, off * 64, [64u64, 100, 256, 700][len])
             })
             .collect();
-        let [fast, others @ ..] = &mut systems;
-        for &(kind, cpu, rix, off, len) in &ops {
-            // 0..=5 data touches (odd kinds write), then one each of code
-            // fetch, DMA write, DMA read and TLB flush.
-            let kind = if kind < 6 { kind % 2 } else { kind - 4 };
-            let op = (kind, cpu, rix, off * 64, [64u64, 100, 256, 700][len]);
-            let want = apply(fast, &regions, op);
-            for m in others.iter_mut() {
-                prop_assert_eq!(want, apply(m, &regions, op), "op {:?} diverged", op);
-            }
-        }
-        for m in others.iter() {
-            for cpu in (0..2).map(CpuId::new) {
-                prop_assert_eq!(fast.l1_stats(cpu), m.l1_stats(cpu));
-                prop_assert_eq!(fast.l2_stats(cpu), m.l2_stats(cpu));
-                prop_assert_eq!(fast.llc_stats(cpu), m.llc_stats(cpu));
-                prop_assert_eq!(fast.tc_stats(cpu), m.tc_stats(cpu));
-                prop_assert_eq!(fast.tlb_stats(cpu), m.tlb_stats(cpu));
-            }
-            m.verify_incremental_state();
-            prop_assert_eq!(
-                fast.footprint().directory_leaves,
-                m.footprint().directory_leaves
-            );
-        }
-        fast.verify_incremental_state();
+        assert_fast_paths_exact(&oracle_config(), &[64, 192, 256, 4096], &ops);
     }
 
-    /// `add_regions_bulk` is byte-identical to a loop of `add_region`
-    /// calls: same `RegionId`s, names, bases, sizes, footprint, directory
-    /// top-table length and leaf count, full page ownership, and
-    /// per-region table state — for arbitrary size sequences (including
-    /// zero-size regions and the overlap case where a large region's
-    /// cover runs past later small regions' pages), optionally on top of
-    /// pre-existing incrementally-added regions. The two systems then run
-    /// the same operations to identical results, directory leaves and
-    /// layouts.
+    /// The oracle for touches and fetches that run past their region's
+    /// end: a page-sized region followed by a zero-size one, a region 64
+    /// bytes short of its page followed by a one-line region, and a last
+    /// region whose touches run past the footprint. Offsets reach each
+    /// region's last lines, so a span's tail lands in the pages of the
+    /// regions that follow, whose leaves a walk of another region takes
+    /// and whose claims its bumps must reach.
+    #[test]
+    fn summary_cache_capacity_is_unobservable_past_region_ends(
+        ops in prop::collection::vec(
+            (0u8..10, 0u32..2, 0usize..6, 0u64..4, 0usize..4),
+            1..200,
+        ),
+    ) {
+        let sizes = [4096u64, 0, 4032, 64, 192, 256];
+        let ops: Vec<Op> = ops
+            .into_iter()
+            .map(|(kind, cpu, rix, off, len)| {
+                let kind = if kind < 5 { kind % 2 } else { [2, 2, 3, 4, 5][kind as usize - 5] };
+                let size = sizes[rix].max(1);
+                let off = [0, 64, size.saturating_sub(64), size.saturating_sub(192)][off as usize];
+                (kind, cpu, rix, off, [64u64, 100, 256, 700][len])
+            })
+            .collect();
+        assert_fast_paths_exact(&oracle_config(), &sizes, &ops);
+    }
+
+    /// The oracle for code fetches whose trace-cache victims have left
+    /// the LLC: three small code regions share `tiny`'s 8-line trace
+    /// cache while reads and writes stream a region twice the LLC's size
+    /// through it, so a fetch's TC victim has often lost its LLC copy and
+    /// its directory leaf (the TC is exempt from inclusion). The victim's
+    /// bump must still reach the region whose claim holds its slot.
+    #[test]
+    fn summary_cache_capacity_is_unobservable_when_tc_victims_left_the_llc(
+        ops in prop::collection::vec(
+            (0u8..4, 0u32..2, 0usize..3, 0u64..12, 0usize..4),
+            1..200,
+        ),
+    ) {
+        let sizes = [128u64, 192, 256, 8192];
+        let ops: Vec<Op> = ops
+            .into_iter()
+            .map(|(kind, cpu, rix, off, len)| match kind {
+                0 | 1 => (2, cpu, rix, (off % 2) * 64, [64u64, 128, 192, 256][len]),
+                _ => (kind - 2, cpu, 3, off * 704, 700),
+            })
+            .collect();
+        assert_fast_paths_exact(&oracle_config(), &sizes, &ops);
+    }
+
+    /// The oracle for DMA over recycled leaves: buffers in their own
+    /// pages are read and written from two CPUs and DMA-written, which
+    /// frees their leaves; the next page touched takes a freed leaf for
+    /// another region, and a DMA over that page must bump the region the
+    /// leaf holds now.
+    #[test]
+    fn summary_cache_capacity_is_unobservable_over_recycled_leaves(
+        ops in prop::collection::vec(
+            (0u8..6, 0u32..2, 0usize..4, 0u64..4, 0usize..3),
+            1..200,
+        ),
+    ) {
+        let ops: Vec<Op> = ops
+            .into_iter()
+            .map(|(kind, cpu, rix, off, len)| {
+                // Reads and writes, then DMA writes and DMA reads.
+                let kind = [0, 1, 0, 1, 3, 4][kind as usize];
+                (kind, cpu, rix, off * 64, [64u64, 128, 256][len])
+            })
+            .collect();
+        assert_fast_paths_exact(&oracle_config(), &[256, 256, 4096, 192], &ops);
+    }
+
+    /// `add_regions_bulk` is identical to a loop of `add_region` calls:
+    /// same `RegionId`s, names, bases, sizes, footprint, directory
+    /// top-table length and leaf count, the region holding every page,
+    /// and per-region table state — for arbitrary size sequences
+    /// (including zero-size regions and the overlap case where a large
+    /// region's cover runs past later small regions' pages), optionally
+    /// on top of pre-existing incrementally-added regions. The two
+    /// systems then run the same operations to identical results,
+    /// directory leaves and layouts.
     #[test]
     fn bulk_region_allocation_matches_incremental(
         pre in prop::collection::vec(1u64..5000, 0..4),
@@ -364,10 +458,17 @@ proptest! {
         for (i, &want) in inc_ids.iter().enumerate() {
             prop_assert_eq!(span.get(i), want);
             let (ri, rb) = (inc.regions().get(want), bulk.regions().get(want));
-            prop_assert_eq!(ri, rb, "region {} diverged", i);
+            prop_assert_eq!((ri.base(), ri.size()), (rb.base(), rb.size()), "region {} diverged", i);
+            prop_assert_eq!(inc.regions().name(want), bulk.regions().name(want));
         }
         prop_assert_eq!(inc.regions().len(), bulk.regions().len());
-        prop_assert_eq!(inc.regions().footprint(), bulk.regions().footprint());
+        let footprint = inc.regions().footprint();
+        prop_assert_eq!(footprint, bulk.regions().footprint());
+        // Every page up to twice the footprint, so past the last region.
+        let page = u64::from(inc.config().page_size);
+        for addr in (0..2 * footprint).step_by(page as usize) {
+            prop_assert_eq!(inc.regions().region_of(addr), bulk.regions().region_of(addr));
+        }
         prop_assert_eq!(inc.construction_layout(), bulk.construction_layout());
         bulk.verify_incremental_state();
         // Ops only target non-empty regions.
@@ -380,7 +481,13 @@ proptest! {
             let op = (kind, cpu, rix % live.len(), off, len);
             prop_assert_eq!(apply(&mut inc, &live, op), apply(&mut bulk, &live, op));
         }
-        prop_assert_eq!(inc.footprint(), bulk.footprint());
+        // The loop's names are eager strings and the plan's interned, so
+        // only the region tables' own bytes differ.
+        let tables = |m: &MemorySystem| Footprint {
+            region_bytes: 0,
+            ..m.footprint()
+        };
+        prop_assert_eq!(tables(&inc), tables(&bulk));
         prop_assert_eq!(inc.construction_layout(), bulk.construction_layout());
         bulk.verify_incremental_state();
     }

@@ -125,12 +125,12 @@ pub fn region_map_report(regions: &sim_mem::RegionTable, limit: usize) -> String
         "base",
         "bytes",
     );
-    for (_, r) in regions.iter().take(limit) {
+    for (id, r) in regions.iter().take(limit) {
         out.push_str(&format!(
             "{:#012x} {:>10}  {}\n",
             r.base(),
             r.size(),
-            r.raw_name()
+            regions.name(id)
         ));
     }
     out

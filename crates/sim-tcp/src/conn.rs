@@ -324,7 +324,7 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
-        assert_eq!(mem.regions().get(r.tcp_ctx).name(), "conn3.tcp_ctx");
+        assert_eq!(mem.regions().name(r.tcp_ctx).render(), "conn3.tcp_ctx");
     }
 
     #[test]
@@ -359,13 +359,18 @@ mod tests {
                 r.tx_app_buf,
                 r.rx_app_buf,
             ] {
-                assert_eq!(mem_b.regions().get(id), mem_a.regions().get(id));
+                let (a, b) = (mem_a.regions().get(id), mem_b.regions().get(id));
+                assert_eq!((b.base(), b.size()), (a.base(), a.size()));
+                assert_eq!(mem_b.regions().name(id), mem_a.regions().name(id));
             }
         }
         assert_eq!(mem_b.regions().len(), mem_a.regions().len());
         assert_eq!(mem_b.regions().footprint(), mem_a.regions().footprint());
         assert_eq!(
-            mem_b.regions().get(loop_arena.regions[2].skb_data).name(),
+            mem_b
+                .regions()
+                .name(loop_arena.regions[2].skb_data)
+                .render(),
             "conn2.skb_data"
         );
     }
