@@ -1,17 +1,10 @@
 //! A set-associative cache with LRU replacement.
 //!
 //! The cache operates on *line addresses* (byte address divided by line
-//! size) and tracks only presence and dirtiness — data values never matter
-//! to the characterization, only hit/miss behaviour.
-
-/// Whether a cache access reads or writes the line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccessKind {
-    /// Load.
-    Read,
-    /// Store (write-allocate: a miss still fills the line).
-    Write,
-}
+//! size) and tracks only presence — data values never matter to the
+//! characterization, only hit/miss behaviour. Reads and writes access a
+//! cache alike (a write miss still fills the line); what a write changes
+//! is coherence, which the memory system's directory handles.
 
 /// Hit/miss/traffic counters for one cache instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,9 +34,9 @@ impl CacheStats {
 
 /// A set-associative, write-allocate, LRU cache over line addresses.
 ///
-/// Way state is stored structure-of-arrays — contiguous tags, one dirty
-/// byte per way, and a separate LRU array — so the hit scan of a set
-/// reads one short run of tags instead of striding over padded structs.
+/// Way state is stored structure-of-arrays — contiguous tags and a
+/// separate LRU array — so the hit scan of a set reads one short run of
+/// tags instead of striding over padded structs.
 /// The valid bit is packed into bit 0 of the tag word (`(line << 1) | 1`,
 /// `0` = invalid), so both the hit scan and the victim scan read a single
 /// array instead of cross-checking a parallel flag array.
@@ -51,11 +44,11 @@ impl CacheStats {
 /// # Example
 ///
 /// ```
-/// use sim_mem::{AccessKind, Cache};
+/// use sim_mem::Cache;
 ///
 /// let mut c = Cache::new("l1", 4, 2); // 4 sets x 2 ways
-/// assert!(!c.access(0, AccessKind::Read).hit);
-/// assert!(c.access(0, AccessKind::Read).hit);
+/// assert!(!c.access(0).hit);
+/// assert!(c.access(0).hit);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
@@ -66,9 +59,6 @@ pub struct Cache {
     /// `tags[set * ways + way]`: `(line << 1) | 1` when the way holds
     /// `line`, `0` when the way is invalid.
     tags: Vec<u64>,
-    /// `dirty[set * ways + way]`: non-zero when the held line is modified.
-    /// Only meaningful while the way is valid; a fill overwrites it.
-    dirty: Vec<u8>,
     /// `lru[set * ways + way]`: timestamp, larger = more recently used.
     lru: Vec<u64>,
     clock: u64,
@@ -82,8 +72,6 @@ pub struct AccessOutcome {
     pub hit: bool,
     /// A victim line (its line address) was evicted to make room.
     pub evicted: Option<u64>,
-    /// The evicted victim was dirty (would be written back).
-    pub evicted_dirty: bool,
     /// Storage slot now holding the line, for callers that maintain
     /// residency slot caches.
     pub slot: u32,
@@ -108,7 +96,6 @@ impl Cache {
             ways,
             set_mask: sets as u64 - 1,
             tags: vec![0; sets * ways],
-            dirty: vec![0; sets * ways],
             lru: vec![0; sets * ways],
             clock: 0,
             stats: CacheStats::default(),
@@ -154,7 +141,7 @@ impl Cache {
     /// dominate simulation time; the fill/eviction tail stays out of line
     /// (`Cache::fill`) so inlining it doesn't bloat those loops.
     #[inline]
-    pub fn access(&mut self, line: u64, kind: AccessKind) -> AccessOutcome {
+    pub fn access(&mut self, line: u64) -> AccessOutcome {
         self.clock += 1;
         let set = (line & self.set_mask) as usize;
         let base = set * self.ways;
@@ -162,19 +149,15 @@ impl Cache {
         // Hit?
         if let Some(w) = self.find(base, line) {
             self.lru[base + w] = self.clock;
-            if kind == AccessKind::Write {
-                self.dirty[base + w] = 1;
-            }
             self.stats.hits += 1;
             return AccessOutcome {
                 hit: true,
                 evicted: None,
-                evicted_dirty: false,
                 slot: (base + w) as u32,
             };
         }
 
-        self.fill(base, line, kind)
+        self.fill(base, line)
     }
 
     /// Fills `line`, which the caller guarantees is absent — e.g. because
@@ -185,7 +168,7 @@ impl Cache {
     /// and the fill picks the same victim — only the doomed hit scan is
     /// skipped.
     #[inline]
-    pub fn fill_absent(&mut self, line: u64, kind: AccessKind) -> AccessOutcome {
+    pub fn fill_absent(&mut self, line: u64) -> AccessOutcome {
         debug_assert!(
             !self.contains(line),
             "fill_absent: line {line} is resident in {}",
@@ -193,11 +176,11 @@ impl Cache {
         );
         self.clock += 1;
         let base = (line & self.set_mask) as usize * self.ways;
-        self.fill(base, line, kind)
+        self.fill(base, line)
     }
 
     /// Miss path of [`Cache::access`]: pick a victim, evict, fill.
-    fn fill(&mut self, base: usize, line: u64, kind: AccessKind) -> AccessOutcome {
+    fn fill(&mut self, base: usize, line: u64) -> AccessOutcome {
         self.stats.misses += 1;
 
         // Fill: prefer an invalid way, else evict LRU. One fused pass —
@@ -219,53 +202,52 @@ impl Cache {
         }
 
         let slot = base + victim_idx;
-        let (evicted, evicted_dirty) = if self.tags[slot] & 1 != 0 {
+        let evicted = self.line_at(slot);
+        if evicted.is_some() {
             self.stats.evictions += 1;
-            (Some(self.tags[slot] >> 1), self.dirty[slot] != 0)
-        } else {
-            (None, false)
-        };
+        }
 
         self.tags[slot] = Self::tag_key(line);
-        self.dirty[slot] = (kind == AccessKind::Write) as u8;
         self.lru[slot] = self.clock;
 
         AccessOutcome {
             hit: false,
             evicted,
-            evicted_dirty,
             slot: slot as u32,
         }
     }
 
-    /// Touches a run of resident lines by pre-resolved storage slot:
-    /// `slots[i]` must hold line `first_line + i` (the `slot` an access or
-    /// fill of that line reported, with no intervening eviction,
-    /// invalidation or flush). Bookkeeping is identical to calling [`Cache::access`] on
-    /// each line in order when every access hits: the clock advances once
-    /// per line, each line becomes most recently used in access order,
-    /// and each access counts one hit.
-    pub fn touch_resident_run(&mut self, slots: &[u32], first_line: u64, write: bool) {
+    /// Touches the lines `first_line..` by pre-resolved storage slot if
+    /// `slots[i]` still holds line `first_line + i` for every `i` (each a
+    /// `slot` an earlier access or fill of the line reported), and returns
+    /// whether it did. A slot that lost its line — an eviction, an
+    /// invalidation or a flush — fails the check even if the line came
+    /// back elsewhere, and then nothing changes. A run that passes is all
+    /// hits, so its bookkeeping is identical to calling [`Cache::access`]
+    /// on each line in order: the clock advances once per line, each line
+    /// becomes most recently used in access order, and each access counts
+    /// one hit.
+    #[inline]
+    pub fn touch_resident_run(&mut self, slots: &[u32], first_line: u64) -> bool {
+        let held = slots
+            .iter()
+            .zip(first_line..)
+            .all(|(&slot, line)| self.tags[slot as usize] == Self::tag_key(line));
+        if !held {
+            return false;
+        }
         let base_clock = self.clock;
         let n = slots.len() as u64;
         self.clock += n;
         self.stats.hits += n;
         for (i, &slot) in slots.iter().enumerate() {
-            let slot = slot as usize;
-            debug_assert!(
-                self.tags[slot] == Self::tag_key(first_line + i as u64),
-                "stale slot cache: slot {slot} does not hold line {}",
-                first_line + i as u64
-            );
-            self.lru[slot] = base_clock + i as u64 + 1;
-            if write {
-                self.dirty[slot] = 1;
-            }
+            self.lru[slot as usize] = base_clock + i as u64 + 1;
         }
+        true
     }
 
     /// The line storage slot `slot` holds, if it is valid.
-    pub(crate) fn line_at(&self, slot: usize) -> Option<u64> {
+    fn line_at(&self, slot: usize) -> Option<u64> {
         let t = self.tags[slot];
         (t & 1 != 0).then_some(t >> 1)
     }
@@ -287,15 +269,6 @@ impl Cache {
             true
         } else {
             false
-        }
-    }
-
-    /// Marks `line` clean if resident (coherence downgrade on a remote
-    /// read of a modified line).
-    pub fn clean(&mut self, line: u64) {
-        let base = (line & self.set_mask) as usize * self.ways;
-        if let Some(w) = self.find(base, line) {
-            self.dirty[base + w] = 0;
         }
     }
 
@@ -346,8 +319,8 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let mut c = small();
-        assert!(!c.access(5, AccessKind::Read).hit);
-        assert!(c.access(5, AccessKind::Read).hit);
+        assert!(!c.access(5).hit);
+        assert!(c.access(5).hit);
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
     }
@@ -355,10 +328,10 @@ mod tests {
     #[test]
     fn lru_eviction_order() {
         let mut c = Cache::new("t", 1, 2); // one set, two ways
-        c.access(1, AccessKind::Read);
-        c.access(2, AccessKind::Read);
-        c.access(1, AccessKind::Read); // 2 becomes LRU
-        let out = c.access(3, AccessKind::Read);
+        c.access(1);
+        c.access(2);
+        c.access(1); // 2 becomes LRU
+        let out = c.access(3);
         assert_eq!(out.evicted, Some(2));
         assert!(c.contains(1));
         assert!(c.contains(3));
@@ -366,27 +339,9 @@ mod tests {
     }
 
     #[test]
-    fn write_marks_dirty_and_eviction_reports_it() {
-        let mut c = Cache::new("t", 1, 1);
-        c.access(7, AccessKind::Write);
-        let out = c.access(8, AccessKind::Read);
-        assert_eq!(out.evicted, Some(7));
-        assert!(out.evicted_dirty);
-    }
-
-    #[test]
-    fn clean_clears_dirtiness() {
-        let mut c = Cache::new("t", 1, 1);
-        c.access(7, AccessKind::Write);
-        c.clean(7);
-        let out = c.access(8, AccessKind::Read);
-        assert!(!out.evicted_dirty);
-    }
-
-    #[test]
     fn invalidate_removes_line() {
         let mut c = small();
-        c.access(4, AccessKind::Write);
+        c.access(4);
         assert!(c.invalidate(4));
         assert!(!c.contains(4));
         assert!(!c.invalidate(4)); // second time: not present
@@ -397,9 +352,9 @@ mod tests {
     fn sets_isolate_addresses() {
         let mut c = Cache::new("t", 2, 1);
         // Lines 0 and 2 map to set 0; line 1 maps to set 1.
-        c.access(0, AccessKind::Read);
-        c.access(1, AccessKind::Read);
-        c.access(2, AccessKind::Read); // evicts 0, not 1
+        c.access(0);
+        c.access(1);
+        c.access(2); // evicts 0, not 1
         assert!(!c.contains(0));
         assert!(c.contains(1));
         assert!(c.contains(2));
@@ -416,22 +371,44 @@ mod tests {
         // warm-up reports still holds its line.
         let slots: Vec<u32> = (0..6u64)
             .map(|line| {
-                b.access(line, AccessKind::Read);
-                a.access(line, AccessKind::Read).slot
+                b.access(line);
+                a.access(line).slot
             })
             .collect();
-        a.touch_resident_run(&slots[2..], 2, true);
+        assert!(a.touch_resident_run(&slots[2..], 2));
         for line in 2..6u64 {
-            assert!(b.access(line, AccessKind::Write).hit);
+            assert!(b.access(line).hit);
         }
         assert_eq!(a.stats(), b.stats());
         // Same future evictions: push conflicting lines through both.
         for line in 8..16u64 {
-            let oa = a.access(line, AccessKind::Read);
-            let ob = b.access(line, AccessKind::Read);
+            let oa = a.access(line);
+            let ob = b.access(line);
             assert_eq!(oa, ob, "divergence at line {line}");
         }
         assert_eq!(a.stats(), b.stats());
+    }
+
+    #[test]
+    fn a_run_with_a_slot_that_lost_its_line_changes_nothing() {
+        // One set of two ways: line 0 lands in way 0 and line 2 in way 1.
+        let mut c = Cache::new("t", 1, 2);
+        let slot0 = c.access(0).slot;
+        let slot2 = c.access(2).slot;
+        // Line 4 evicts line 0 into its slot; line 0 comes back in the
+        // other way. The recorded slot of line 0 no longer holds it.
+        c.access(4);
+        c.access(0);
+        let before = c.clone();
+        assert!(!c.touch_resident_run(&[slot0], 0));
+        assert!(!c.touch_resident_run(&[slot2, slot0], 2));
+        assert_eq!(
+            (c.stats(), c.clock, &c.lru),
+            (before.stats(), before.clock, &before.lru)
+        );
+        // The slot that holds line 0 now passes.
+        let slot = c.access(0).slot;
+        assert!(c.touch_resident_run(&[slot], 0));
     }
 
     #[test]
@@ -441,18 +418,18 @@ mod tests {
         let mut a = Cache::new("a", 2, 2);
         let mut b = Cache::new("b", 2, 2);
         for line in 0..4u64 {
-            a.access(line, AccessKind::Read);
-            b.access(line, AccessKind::Read);
+            a.access(line);
+            b.access(line);
         }
         for line in 8..12u64 {
-            let oa = a.access(line, AccessKind::Write);
-            let ob = b.fill_absent(line, AccessKind::Write);
+            let oa = a.access(line);
+            let ob = b.fill_absent(line);
             assert_eq!(oa, ob, "divergence at line {line}");
         }
         assert_eq!(a.stats(), b.stats());
         for line in 0..12u64 {
-            let oa = a.access(line, AccessKind::Read);
-            let ob = b.access(line, AccessKind::Read);
+            let oa = a.access(line);
+            let ob = b.access(line);
             assert_eq!(oa, ob, "future divergence at line {line}");
         }
     }
@@ -467,8 +444,8 @@ mod tests {
     #[test]
     fn flush_empties() {
         let mut c = small();
-        c.access(1, AccessKind::Read);
-        c.access(2, AccessKind::Read);
+        c.access(1);
+        c.access(2);
         assert_eq!(c.resident_lines(), 2);
         c.flush();
         assert_eq!(c.resident_lines(), 0);
@@ -477,8 +454,8 @@ mod tests {
     #[test]
     fn miss_ratio() {
         let mut c = small();
-        c.access(1, AccessKind::Read);
-        c.access(1, AccessKind::Read);
+        c.access(1);
+        c.access(1);
         assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-12);
         assert_eq!(CacheStats::default().miss_ratio(), 0.0);
     }
@@ -486,9 +463,9 @@ mod tests {
     #[test]
     fn reset_stats_keeps_contents() {
         let mut c = small();
-        c.access(1, AccessKind::Read);
+        c.access(1);
         c.reset_stats();
         assert_eq!(c.stats().misses, 0);
-        assert!(c.access(1, AccessKind::Read).hit);
+        assert!(c.access(1).hit);
     }
 }

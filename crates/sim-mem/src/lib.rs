@@ -10,12 +10,12 @@
 //!
 //! * [`Cache`] — set-associative, LRU, write-allocate cache with
 //!   hit/miss/eviction accounting;
-//! * [`Tlb`] — small fully/set-associative translation buffer (ITLB and
+//! * [`Tlb`] — small fully-associative translation buffer (ITLB and
 //!   DTLB instances);
 //! * [`MemorySystem`] — per-CPU three-level hierarchies (L1D, L2, LLC)
 //!   plus a trace-cache stand-in for instruction delivery, glued together
-//!   by a directory that invalidates remote copies on writes (MESI-lite)
-//!   and services device DMA (which, as on real hardware, leaves arriving
+//!   by a directory of sharers that invalidates remote copies on writes
+//!   and on device DMA writes (which, as on real hardware, leave arriving
 //!   packet payload *uncached* — the paper's RX-copy observation);
 //! * [`RegionTable`] / [`MemRegion`] — named memory regions (connection
 //!   contexts, socket buffers, payload, descriptor rings, kernel text)
@@ -48,7 +48,7 @@ mod region;
 mod system;
 mod tlb;
 
-pub use cache::{AccessKind, Cache, CacheStats};
+pub use cache::{Cache, CacheStats};
 pub use config::MemoryConfig;
 pub use region::{MemRegion, RegionId, RegionName, RegionPlan, RegionSpan, RegionTable};
 pub use system::{ConstructionLayout, FetchResult, Footprint, MemorySystem, TouchResult};

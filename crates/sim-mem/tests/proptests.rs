@@ -6,12 +6,12 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 use sim_core::CpuId;
 use sim_mem::{
-    AccessKind, Cache, Footprint, MemoryConfig, MemorySystem, RegionId, RegionName, RegionPlan, Tlb,
+    Cache, Footprint, MemoryConfig, MemorySystem, RegionId, RegionName, RegionPlan, Tlb,
 };
 
 /// One memory-system operation: `(kind, cpu, region, offset, bytes)`,
-/// with `kind` 0 read, 1 write, 2 code fetch, 3 DMA write, 4 DMA read,
-/// anything else a TLB flush.
+/// with `kind` 0 read, 1 write, 2 code fetch, 3 DMA write, anything else
+/// a TLB flush.
 type Op = (u8, u32, usize, u64, u64);
 
 /// Applies `op` to `m`, returning the touch or fetch result as a tuple
@@ -43,10 +43,6 @@ fn apply(m: &mut MemorySystem, regions: &[RegionId], op: Op) -> [u64; 5] {
         }
         3 => {
             m.dma_write(r, off, len);
-            [0; 5]
-        }
-        4 => {
-            m.dma_read(r, off, len);
             [0; 5]
         }
         _ => {
@@ -158,9 +154,8 @@ proptest! {
     #[test]
     fn cache_accounting_identities(lines in prop::collection::vec(0u64..512, 1..400)) {
         let mut c = Cache::new("t", 8, 4); // 32 lines
-        for (i, &l) in lines.iter().enumerate() {
-            let kind = if i % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
-            c.access(l, kind);
+        for &l in &lines {
+            c.access(l);
             prop_assert!(c.resident_lines() <= c.capacity_lines());
         }
         let s = c.stats();
@@ -172,8 +167,8 @@ proptest! {
     fn cache_back_to_back_hits(lines in prop::collection::vec(0u64..256, 1..100)) {
         let mut c = Cache::new("t", 16, 4);
         for &l in &lines {
-            c.access(l, AccessKind::Read);
-            let again = c.access(l, AccessKind::Read);
+            c.access(l);
+            let again = c.access(l);
             prop_assert!(again.hit, "immediate re-access of line {l} missed");
         }
     }
@@ -182,11 +177,11 @@ proptest! {
     #[test]
     fn cache_invalidate_forces_miss(line in 0u64..1024) {
         let mut c = Cache::new("t", 16, 4);
-        c.access(line, AccessKind::Write);
+        c.access(line);
         prop_assert!(c.contains(line));
         c.invalidate(line);
         prop_assert!(!c.contains(line));
-        prop_assert!(!c.access(line, AccessKind::Read).hit);
+        prop_assert!(!c.access(line).hit);
     }
 
     /// TLB: hits + misses == accesses; capacity bound holds.
@@ -264,7 +259,7 @@ proptest! {
     /// inclusion, per-leaf live counts and the free list) matches a naive
     /// full-recompute model directory after **every** step of an
     /// arbitrary operation sequence — reads, writes, instruction
-    /// fetches, DMA invalidations and writebacks, issued by randomly
+    /// fetches, DMA invalidations and TLB flushes, issued by randomly
     /// steered CPUs against overlapping regions. Same idiom as the
     /// calendar-vs-heap and SPSC-vs-VecDeque model tests:
     /// `verify_incremental_state` rebuilds the aggregates from the
@@ -324,7 +319,7 @@ proptest! {
     }
 
     /// Fast-path exactness ([`assert_fast_paths_exact`]) under random
-    /// reads, writes, code fetches and DMA. Data touches dominate the mix,
+    /// reads, writes, code fetches and DMA writes. Data touches dominate the mix,
     /// and offsets and lengths come from small sets, so exact spans repeat
     /// and small regions fit the L1: that is what engages the fast paths
     /// on the default side and replaces live entries on the single-entry
@@ -332,7 +327,7 @@ proptest! {
     #[test]
     fn summary_cache_capacity_is_unobservable(
         ops in prop::collection::vec(
-            (0u8..10, 0u32..2, 0usize..4, 0u64..4, 0usize..4),
+            (0u8..9, 0u32..2, 0usize..4, 0u64..4, 0usize..4),
             1..200,
         ),
     ) {
@@ -340,7 +335,7 @@ proptest! {
             .into_iter()
             .map(|(kind, cpu, rix, off, len)| {
                 // 0..=5 data touches (odd kinds write), then one each of
-                // code fetch, DMA write, DMA read and TLB flush.
+                // code fetch, DMA write and TLB flush.
                 let kind = if kind < 6 { kind % 2 } else { kind - 4 };
                 (kind, cpu, rix, off * 64, [64u64, 100, 256, 700][len])
             })
@@ -366,7 +361,7 @@ proptest! {
         let ops: Vec<Op> = ops
             .into_iter()
             .map(|(kind, cpu, rix, off, len)| {
-                let kind = if kind < 5 { kind % 2 } else { [2, 2, 3, 4, 5][kind as usize - 5] };
+                let kind = if kind < 5 { kind % 2 } else { [2, 2, 2, 3, 5][kind as usize - 5] };
                 let size = sizes[rix].max(1);
                 let off = [0, 64, size.saturating_sub(64), size.saturating_sub(192)][off as usize];
                 (kind, cpu, rix, off, [64u64, 100, 256, 700][len])
@@ -379,8 +374,8 @@ proptest! {
     /// the LLC: three small code regions share `tiny`'s 8-line trace
     /// cache while reads and writes stream a region twice the LLC's size
     /// through it, so a fetch's TC victim has often lost its LLC copy and
-    /// its directory leaf (the TC is exempt from inclusion). The victim's
-    /// bump must still reach the region whose claim holds its slot.
+    /// its directory leaf (the TC is exempt from inclusion). The claim
+    /// that recorded the victim's slot must see the loss by its tags.
     #[test]
     fn summary_cache_capacity_is_unobservable_when_tc_victims_left_the_llc(
         ops in prop::collection::vec(
@@ -402,8 +397,8 @@ proptest! {
     /// The oracle for DMA over recycled leaves: buffers in their own
     /// pages are read and written from two CPUs and DMA-written, which
     /// frees their leaves; the next page touched takes a freed leaf for
-    /// another region, and a DMA over that page must bump the region the
-    /// leaf holds now.
+    /// another region, and a DMA over that page must withdraw the claims
+    /// over the lines it invalidates.
     #[test]
     fn summary_cache_capacity_is_unobservable_over_recycled_leaves(
         ops in prop::collection::vec(
@@ -414,12 +409,104 @@ proptest! {
         let ops: Vec<Op> = ops
             .into_iter()
             .map(|(kind, cpu, rix, off, len)| {
-                // Reads and writes, then DMA writes and DMA reads.
-                let kind = [0, 1, 0, 1, 3, 4][kind as usize];
+                // Reads and writes, then DMA writes.
+                let kind = [0, 1, 0, 1, 3, 3][kind as usize];
                 (kind, cpu, rix, off * 64, [64u64, 128, 256][len])
             })
             .collect();
         assert_fast_paths_exact(&oracle_config(), &[256, 256, 4096, 192], &ops);
+    }
+
+    /// The oracle for owned write claims under other CPUs' fills: CPU0
+    /// writes whole small regions, which claims them owned, and reads
+    /// them; CPU1 reads and fetches single lines of them, which adds CPU1
+    /// as a sharer under CPU0's claim, and sometimes writes one. A repeat
+    /// write by CPU0 after CPU1's fill must take the walk and invalidate
+    /// CPU1's copy: only the fill's generation bump can withdraw the
+    /// claim, since CPU0's tags still hold every line.
+    #[test]
+    fn remote_fills_withdraw_owned_write_claims(
+        ops in prop::collection::vec((0u8..6, 0usize..3, 0u64..4), 1..200),
+    ) {
+        let sizes = [64u64, 128, 256];
+        let ops: Vec<Op> = ops
+            .into_iter()
+            .map(|(kind, rix, line)| {
+                let (size, off) = (sizes[rix], line * 64 % sizes[rix]);
+                match kind {
+                    0 | 1 => (1, 0, rix, 0, size),
+                    2 => (0, 0, rix, 0, size),
+                    3 => (0, 1, rix, off, 64),
+                    4 => (2, 1, rix, off, 64),
+                    _ => (1, 1, rix, off, 64),
+                }
+            })
+            .collect();
+        assert_fast_paths_exact(&oracle_config(), &sizes, &ops);
+    }
+
+    /// The oracle for fills that run past a region's end into lines an
+    /// owned claim holds: `a` fills its page, so a touch or fetch of
+    /// `a` that starts in its last lines runs into `b`, whose lines CPU0
+    /// claims by writing. CPU1's walks of `a` fill `b`'s lines under that
+    /// claim; the fill's bump must reach `b`, the region holding the
+    /// line, not `a`, the region walked.
+    #[test]
+    fn past_end_fills_withdraw_the_next_regions_owned_claims(
+        ops in prop::collection::vec((0u8..7, 0u32..2, 0u64..3, 0usize..3), 1..200),
+    ) {
+        let sizes = [4096u64, 192];
+        let ops: Vec<Op> = ops
+            .into_iter()
+            .map(|(kind, cpu, off, len)| match kind {
+                0..=2 => (1, 0, 1, 0, 192),
+                3 => (0, 0, 1, 0, 192),
+                _ => {
+                    // A read, a write or a fetch of `a` from its last
+                    // lines, on either CPU, reaching 1–3 lines into `b`.
+                    let kind = [0, 1, 2][kind as usize - 4];
+                    (kind, cpu, 0, 4096 - 64 * (off + 1), [128u64, 192, 256][len])
+                }
+            })
+            .collect();
+        assert_fast_paths_exact(&oracle_config(), &sizes, &ops);
+    }
+
+    /// The oracle for claim slots that lose their line and get it back in
+    /// place: with a direct-mapped L1, a line always refills the slot a
+    /// claim recorded for it, so after CPU0's copy is evicted (a stream
+    /// twice the LLC's size), invalidated (CPU1's write) or DMA-written,
+    /// a later refill makes the claim's tags match again. Reads by CPU1
+    /// in between leave it a sharer of the refilled line; a write replay
+    /// of the old owned claim would then skip its invalidation.
+    #[test]
+    fn claim_slots_refilled_in_place_stay_exact(
+        ops in prop::collection::vec((0u8..10, 0u32..2, 0usize..3, 0u64..3), 1..200),
+    ) {
+        let config = MemoryConfig {
+            l1_assoc: 1,
+            ..oracle_config()
+        };
+        let sizes = [128u64, 192, 8192];
+        let ops: Vec<Op> = ops
+            .into_iter()
+            .map(|(kind, cpu, rix, off)| {
+                let rix = rix % 2;
+                let size = sizes[rix];
+                match kind {
+                    // Whole-region writes and reads: owned and read claims.
+                    0..=2 => (1, cpu, rix, 0, size),
+                    3 | 4 => (0, cpu, rix, 0, size),
+                    // One line read, fetched or DMA-written.
+                    5 => (0, cpu, rix, off * 64 % size, 64),
+                    6 => (2, cpu, rix, off * 64 % size, 64),
+                    7 => (3, cpu, rix, off * 64 % size, 64),
+                    // The stream, which evicts every line of both LLCs.
+                    _ => (kind % 2, cpu, 2, 0, 8192),
+                }
+            })
+            .collect();
+        assert_fast_paths_exact(&config, &sizes, &ops);
     }
 
     /// `add_regions_bulk` is identical to a loop of `add_region` calls:

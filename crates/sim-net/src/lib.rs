@@ -11,7 +11,7 @@
 //!   per-queue interrupt-moderation state machine ([`Coalescer`]). DMA
 //!   goes through [`sim_mem::MemorySystem`], so arriving payload is
 //!   *uncached* for whichever CPU copies it later (the paper's RX-copy
-//!   observation) and transmit DMA forces writebacks. The paper-era
+//!   observation) and transmitted payload stays cached. The paper-era
 //!   device is a single queue with fixed packet-count coalescing
 //!   ([`CoalesceConfig::FixedCount`]); multi-queue MSI-X configurations
 //!   give each queue its own vector so steering policies can spread

@@ -26,7 +26,7 @@
 //! The stack exposes the *path stages* the machine model sequences:
 //! [`TcpStack::sendmsg`], [`TcpStack::driver_tx`], [`TcpStack::rx_ack`],
 //! [`TcpStack::irq_top_half`], [`TcpStack::rx_bottom_half`],
-//! [`TcpStack::recvmsg`], [`TcpStack::connect`], plus accessors used by
+//! [`TcpStack::recvmsg`], plus accessors used by
 //! the profiler and the experiment harness.
 //!
 //! Server cells additionally drive the passive-open lifecycle — LISTEN

@@ -24,8 +24,6 @@ fn streaming_run(flows: usize) -> (Footprint, usize, u64) {
 fn total_bytes(f: &Footprint) -> usize {
     f.directory_top_bytes
         + f.directory_leaf_bytes
-        + f.leaf_region_bytes
-        + f.tc_region_bytes
         + f.summary_cache_bytes
         + f.holder_bytes
         + f.code_summary_bytes
@@ -41,8 +39,6 @@ fn footprint_follows_the_active_set_not_the_provisioned_flows() {
     assert!(small.directory_leaves > 0 && small.summary_entries > 0);
     assert_eq!(small.directory_leaves, large.directory_leaves);
     assert_eq!(small.directory_leaf_bytes, large.directory_leaf_bytes);
-    assert_eq!(small.leaf_region_bytes, large.leaf_region_bytes);
-    assert_eq!(small.tc_region_bytes, large.tc_region_bytes);
     assert_eq!(small.summary_entries, large.summary_entries);
     assert_eq!(small.summary_cache_bytes, large.summary_cache_bytes);
     // A provisioned region costs its 24-byte record and its holder mask,
