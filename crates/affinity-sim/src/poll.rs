@@ -31,9 +31,9 @@ pub(crate) enum RxDesc {
     Data { flow: usize, bytes: u32 },
     /// A peer ACK frame acknowledging `acked` segments.
     Ack { flow: usize, acked: u32 },
-    /// A transmit completion for a `bytes`-payload segment. Reuses the
+    /// A transmit completion for one of the flow's segments. Reuses the
     /// tx descriptor — no rx buffer.
-    TxDone { flow: usize, bytes: u32 },
+    TxDone { flow: usize },
     /// A connection-opening SYN (server workload); the flow slot was
     /// allocated device-side at arrival.
     Syn { flow: usize },
@@ -47,7 +47,7 @@ impl RxDesc {
         match *self {
             RxDesc::Data { flow, .. }
             | RxDesc::Ack { flow, .. }
-            | RxDesc::TxDone { flow, .. }
+            | RxDesc::TxDone { flow }
             | RxDesc::Syn { flow }
             | RxDesc::FinAck { flow } => flow,
         }
